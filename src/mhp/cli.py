@@ -22,7 +22,7 @@ from .datagen import (MultiLabelItem, MultiLabelSpec, default_gridframe_spec,
                       load_dataset, make_multilabel_spec, sample_gaussian_mixture,
                       sample_gridframe, sample_multilabel, sample_temporal2d,
                       temporal2d_dataset, write_dataset)
-from .io_utils import format_float, write_json_atomic
+from .io_utils import format_float, write_json_atomic, write_text_atomic
 from .losses import LossKind
 from .meta_loss import MetaLossConfig
 from .metrics import (dataset_hypothesis_variance, dataset_sharpness,
@@ -239,10 +239,7 @@ def cmd_train(args) -> int:
                          "mean_meta_loss": h.mean_meta_loss,
                          "oracle_min_loss": h.oracle_min_loss})
              for h in history]
-    metrics_path = out / "metrics.jsonl"
-    tmp = metrics_path.with_name(metrics_path.name + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    tmp.replace(metrics_path)
+    write_text_atomic(out / "metrics.jsonl", "\n".join(lines) + "\n")
     _write_manifest(out, "train", cfg, seed, ["checkpoint.json", "metrics.jsonl"], started)
     return EXIT_OK
 
@@ -302,7 +299,7 @@ def cmd_eval(args) -> int:
         outputs = ["report.json"]
         for name, matrix in exports.items():
             rows = "\n".join(",".join(format_float(v) for v in row) for row in matrix)
-            (out / name).write_text(rows + "\n", encoding="utf-8")
+            write_text_atomic(out / name, rows + "\n")
             outputs.append(name)
         _write_manifest(out, "eval",
                         {"checkpoint": args.checkpoint, "data": args.data,
@@ -362,7 +359,7 @@ def cmd_tessellate(args) -> int:
     lines = ["y1,y2,cell_index"]
     lines += [f"{format_float(p[0])},{format_float(p[1])},{int(c)}"
               for p, c in zip(samples, cells)]
-    (out / "cells.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(out / "cells.csv", "\n".join(lines) + "\n")
     write_json_atomic(out / "generators.json", {
         "generators": generators.tolist(),
         "loss": base.spec(),

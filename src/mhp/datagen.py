@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .io_utils import format_float, write_json_atomic
+from .io_utils import format_float, write_json_atomic, write_text_atomic
 
 # Quadrant bounds, ordered: lower-left, upper-left, lower-right, upper-right.
 # Lower bounds are inclusive, zero-boundaries exclusive on the negative side.
@@ -283,9 +283,7 @@ def write_dataset(outdir, X, Y, *, task: str, spec: dict, seed: int,
         else:
             cells.extend(format_float(v) for v in Y[i])
         lines.append(",".join(cells))
-    tmp = csv_path.with_name(csv_path.name + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    tmp.replace(csv_path)
+    write_text_atomic(csv_path, "\n".join(lines) + "\n")
     sidecar = {
         "task": task,
         "spec": spec,

@@ -65,6 +65,16 @@ def _broadcast_logits(p: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
     return p, t
 
 
+def hypothesis_targets(kind: LossKind, targets, n: int, output_dim: int) -> np.ndarray:
+    """Targets shaped to broadcast against (n, M, ...) hypothesis sets.
+
+    Class indices become (n, 1), regression targets (n, 1, output_dim).
+    """
+    if kind.name == "cross_entropy":
+        return np.asarray(targets).reshape(n, 1)
+    return np.asarray(targets, dtype=np.float64).reshape(n, 1, output_dim)
+
+
 def loss_values(kind: LossKind, predictions, targets) -> np.ndarray:
     """Loss of each prediction against its target, summed over the last axis.
 

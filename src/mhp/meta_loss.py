@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import L2, LossKind, loss_grads, loss_values
+from .losses import L2, LossKind, hypothesis_targets, loss_grads, loss_values
 
 
 @dataclass(frozen=True)
@@ -54,14 +54,6 @@ def _broadcast_target(kind: LossKind, hypotheses: np.ndarray, target):
     return t
 
 
-def draw_dropout_mask(config: MetaLossConfig, rng: np.random.Generator) -> np.ndarray:
-    """Independent per-hypothesis dropout; an all-dropped draw drops none."""
-    mask = rng.random(config.num_hypotheses) < config.dropout_prob
-    if mask.all():
-        mask[:] = False
-    return mask
-
-
 def assign(config: MetaLossConfig, hypotheses, target,
            rng: np.random.Generator | None = None,
            dropped_mask=None) -> AssignmentResult:
@@ -69,44 +61,18 @@ def assign(config: MetaLossConfig, hypotheses, target,
 
     The winner is the active hypothesis with the lowest base loss (lowest
     index on ties). Pass ``dropped_mask`` to fix the dropout draw; otherwise
-    it is sampled from ``rng`` when ``dropout_prob > 0``.
+    it is sampled from ``rng`` when ``dropout_prob > 0``. A one-row
+    :func:`assign_batch`, consuming ``rng`` identically.
     """
     h = np.asarray(hypotheses, dtype=np.float64)
     if h.ndim != 2 or h.shape[0] != config.num_hypotheses:
         raise ValueError(f"expected ({config.num_hypotheses}, d) hypotheses, got {h.shape}")
     if not np.isfinite(h).all():
         raise ValueError("non-finite hypotheses")
-    losses = loss_values(config.base_loss, h, _broadcast_target(config.base_loss, h, target))
-
-    if dropped_mask is not None:
-        mask = np.asarray(dropped_mask, dtype=bool).copy()
-        if mask.shape != (config.num_hypotheses,):
-            raise ValueError("dropout mask shape mismatch")
-        if mask.all():
-            mask[:] = False
-    elif config.dropout_prob > 0.0:
-        if rng is None:
-            raise ValueError("rng required when dropout_prob > 0")
-        mask = draw_dropout_mask(config, rng)
-    else:
-        mask = np.zeros(config.num_hypotheses, dtype=bool)
-
-    weights, best = _weights_from_losses(losses, mask, config.epsilon)
-    return AssignmentResult(best, weights, losses, mask)
-
-
-def _weights_from_losses(losses: np.ndarray, dropped: np.ndarray, epsilon: float):
-    m = losses.shape[0]
-    masked = np.where(dropped, np.inf, losses)
-    best = int(np.argmin(masked))
-    active = int(m - dropped.sum())
-    weights = np.zeros(m)
-    if m == 1 or active == 1:
-        weights[best] = 1.0
-    else:
-        weights[~dropped] = epsilon / (active - 1)
-        weights[best] = 1.0 - epsilon
-    return weights, best
+    t = _broadcast_target(config.base_loss, h, target)
+    masks = None if dropped_mask is None else np.asarray(dropped_mask, dtype=bool)[None]
+    weights, losses, best, masks = assign_batch(config, h[None], t[None], rng, masks)
+    return AssignmentResult(int(best[0]), weights[0], losses[0], masks[0])
 
 
 def meta_loss(config: MetaLossConfig, hypotheses, target,
@@ -142,14 +108,13 @@ def assign_batch(config: MetaLossConfig, hypotheses, targets,
     n, m = h.shape[0], h.shape[1]
     if m != config.num_hypotheses:
         raise ValueError(f"expected M={config.num_hypotheses} hypotheses, got {m}")
-    if config.base_loss.name == "cross_entropy":
-        t = np.asarray(targets).reshape(n, 1)
-    else:
-        t = np.asarray(targets, dtype=np.float64).reshape(n, 1, h.shape[2])
+    t = hypothesis_targets(config.base_loss, targets, n, h.shape[2])
     losses = loss_values(config.base_loss, h, t)
 
     if dropped_masks is not None:
         masks = np.asarray(dropped_masks, dtype=bool).copy()
+        if masks.shape != (n, m):
+            raise ValueError(f"expected dropout masks of shape {(n, m)}, got {masks.shape}")
     elif config.dropout_prob > 0.0:
         if rng is None:
             raise ValueError("rng required when dropout_prob > 0")

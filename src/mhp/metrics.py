@@ -6,17 +6,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .losses import LossKind, loss_values
+from .losses import LossKind, hypothesis_targets, loss_values
 from .network import MlpModel, forward_batch
 
 
 def _per_hypothesis_losses(model: MlpModel, X, Y, kind: LossKind) -> np.ndarray:
     hyps = forward_batch(model, X)
-    if kind.name == "cross_entropy":
-        t = np.asarray(Y).reshape(len(hyps), 1)
-    else:
-        t = np.asarray(Y, dtype=np.float64).reshape(len(hyps), 1, model.output_dim)
-    return loss_values(kind, hyps, t)
+    return loss_values(kind, hyps, hypothesis_targets(kind, Y, len(hyps), model.output_dim))
 
 
 def oracle_min_loss(model: MlpModel, X, Y, kind: LossKind) -> float:
@@ -66,6 +62,20 @@ def dataset_hypothesis_variance(model: MlpModel, X) -> tuple[float, np.ndarray]:
     return float(spread), hyps.var(axis=1).mean(axis=0)
 
 
+def _gradient_energy(hyps: np.ndarray, width: int, height: int, channels: int) -> np.ndarray:
+    """Per-row sum of squared forward differences of (n, M, H*W*C) outputs."""
+    n, m = hyps.shape[:2]
+    if hyps.shape[2:] != (height * width * channels,):
+        raise ValueError(
+            f"cannot reshape outputs of size {hyps.shape[2:]} to {height}x{width}x{channels}")
+    imgs = hyps.reshape(n, m, height, width, channels)
+    gx = np.zeros_like(imgs)
+    gy = np.zeros_like(imgs)
+    gx[:, :, :, :-1] = imgs[:, :, :, 1:] - imgs[:, :, :, :-1]
+    gy[:, :, :-1] = imgs[:, :, 1:] - imgs[:, :, :-1]
+    return (gx * gx + gy * gy).reshape(n, m * hyps.shape[2]).sum(axis=1)
+
+
 def sharpness(hypotheses, width: int, height: int, channels: int = 1) -> float:
     """Mean squared forward-difference gradient magnitude over all outputs.
 
@@ -76,25 +86,16 @@ def sharpness(hypotheses, width: int, height: int, channels: int = 1) -> float:
     h = np.asarray(hypotheses, dtype=np.float64)
     if h.ndim == 1:
         h = h[None, :]
-    m = h.shape[0]
-    if h.shape[1:] != (height * width * channels,):
-        raise ValueError(
-            f"cannot reshape outputs of size {h.shape[1:]} to {height}x{width}x{channels}")
-    imgs = h.reshape(m, height, width, channels)
-    gx = np.zeros_like(imgs)
-    gy = np.zeros_like(imgs)
-    gx[:, :, :-1, :] = imgs[:, :, 1:, :] - imgs[:, :, :-1, :]
-    gy[:, :-1, :, :] = imgs[:, 1:, :, :] - imgs[:, :-1, :, :]
-    total = float((gx * gx + gy * gy).sum())
-    return total / (channels * width * height * m)
+    total = float(_gradient_energy(h[None], width, height, channels)[0])
+    return total / (channels * width * height * h.shape[0])
 
 
 def dataset_sharpness(model: MlpModel, X, width: int, height: int,
                       channels: int = 1) -> float:
     """Mean sharpness of the model's hypothesis sets over a dataset."""
     hyps = forward_batch(model, X)
-    vals = [sharpness(hyps[i], width, height, channels) for i in range(len(hyps))]
-    return float(np.mean(vals))
+    totals = _gradient_energy(hyps, width, height, channels)
+    return float(np.mean(totals / (channels * width * height * model.num_hypotheses)))
 
 
 def multilabel_scores(model: MlpModel, features, label_sets) -> tuple[float, float]:

@@ -206,15 +206,20 @@ class OptimizerState:
     momentum: float
     buffers: list[tuple[np.ndarray, np.ndarray]]
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("sgd_momentum", "rmsprop"):
+            raise ValueError(f"unknown optimizer {self.kind!r}")
+        if not self.learning_rate > 0:
+            raise ValueError("learning_rate must be positive")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum/decay must lie in [0, 1)")
+        for k, (bw, bb) in enumerate(self.buffers):
+            if bw.ndim != 2 or bb.shape != bw.shape[:1]:
+                raise ValueError(f"optimizer buffer {k}: weights (out,in) and biases (out,) required")
+
 
 def make_optimizer(kind: str, model: MlpModel, learning_rate: float,
                    momentum: float = 0.9) -> OptimizerState:
-    if kind not in ("sgd_momentum", "rmsprop"):
-        raise ValueError(f"unknown optimizer {kind!r}")
-    if not learning_rate > 0:
-        raise ValueError("learning_rate must be positive")
-    if not 0.0 <= momentum < 1.0:
-        raise ValueError("momentum/decay must lie in [0, 1)")
     buffers = [(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in model.layers]
     return OptimizerState(kind, float(learning_rate), float(momentum), buffers)
 
@@ -228,13 +233,16 @@ def step(state: OptimizerState, model: MlpModel, grads) -> None:
     """
     if len(grads) != len(model.layers):
         raise ValueError("gradient list does not match model layers")
-    lr, mu = state.learning_rate, state.momentum
-    for k, (layer, (dw, db), (bw, bb)) in enumerate(zip(model.layers, grads, state.buffers)):
-        dw, db = np.asarray(dw, dtype=np.float64), np.asarray(db, dtype=np.float64)
+    grads = [(np.asarray(dw, dtype=np.float64), np.asarray(db, dtype=np.float64))
+             for dw, db in grads]
+    # every gradient is checked before any parameter or buffer moves
+    for k, (layer, (dw, db)) in enumerate(zip(model.layers, grads)):
         if dw.shape != layer.weights.shape or db.shape != layer.biases.shape:
             raise ValueError(f"layer {k}: gradient shape mismatch")
         if not (np.isfinite(dw).all() and np.isfinite(db).all()):
             raise TrainingDivergedError(f"non-finite gradient in layer {k}", layer_index=k)
+    lr, mu = state.learning_rate, state.momentum
+    for layer, (dw, db), (bw, bb) in zip(model.layers, grads, state.buffers):
         if state.kind == "sgd_momentum":
             bw *= mu
             bw -= lr * dw
@@ -279,26 +287,33 @@ def save_checkpoint(path, model: MlpModel, optimizer: OptimizerState | None = No
 
 
 def load_checkpoint(path) -> tuple[MlpModel, OptimizerState | None]:
+    """Read a checkpoint back; a malformed document raises ValueError."""
     import json
 
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
-        raise ValueError(f"unsupported checkpoint schema {doc.get('schema_version')!r}")
-    layers = []
-    for (ind, out), act, params in zip(doc["layer_dims"], doc["activations"], doc["parameters"]):
-        w = np.array(params["weights"], dtype=np.float64).reshape(out, ind)
-        b = np.array(params["biases"], dtype=np.float64)
-        layers.append(Layer(w, b, act))
-    model = MlpModel(layers, int(doc["output_dim"]), int(doc["M"]),
-                     seed=doc.get("seed"), extras=doc.get("extras") or {})
-    opt = None
-    if doc.get("optimizer"):
-        o = doc["optimizer"]
-        buffers = []
-        for layer, bufs in zip(layers, o["buffers"]):
-            bw = np.array(bufs["weights"], dtype=np.float64).reshape(layer.weights.shape)
-            bb = np.array(bufs["biases"], dtype=np.float64)
-            buffers.append((bw, bb))
-        opt = OptimizerState(o["kind"], float(o["learning_rate"]), float(o["momentum"]), buffers)
+    try:
+        if doc.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
+            raise ValueError(f"unsupported checkpoint schema {doc.get('schema_version')!r}")
+        layers = []
+        for (ind, out), act, params in zip(doc["layer_dims"], doc["activations"],
+                                           doc["parameters"], strict=True):
+            w = np.array(params["weights"], dtype=np.float64).reshape(out, ind)
+            b = np.array(params["biases"], dtype=np.float64)
+            layers.append(Layer(w, b, act))
+        model = MlpModel(layers, int(doc["output_dim"]), int(doc["M"]),
+                         seed=doc.get("seed"), extras=doc.get("extras") or {})
+        opt = None
+        if doc.get("optimizer"):
+            o = doc["optimizer"]
+            if len(o["buffers"]) != len(layers):
+                raise ValueError(f"{len(o['buffers'])} optimizer buffer pairs for {len(layers)} layers")
+            buffers = []
+            for layer, bufs in zip(layers, o["buffers"]):
+                bw = np.array(bufs["weights"], dtype=np.float64).reshape(layer.weights.shape)
+                bb = np.array(bufs["biases"], dtype=np.float64)
+                buffers.append((bw, bb))
+            opt = OptimizerState(o["kind"], float(o["learning_rate"]), float(o["momentum"]), buffers)
+    except (KeyError, TypeError, AttributeError) as err:
+        raise ValueError(f"malformed checkpoint {path}: {type(err).__name__} {err}") from err
     return model, opt

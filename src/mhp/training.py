@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import loss_grads
+from .losses import hypothesis_targets, loss_grads
 from .meta_loss import MetaLossConfig, assign_batch
 from .network import MlpModel, OptimizerState, TrainingDivergedError, backward_batch, forward_batch, step
 
@@ -88,10 +88,7 @@ def train(model: MlpModel, data, config: MetaLossConfig,
                     epoch=epoch, batch_index=b)
             meta_sum += float((weights * losses).sum())
             oracle_sum += float(losses.min(axis=1).sum())
-            if config.base_loss.name == "cross_entropy":
-                tb = yb.reshape(len(xb), 1)
-            else:
-                tb = yb.reshape(len(xb), 1, model.output_dim)
+            tb = hypothesis_targets(config.base_loss, yb, len(xb), model.output_dim)
             upstream = weights[:, :, None] * loss_grads(config.base_loss, hyps, tb)
             upstream /= len(xb)
             grads = backward_batch(model, xb, upstream)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import L2, LossKind, loss_values
+from .losses import L2, LossKind, hypothesis_targets, loss_values
 
 logger = logging.getLogger(__name__)
 
@@ -53,25 +53,36 @@ def _as_points(arr, name: str) -> np.ndarray:
     return pts
 
 
+def _nearest(gens: np.ndarray, loss: LossKind, samples) -> tuple[np.ndarray, np.ndarray]:
+    """Index of and loss against the loss-minimizing generator per sample.
+
+    Works through the samples in chunks so the (chunk, M, d) loss temporary
+    stays bounded; ties go to the lowest index.
+    """
+    n = len(samples)
+    index = np.empty(n, dtype=np.int64)
+    best = np.empty(n)
+    for lo in range(0, n, _CHUNK):
+        block = samples[lo:lo + _CHUNK]
+        # (M, chunk) losses: reducing over the leading axis runs along rows of
+        # length chunk, far faster than per-sample reductions over M
+        t = hypothesis_targets(loss, block, len(block), gens.shape[1]).swapaxes(0, 1)
+        values = loss_values(loss, gens[:, None, :], t)
+        index[lo:lo + _CHUNK] = values.argmin(axis=0)
+        best[lo:lo + _CHUNK] = values.min(axis=0)
+    return index, best
+
+
 def membership(generators, loss: LossKind, samples) -> np.ndarray:
     """Index of the loss-minimizing generator per sample (first on ties)."""
-    gens = _as_points(generators, "generators")
-    out = np.empty(len(samples), dtype=np.int64)
-    for lo in range(0, len(samples), _CHUNK):
-        block = samples[lo:lo + _CHUNK]
-        if loss.name == "cross_entropy":
-            t = np.asarray(block).reshape(-1, 1)
-        else:
-            t = np.asarray(block, dtype=np.float64)[:, None, :]
-        out[lo:lo + _CHUNK] = loss_values(loss, gens[None, :, :], t).argmin(axis=1)
-    return out
+    return _nearest(_as_points(generators, "generators"), loss, samples)[0]
 
 
 def tessellate(generators, loss: LossKind, samples) -> tuple[Tessellation, CellStats]:
     """Assign every sample to its minimizing generator and summarize cells."""
     gens = _as_points(generators, "generators")
     pts = _as_points(samples, "samples") if loss.name != "cross_entropy" else np.asarray(samples)
-    assignments = membership(gens, loss, pts)
+    assignments, per_sample = _nearest(gens, loss, pts)
     m = len(gens)
     counts = np.bincount(assignments, minlength=m)
 
@@ -82,7 +93,6 @@ def tessellate(generators, loss: LossKind, samples) -> tuple[Tessellation, CellS
         np.add.at(means, assignments, pts)
         with np.errstate(invalid="ignore"):
             means = np.where(counts[:, None] > 0, means / np.maximum(counts, 1)[:, None], np.nan)
-    per_sample = loss_values(loss, gens[assignments], pts)
     sums = np.zeros(m)
     np.add.at(sums, assignments, per_sample)
     with np.errstate(invalid="ignore"):
@@ -108,18 +118,12 @@ def centroidal_residual(tess: Tessellation, stats: CellStats) -> tuple[np.ndarra
 def quantization_error(generators, loss: LossKind, samples) -> float:
     """Mean over samples of the loss against the best generator."""
     gens = _as_points(generators, "generators")
-    total = 0.0
     n = len(samples)
     if n == 0:
         raise ValueError("no samples")
-    for lo in range(0, n, _CHUNK):
-        block = samples[lo:lo + _CHUNK]
-        if loss.name == "cross_entropy":
-            t = np.asarray(block).reshape(-1, 1)
-        else:
-            t = np.asarray(block, dtype=np.float64)[:, None, :]
-        total += float(loss_values(loss, gens[None, :, :], t).min(axis=1).sum())
-    return total / n
+    _, best = _nearest(gens, loss, samples)
+    # per-chunk sums added in order keep seeded outputs' bytes unchanged
+    return sum(float(best[lo:lo + _CHUNK].sum()) for lo in range(0, n, _CHUNK)) / n
 
 
 @dataclass
@@ -128,11 +132,6 @@ class LloydResult:
     iterations: int
     converged: bool
     quantization_error: float
-
-
-def _nearest_sq_dist(samples: np.ndarray, gens: np.ndarray):
-    d2 = ((samples[:, None, :] - gens[None, :, :]) ** 2).sum(axis=2)
-    return d2.argmin(axis=1), d2.min(axis=1)
 
 
 def _kmeanspp_init(samples: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -174,15 +173,15 @@ def lloyd(samples, m: int, *, init_generators=None, max_iters: int = 100,
     iterations = 0
     converged = False
     for _ in range(max_iters):
-        assignments, near_d2 = _nearest_sq_dist(pts, gens)
+        assignments, near = _nearest(gens, L2, pts)
         counts = np.bincount(assignments, minlength=m)
         empty = np.flatnonzero(counts == 0)
         if empty.size:
             for j in empty:
-                idx = int(near_d2.argmax())
+                idx = int(near.argmax())
                 logger.info("reseeding empty cell %d at sample %d", j, idx)
                 gens[j] = pts[idx]
-                near_d2 = np.minimum(near_d2, ((pts - gens[j]) ** 2).sum(axis=1))
+                near = np.minimum(near, loss_values(L2, pts, gens[j]))
             iterations += 1
             continue
         means = np.zeros_like(gens)

@@ -283,3 +283,39 @@ class TestTessellate:
     def test_requires_exactly_one_source(self, checkpoint, tmp_path, capsys):
         assert main(["tessellate", "--t", "0.5", "--out", str(tmp_path / "x")]) == 2
         capsys.readouterr()
+
+
+class TestCorruptCheckpoint:
+    @pytest.fixture(scope="class")
+    def good(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("corrupt")
+        cfg = write_cfg(tmp, M=2, epochs=1)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp / "run")]) == 0
+        return json.loads((tmp / "run/checkpoint.json").read_text())
+
+    def corrupt_kind(doc):
+        doc["optimizer"]["kind"] = "adam"
+
+    def truncate_buffers(doc):
+        doc["optimizer"]["buffers"] = doc["optimizer"]["buffers"][:1]
+
+    def drop_output_dim(doc):
+        del doc["output_dim"]
+
+    @pytest.mark.parametrize("corrupt", [corrupt_kind, truncate_buffers, drop_output_dim])
+    @pytest.mark.parametrize("command", ["eval", "tessellate"])
+    def test_usage_error_without_traceback(self, good, corrupt, command, tmp_path, capsys):
+        doc = json.loads(json.dumps(good))
+        corrupt(doc)
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(doc))
+        if command == "eval":
+            data = tmp_path / "d"
+            assert main(["gen", "--task", "temporal2d", "--n", "50", "--out", str(data)]) == 0
+            argv = ["eval", "--checkpoint", str(path), "--data", str(data)]
+        else:
+            argv = ["tessellate", "--checkpoint", str(path), "--t", "0.0",
+                    "--samples", "50", "--out", str(tmp_path / "cells")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err

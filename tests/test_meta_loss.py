@@ -231,3 +231,15 @@ class TestAssignBatch:
         hyps = np.zeros((7, 1, 2))
         weights, _, _, _ = assign_batch(cfg, hyps, np.ones((7, 2)))
         np.testing.assert_array_equal(weights, np.ones((7, 1)))
+
+    @pytest.mark.parametrize("shape", [(1, 4), (4,), (6, 4, 1), (6, 3)])
+    def test_dropout_mask_shape_validated(self, shape):
+        cfg = MetaLossConfig(4, dropout_prob=0.0)
+        hyps = np.zeros((6, 4, 2))
+        with pytest.raises(ValueError, match="dropout masks"):
+            assign_batch(cfg, hyps, np.zeros((6, 2)), dropped_masks=np.zeros(shape, bool))
+
+    def test_single_mask_of_wrong_length_rejected(self):
+        cfg = MetaLossConfig(3, dropout_prob=0.0)
+        with pytest.raises(ValueError):
+            assign(cfg, np.zeros((3, 2)), np.zeros(2), dropped_mask=[False, True])

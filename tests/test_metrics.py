@@ -167,3 +167,26 @@ class TestVarianceMapOnGridTask:
         for pos in spec.terminals:
             support |= render_frame(spec, pos).ravel() > 0.0
         assert vmap[support].sum() / vmap.sum() >= 0.8
+
+
+class TestDatasetSharpness:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_per_sample_loop_exactly(self, seed):
+        from mhp.metrics import dataset_sharpness
+        from mhp.network import forward_batch, init_mlp
+
+        rng = np.random.default_rng(seed)
+        width, height, channels = 4, 3, int(rng.integers(1, 3))
+        m = int(rng.integers(1, 5))
+        model = init_mlp(3, [8], width * height * channels, m, rng)
+        X = rng.normal(size=(int(rng.integers(1, 30)), 3))
+        hyps = forward_batch(model, X)
+        loop = float(np.mean([sharpness(h, width, height, channels) for h in hyps]))
+        assert dataset_sharpness(model, X, width, height, channels) == loop
+
+    def test_shape_mismatch_rejected(self):
+        from mhp.metrics import dataset_sharpness
+
+        model = constant_model(np.zeros((2, 60)))
+        with pytest.raises(ValueError):
+            dataset_sharpness(model, np.zeros((3, 1)), 8, 8)

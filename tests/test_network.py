@@ -9,6 +9,7 @@ import pytest
 from mhp.network import (Layer, MlpModel, TrainingDivergedError, backward,
                          backward_batch, forward, forward_batch, init_mlp,
                          load_checkpoint, make_optimizer, save_checkpoint, step)
+from mhp.network import OptimizerState
 
 # Output of the seeded reference model below at x = 0.25, recorded once and
 # cross-checked against the scalar oracle in test_golden_forward.
@@ -281,3 +282,61 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "a.json", model)
         save_checkpoint(tmp_path / "b.json", model)
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+class TestStepAtomicity:
+    @pytest.mark.parametrize("kind", ["sgd_momentum", "rmsprop"])
+    def test_nonfinite_last_layer_changes_nothing(self, kind):
+        model = reference_model()
+        opt = make_optimizer(kind, model, 0.1)
+        rng = np.random.default_rng(3)
+        grads = [(rng.normal(size=l.weights.shape), rng.normal(size=l.biases.shape))
+                 for l in model.layers]
+        step(opt, model, grads)  # nonzero buffers, so a partial update would show
+        params = [(l.weights.copy(), l.biases.copy()) for l in model.layers]
+        buffers = [(bw.copy(), bb.copy()) for bw, bb in opt.buffers]
+        grads[2][1][0] = np.nan
+        with pytest.raises(TrainingDivergedError) as err:
+            step(opt, model, grads)
+        assert err.value.layer_index == 2
+        for layer, (w, b) in zip(model.layers, params):
+            assert layer.weights.tobytes() == w.tobytes()
+            assert layer.biases.tobytes() == b.tobytes()
+        for (bw, bb), (w, b) in zip(opt.buffers, buffers):
+            assert bw.tobytes() == w.tobytes()
+            assert bb.tobytes() == b.tobytes()
+
+    def test_shape_mismatch_in_last_layer_changes_nothing(self):
+        model = reference_model()
+        opt = make_optimizer("sgd_momentum", model, 0.1)
+        before = [l.weights.copy() for l in model.layers]
+        grads = [(np.ones_like(l.weights), np.ones_like(l.biases)) for l in model.layers]
+        grads[2] = (grads[2][0][:, :-1], grads[2][1])
+        with pytest.raises(ValueError):
+            step(opt, model, grads)
+        for layer, w in zip(model.layers, before):
+            assert layer.weights.tobytes() == w.tobytes()
+
+
+class TestOptimizerStateValidation:
+    def test_direct_construction_is_validated(self):
+        model = reference_model()
+        good = make_optimizer("sgd_momentum", model, 0.1).buffers
+        with pytest.raises(ValueError):
+            OptimizerState("adam", 0.1, 0.9, good)
+        with pytest.raises(ValueError):
+            OptimizerState("rmsprop", 0.0, 0.9, good)
+        with pytest.raises(ValueError):
+            OptimizerState("rmsprop", 0.1, 1.0, good)
+        with pytest.raises(ValueError):
+            OptimizerState("rmsprop", 0.1, 0.9, [(good[0][0], good[1][1][:-1])])
+
+    def test_truncated_buffers_rejected_on_load(self, tmp_path):
+        model = reference_model()
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, model, make_optimizer("rmsprop", model, 0.05))
+        doc = json.loads(path.read_text())
+        doc["optimizer"]["buffers"] = doc["optimizer"]["buffers"][:1]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
