@@ -345,6 +345,8 @@ def cmd_tessellate(args) -> int:
     if args.generators:
         with open(args.generators, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict) or "generators" not in doc:
+            raise ValueError(f"{args.generators}: no 'generators' field")
         generators = np.asarray(doc["generators"], dtype=np.float64)
         base = LossKind.parse(doc.get("loss", "l2"))
     else:

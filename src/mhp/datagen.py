@@ -298,7 +298,10 @@ def write_dataset(outdir, X, Y, *, task: str, spec: dict, seed: int,
 
 
 def load_dataset(path) -> Dataset:
-    """Read a dataset directory (or its data.csv path) back into arrays."""
+    """Read a dataset directory (or its data.csv path) back into arrays.
+
+    A sidecar that is not a JSON object or lacks a field raises ValueError.
+    """
     path = Path(path)
     if path.is_dir():
         csv_path, json_path = path / "data.csv", path / "data.json"
@@ -306,6 +309,11 @@ def load_dataset(path) -> Dataset:
         csv_path, json_path = path, path.with_name("data.json")
     with open(json_path, "r", encoding="utf-8") as fh:
         sidecar = json.load(fh)
+    if not isinstance(sidecar, dict):
+        raise ValueError(f"{json_path}: sidecar is not a JSON object")
+    missing = [k for k in ("input_columns", "target_columns", "task") if k not in sidecar]
+    if missing:
+        raise ValueError(f"{json_path}: sidecar lacks {', '.join(missing)}")
     n_in = len(sidecar["input_columns"])
     n_out = len(sidecar["target_columns"])
     raw = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2, dtype=np.float64)

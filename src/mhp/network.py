@@ -2,8 +2,10 @@
 
 One trunk feeds a wide final layer that is sliced into contiguous blocks, so
 a single model emits several output vectors per input. There is no autodiff
-graph: the backward pass recomputes the forward intermediates and applies
-the chain rule layer by layer against caller-supplied upstream vectors.
+graph: the forward pass can hand back every layer's activations, and the
+backward pass applies the chain rule to them layer by layer against
+caller-supplied upstream vectors; it runs the forward pass itself only when
+not given them.
 First-order optimizers (SGD with momentum, RMSProp) mutate the model in
 place; the training loop owns the model exclusively between steps.
 
@@ -128,24 +130,29 @@ def _check_batch_input(model: MlpModel, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _run_layers(model: MlpModel, X: np.ndarray):
-    """Returns (activations a_{-1}..a_L, pre-activations z_0..z_L)."""
-    acts = [X]
-    pres = []
-    a = X
+def _run_layers(model: MlpModel, X) -> list[np.ndarray]:
+    """Checks the inputs, then returns activations a_{-1} = X, a_0, ..., a_L.
+
+    The one forward loop: :func:`forward_batch` and a :func:`backward_batch`
+    called without activations both run it.
+    """
+    acts = [_check_batch_input(model, X)]
     for layer in model.layers:
-        z = a @ layer.weights.T + layer.biases
-        pres.append(z)
-        a = np.maximum(z, 0.0) if layer.activation == "relu" else z
-        acts.append(a)
-    return acts, pres
+        z = acts[-1] @ layer.weights.T + layer.biases
+        acts.append(np.maximum(z, 0.0, out=z) if layer.activation == "relu" else z)
+    return acts
 
 
-def forward_batch(model: MlpModel, X) -> np.ndarray:
-    """Hypothesis sets for a batch of inputs, shape (n, M, output_dim)."""
-    X = _check_batch_input(model, X)
-    acts, _ = _run_layers(model, X)
-    return acts[-1].reshape(X.shape[0], model.num_hypotheses, model.output_dim)
+def forward_batch(model: MlpModel, X, *, return_activations: bool = False):
+    """Hypothesis sets for a batch of inputs, shape (n, M, output_dim).
+
+    With ``return_activations`` the result is ``(hypotheses, activations)``,
+    where ``activations`` is the list :func:`backward_batch` accepts for the
+    same model and inputs.
+    """
+    acts = _run_layers(model, X)
+    hyps = acts[-1].reshape(len(acts[0]), model.num_hypotheses, model.output_dim)
+    return (hyps, acts) if return_activations else hyps
 
 
 def forward(model: MlpModel, x) -> np.ndarray:
@@ -159,28 +166,34 @@ def forward(model: MlpModel, x) -> np.ndarray:
     return forward_batch(model, x[None, :])[0]
 
 
-def backward_batch(model: MlpModel, X, upstream_grads) -> list[tuple[np.ndarray, np.ndarray]]:
+def backward_batch(model: MlpModel, X, upstream_grads,
+                   activations: list[np.ndarray] | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
     """Parameter gradients of sum_i sum_j <upstream[i,j], f_j(x_i)>.
 
     ``upstream_grads`` has shape (n, M, output_dim); the result is one
     (dweights, dbiases) pair per layer, summed over the batch. Linear in the
-    upstream vectors. Forward intermediates are recomputed here.
+    upstream vectors. ``activations`` are those that
+    ``forward_batch(model, X, return_activations=True)`` returned for the
+    same parameters; without them the forward pass runs here first.
     """
-    X = _check_batch_input(model, X)
+    if activations is None:
+        activations = _run_layers(model, X)
+    elif len(activations) != len(model.layers) + 1:
+        raise ValueError(f"expected {len(model.layers) + 1} activations, got {len(activations)}")
     u = np.asarray(upstream_grads, dtype=np.float64)
-    n = X.shape[0]
+    n = activations[0].shape[0]
     want = (n, model.num_hypotheses, model.output_dim)
     if u.shape != want:
         raise ValueError(f"expected upstream grads of shape {want}, got {u.shape}")
-    acts, pres = _run_layers(model, X)
     delta = u.reshape(n, model.num_hypotheses * model.output_dim)
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(model.layers)  # type: ignore
     for k in range(len(model.layers) - 1, -1, -1):
-        grads[k] = (delta.T @ acts[k], delta.sum(axis=0))
+        grads[k] = (delta.T @ activations[k], delta.sum(axis=0))
         if k > 0:
             delta = delta @ model.layers[k].weights
             if model.layers[k - 1].activation == "relu":
-                delta = delta * (pres[k - 1] > 0.0)
+                # relu(z) > 0 exactly where z > 0, so the mask needs no z
+                delta *= activations[k] > 0.0
     return grads
 
 

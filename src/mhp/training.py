@@ -1,10 +1,11 @@
 """Training loop: forward, winner-takes-all weighting, backward, update.
 
 Each step forwards a batch, weights the per-hypothesis loss gradients by the
-relaxed assignment, backpropagates their batch mean and applies one
-optimizer update. Dropout masks are resampled per sample. Runs are
-deterministic given the schedule seed: the data stream and the dropout
-stream are derived from it as independent child generators.
+relaxed assignment, backpropagates their batch mean through the activations
+the forward pass kept and applies one optimizer update. Dropout masks are
+resampled per sample. Runs are deterministic given the schedule seed: the
+data stream and the dropout stream are derived from it as independent child
+generators.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def train(model: MlpModel, data, config: MetaLossConfig,
         for b, lo in enumerate(range(0, n, schedule.batch_size)):
             xb = X[lo:lo + schedule.batch_size]
             yb = Y[lo:lo + schedule.batch_size]
-            hyps = forward_batch(model, xb)
+            hyps, acts = forward_batch(model, xb, return_activations=True)
             # overflow here is how divergence first shows up; it is turned
             # into a typed error right below
             with np.errstate(over="ignore", invalid="ignore"):
@@ -91,7 +92,7 @@ def train(model: MlpModel, data, config: MetaLossConfig,
             tb = hypothesis_targets(config.base_loss, yb, len(xb), model.output_dim)
             upstream = weights[:, :, None] * loss_grads(config.base_loss, hyps, tb)
             upstream /= len(xb)
-            grads = backward_batch(model, xb, upstream)
+            grads = backward_batch(model, xb, upstream, activations=acts)
             try:
                 step(optimizer, model, grads)
             except TrainingDivergedError as err:

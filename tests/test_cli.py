@@ -284,6 +284,15 @@ class TestTessellate:
         assert main(["tessellate", "--t", "0.5", "--out", str(tmp_path / "x")]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("doc", [{"loss": "l2"}, [[0.0, 0.0]]])
+    def test_generators_file_without_generators_is_usage_error(self, tmp_path, capsys, doc):
+        path = tmp_path / "generators.json"
+        path.write_text(json.dumps(doc))
+        assert main(["tessellate", "--generators", str(path), "--t", "0.5",
+                     "--samples", "10", "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "generators" in err
+
 
 class TestCorruptCheckpoint:
     @pytest.fixture(scope="class")
@@ -319,3 +328,30 @@ class TestCorruptCheckpoint:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+
+class TestMalformedSidecar:
+    @pytest.mark.parametrize("command, field", [("lloyd", "input_columns"),
+                                                ("eval", "target_columns"),
+                                                ("train", "task")])
+    def test_missing_field_is_usage_error(self, command, field, tmp_path, capsys):
+        data = tmp_path / "d"
+        assert main(["gen", "--task", "temporal2d", "--n", "50", "--out", str(data)]) == 0
+        sidecar = json.loads((data / "data.json").read_text())
+        del sidecar[field]
+        (data / "data.json").write_text(json.dumps(sidecar))
+        out = str(tmp_path / "out")
+        if command == "lloyd":
+            argv = ["lloyd", "--data", str(data), "--m", "2", "--out", out]
+        elif command == "train":
+            argv = ["train", "--config", str(write_cfg(tmp_path, epochs=1)),
+                    "--data", str(data), "--out", out]
+        else:
+            cfg = write_cfg(tmp_path, epochs=1)
+            assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+            argv = ["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
+                    "--data", str(data)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err and "Traceback" not in err

@@ -1,5 +1,7 @@
 """Synthetic generators: distribution shape, determinism, file round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -214,3 +216,20 @@ class TestDatasetFiles:
         write_dataset(tmp_path / "b", X, Y, task="temporal2d", spec={}, seed=24,
                       input_names=["t"], target_names=["y1", "y2"])
         assert (tmp_path / "a/data.csv").read_bytes() == (tmp_path / "b/data.csv").read_bytes()
+
+    @pytest.mark.parametrize("field", ["input_columns", "target_columns", "task"])
+    def test_sidecar_missing_field_is_value_error(self, tmp_path, field):
+        write_dataset(tmp_path, np.zeros((3, 1)), np.zeros((3, 2)), task="temporal2d",
+                      spec={}, seed=0, input_names=["t"], target_names=["y1", "y2"])
+        sidecar = json.loads((tmp_path / "data.json").read_text())
+        del sidecar[field]
+        (tmp_path / "data.json").write_text(json.dumps(sidecar))
+        with pytest.raises(ValueError, match=field):
+            load_dataset(tmp_path)
+
+    def test_sidecar_not_an_object_is_value_error(self, tmp_path):
+        write_dataset(tmp_path, np.zeros((3, 1)), np.zeros((3, 2)), task="temporal2d",
+                      spec={}, seed=0, input_names=["t"], target_names=["y1", "y2"])
+        (tmp_path / "data.json").write_text("[]")
+        with pytest.raises(ValueError):
+            load_dataset(tmp_path)

@@ -196,6 +196,29 @@ class TestBackward:
             np.testing.assert_allclose(dw, sum(s[k][0] for s in single), atol=1e-12)
             np.testing.assert_allclose(db, sum(s[k][1] for s in single), atol=1e-12)
 
+    @pytest.mark.parametrize("activations", [("relu", "relu", "identity"),
+                                             ("identity", "identity", "identity")])
+    def test_cached_activations_match_recompute_bitwise(self, activations):
+        rng = np.random.default_rng(7)
+        dims = [3, 9, 7, 4 * 2]
+        model = MlpModel([Layer(rng.normal(size=(o, i)), rng.normal(size=o), a)
+                          for i, o, a in zip(dims, dims[1:], activations)], 2, 4)
+        X = rng.normal(size=(11, 3))
+        U = rng.normal(size=(11, 4, 2))
+        hyps, acts = forward_batch(model, X, return_activations=True)
+        assert np.array_equal(hyps, forward_batch(model, X))
+        assert len(acts) == len(model.layers) + 1
+        cached = backward_batch(model, X, U, activations=acts)
+        for (dw, db), (rw, rb) in zip(cached, backward_batch(model, X, U), strict=True):
+            assert dw.tobytes() == rw.tobytes() and db.tobytes() == rb.tobytes()
+
+    def test_activation_count_validated(self):
+        model = reference_model()
+        X = np.array([[0.1], [0.2]])
+        _, acts = forward_batch(model, X, return_activations=True)
+        with pytest.raises(ValueError):
+            backward_batch(model, X, np.zeros((2, 4, 2)), activations=acts[:-1])
+
 
 class TestOptimizers:
     def one_param_model(self, theta=1.0):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mhp
+import mhp.network
 from mhp.datagen import temporal2d_dataset
 from mhp.losses import CROSS_ENTROPY
 from mhp.meta_loss import MetaLossConfig
@@ -111,3 +112,20 @@ class TestLearning:
         _, history = run(m=4, epochs=3)
         for h in history:
             assert h.oracle_min_loss <= h.mean_meta_loss + 1e-12
+
+
+class TestSinglePass:
+    def test_one_layer_loop_per_step(self, monkeypatch):
+        calls = []
+        run_layers = mhp.network._run_layers
+
+        def counted(model, X):
+            calls.append(len(X))
+            return run_layers(model, X)
+
+        monkeypatch.setattr(mhp.network, "_run_layers", counted)
+        model = fresh_model(2)
+        opt = mhp.make_optimizer("sgd_momentum", model, 0.02, 0.9)
+        cfg = MetaLossConfig(2, 0.05, 0.01, mhp.L2)
+        train(model, temporal_sampler, cfg, opt, TrainSchedule(1, 32, 0, samples_per_epoch=32))
+        assert calls == [32]

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from mhp.losses import L2, LossKind, loss_values
-from mhp.voronoi import (centroidal_residual, lloyd, lloyd_best_of, membership,
-                         quantization_error, tessellate)
+from mhp.voronoi import (_cell_sums, centroidal_residual, lloyd, lloyd_best_of,
+                         membership, quantization_error, tessellate)
 
 QUADRANT_CENTERS = np.array([[-0.5, -0.5], [-0.5, 0.5], [0.5, -0.5], [0.5, 0.5]])
 
@@ -145,6 +145,15 @@ class TestLloyd:
         with pytest.raises(ValueError):
             lloyd(pts, 3, rng=np.random.default_rng(0))
 
+    def test_distinct_count_named_when_rejected(self):
+        rows = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        pts = rows[np.random.default_rng(1).integers(3, size=500)]
+        with pytest.raises(ValueError, match="m=4 exceeds the 3 distinct samples"):
+            lloyd(pts, 4, rng=np.random.default_rng(0))
+        # distinct rows found only at the end of the samples still count
+        pts = np.vstack([np.zeros((300, 2)), uniform_square(3, seed=2)])
+        assert lloyd(pts, 4, rng=np.random.default_rng(0)).generators.shape == (4, 2)
+
     def test_more_cells_never_increase_error(self):
         pts = uniform_square(20_000, seed=19)
         rng = np.random.default_rng(20)
@@ -177,3 +186,19 @@ class TestLloyd:
         single = lloyd(pts, 4, rng=np.random.default_rng(25)).quantization_error
         best = lloyd_best_of(pts, 4, 5, rng).quantization_error
         assert best <= single + 1e-12
+
+
+class TestCellSums:
+    @pytest.mark.parametrize("shape", [(1000,), (1000, 1), (1000, 3)])
+    def test_bitwise_equal_to_add_at_with_empty_cells(self, shape):
+        rng = np.random.default_rng(30)
+        m = 9
+        # cells 2 and 7 stay empty
+        assignments = rng.choice([0, 1, 3, 4, 5, 6, 8], size=shape[0])
+        values = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+        reference = np.zeros((m,) + shape[1:])
+        np.add.at(reference, assignments, values)
+        sums = _cell_sums(assignments, values, m)
+        assert sums.shape == reference.shape
+        assert sums.tobytes() == reference.tobytes()
+        assert not sums[[2, 7]].any()
