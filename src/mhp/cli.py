@@ -18,11 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .datagen import (MultiLabelItem, MultiLabelSpec, default_gridframe_spec,
-                      load_dataset, make_multilabel_spec, sample_gaussian_mixture,
-                      sample_gridframe, sample_multilabel, sample_temporal2d,
-                      temporal2d_dataset, write_dataset)
-from .io_utils import format_float, write_json_atomic, write_text_atomic
+from .datagen import (default_gridframe_spec, load_dataset, make_multilabel_spec,
+                      sample_gaussian_mixture, sample_gridframe, sample_multilabel,
+                      sample_temporal2d, temporal2d_dataset, write_dataset)
+from .io_utils import write_csv_atomic, write_json_atomic, write_text_atomic
 from .losses import LossKind
 from .meta_loss import MetaLossConfig
 from .metrics import (dataset_hypothesis_variance, dataset_sharpness,
@@ -36,12 +35,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_DIVERGED = 4
-
-_DEFAULT_GMM = {
-    "means": [[-1.5, 0.0], [1.5, 0.0]],
-    "covs": [[[0.09, 0.0], [0.0, 0.09]], [[0.09, 0.0], [0.0, 0.09]]],
-    "weights": [0.5, 0.5],
-}
 
 
 def _utcnow() -> str:
@@ -72,54 +65,67 @@ def _outdir(path: str) -> Path:
 
 
 # ---------------------------------------------------------------------------
+# tasks
+
+def _task(ds: dict, item_rng: np.random.Generator):
+    """One synthetic task, named and sized by the dataset config keys in ``ds``.
+
+    Returns (sampler(rng, n) -> (X, Y), sidecar spec, input column names,
+    target column names). ``item_rng`` draws the multilabel item pool.
+    """
+    task = ds.get("task")
+    if task == "temporal2d":
+        t = ds.get("t")
+        if t is not None and not isinstance(t, (int, float)):
+            raise ValueError(f"dataset field 't' must be a number or null, got {t!r}")
+        return (lambda rng, n: temporal2d_dataset(n, rng, t)), {"t": t}, ["t"], ["y1", "y2"]
+    if task == "multilabel":
+        set_size = _int_field(ds, "set_size", 2)
+        ml = make_multilabel_spec(_int_field(ds, "num_classes", 6), set_size, item_rng)
+        spec = {"num_classes": ml.num_classes, "set_size": set_size,
+                "items": [{"features": list(it.features), "labels": list(it.labels)}
+                          for it in ml.items]}
+        return (lambda rng, n: sample_multilabel(ml, n, rng)[:2]), spec, ["x1", "x2"], ["label"]
+    if task == "gridframe":
+        gf = default_gridframe_spec(_int_field(ds, "terminals", 3), _int_field(ds, "width", 8),
+                                    _int_field(ds, "height", 8))
+        spec = {"width": gf.width, "height": gf.height, "start": list(gf.start),
+                "terminals": [list(p) for p in gf.terminals],
+                "probabilities": list(gf.probabilities)}
+        return ((lambda rng, n: sample_gridframe(gf, n, rng)[:2]), spec,
+                [f"in{i}" for i in range(gf.pixels)], [f"out{i}" for i in range(gf.pixels)])
+    if task == "gmm":
+        spec = {"means": [[-1.5, 0.0], [1.5, 0.0]],
+                "covs": [[[0.09, 0.0], [0.0, 0.09]], [[0.09, 0.0], [0.0, 0.09]]],
+                "weights": [0.5, 0.5]}
+        return ((lambda rng, n: (np.zeros((n, 0)), sample_gaussian_mixture(
+            spec["means"], spec["covs"], spec["weights"], n, rng))), spec, [], ["y1", "y2"])
+    raise ValueError(f"unknown task {task!r}")
+
+
+def _int_field(fields, name: str, default=None) -> int:
+    """``fields[name]`` as an int; ``default`` if given and the field is absent."""
+    try:
+        return int(fields[name] if default is None or name in fields else default)
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"dataset field {name!r} is missing or not an integer") from None
+
+
+# ---------------------------------------------------------------------------
 # gen
 
 def cmd_gen(args) -> int:
     started = _utcnow()
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
     rng = np.random.default_rng(args.seed)
-    out = _outdir(args.out)
-    spec: dict
-    if args.task == "temporal2d":
-        if args.t is None:
-            X, Y = temporal2d_dataset(args.n, rng)
-        else:
-            X, Y = sample_temporal2d(args.t, args.n, rng)
-        spec = {"t": args.t}
-        write_dataset(out, X, Y, task=args.task, spec=spec, seed=args.seed,
-                      input_names=["t"], target_names=["y1", "y2"])
-    elif args.task == "multilabel":
-        ml = make_multilabel_spec(args.classes, args.set_size, rng)
-        X, y, _ = sample_multilabel(ml, args.n, rng)
-        spec = {
-            "num_classes": ml.num_classes,
-            "set_size": args.set_size,
-            "items": [{"features": list(it.features), "labels": list(it.labels)}
-                      for it in ml.items],
-        }
-        write_dataset(out, X, y, task=args.task, spec=spec, seed=args.seed,
-                      input_names=["x1", "x2"], target_names=["label"],
-                      int_targets=True)
-    elif args.task == "gridframe":
-        gf = default_gridframe_spec(args.terminals, args.grid_size, args.grid_size)
-        X, Y, _ = sample_gridframe(gf, args.n, rng)
-        spec = {
-            "width": gf.width, "height": gf.height, "start": list(gf.start),
-            "terminals": [list(p) for p in gf.terminals],
-            "probabilities": list(gf.probabilities),
-        }
-        write_dataset(out, X, Y, task=args.task, spec=spec, seed=args.seed,
-                      input_names=[f"in{i}" for i in range(gf.pixels)],
-                      target_names=[f"out{i}" for i in range(gf.pixels)])
-    else:  # gmm
-        Y = sample_gaussian_mixture(_DEFAULT_GMM["means"], _DEFAULT_GMM["covs"],
-                                    _DEFAULT_GMM["weights"], args.n, rng)
-        spec = dict(_DEFAULT_GMM)
-        write_dataset(out, np.zeros((args.n, 0)), Y, task=args.task, spec=spec,
-                      seed=args.seed, input_names=[],
-                      target_names=[f"y{i + 1}" for i in range(Y.shape[1])])
-    _write_manifest(out, "gen", {"task": args.task, "n": args.n, "spec": spec},
+    sampler, spec, inputs, targets = _task(
+        {"task": args.task, "t": args.t, "num_classes": args.classes,
+         "set_size": args.set_size, "terminals": args.terminals,
+         "width": args.grid_size, "height": args.grid_size}, rng)
+    X, Y = sampler(rng, args.n)  # each sampler rejects n < 1
+    write_dataset(args.out, X, Y, task=args.task, spec=spec, seed=args.seed,
+                  input_names=inputs, target_names=targets,
+                  int_targets=args.task == "multilabel")
+    _write_manifest(Path(args.out), "gen", {"task": args.task, "n": args.n, "spec": spec},
                     args.seed, ["data.csv", "data.json"], started)
     return EXIT_OK
 
@@ -127,110 +133,94 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 # train
 
-_TRAIN_DEFAULTS = {
-    "M": 1,
-    "epsilon": 0.05,
-    "dropout_prob": 0.01,
-    "base_loss": "l2",
-    "epochs": 40,
-    "batch_size": 32,
-    "optimizer": "sgd_momentum",
-    "learning_rate": 0.05,
-    "momentum": 0.9,
-    "seed": 0,
-    "hidden_layers": [50, 50],
+def _int_list(value) -> list[int]:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of integers, got {value!r}")
+    return [int(v) for v in value]
+
+
+# Each train config field: its default, and how cmd_train reads it.
+_TRAIN_FIELDS = {
+    "M": (1, int),
+    "epsilon": (0.05, float),
+    "dropout_prob": (0.01, float),
+    "base_loss": ("l2", LossKind.parse),
+    "epochs": (40, int),
+    "batch_size": (32, int),
+    "optimizer": ("sgd_momentum", str),
+    "learning_rate": (0.05, float),
+    "momentum": (0.9, float),
+    "seed": (0, int),
+    "hidden_layers": ([50, 50], _int_list),
 }
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str) -> tuple[dict, dict]:
+    """The config with defaults filled in, as the manifest records it, and
+    its fields as read. A field that does not read raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
-    merged = dict(_TRAIN_DEFAULTS)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path}: a train config must be a JSON object")
+    merged = {key: default for key, (default, _) in _TRAIN_FIELDS.items()}
     merged.update(cfg)
     if "decay" in merged:
         merged["momentum"] = merged.pop("decay")
     if "MHP_SEED" in os.environ:
         merged["seed"] = int(os.environ["MHP_SEED"])
-    return merged
+    if not isinstance(merged.get("dataset") or {}, dict):
+        raise ValueError("config field 'dataset' must be a JSON object")
+    typed = {}
+    for key, (_, read) in _TRAIN_FIELDS.items():
+        try:
+            typed[key] = read(merged[key])
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"config field {key!r}: {err}") from None
+    return merged, typed
 
 
-def _spec_items(spec: dict) -> MultiLabelSpec:
-    items = tuple(MultiLabelItem(tuple(d["features"]), tuple(d["labels"]))
-                  for d in spec["items"])
-    return MultiLabelSpec(int(spec["num_classes"]), items)
+_TRAINABLE_TASKS = ("temporal2d", "gridframe", "multilabel")
 
 
 def _resolve_dataset(cfg: dict, data_flag: str | None):
     """Returns (data for train(), input_dim, output_dim, extras, dataset cfg)."""
-    ds = dict(cfg.get("dataset") or {})
-    if data_flag:
-        ds = {"path": data_flag}
+    ds = {"path": data_flag} if data_flag else dict(cfg.get("dataset") or {})
     if "path" in ds:
         loaded = load_dataset(ds["path"])
-        extras = {"task": loaded.task}
-        out_dim = 1
-        if loaded.task == "multilabel":
-            extras["num_classes"] = int(loaded.sidecar["spec"]["num_classes"])
-            out_dim = extras["num_classes"]
-        elif loaded.task == "gridframe":
-            spec = loaded.sidecar["spec"]
-            extras["output_shape"] = [int(spec["height"]), int(spec["width"]), 1]
-            out_dim = loaded.Y.shape[1]
-        elif loaded.Y.ndim > 1:
-            out_dim = loaded.Y.shape[1]
-        return (loaded.X, loaded.Y), loaded.X.shape[1], out_dim, extras, ds
-
-    task = ds.get("task")
-    n = int(ds.get("n", 10_000))
-    if task == "temporal2d":
-        t = ds.get("t")
-
-        def sampler(rng, count):
-            return temporal2d_dataset(count, rng, t)
-
-        return sampler, 1, 2, {"task": task}, {**ds, "n": n}
-    if task == "gridframe":
-        gf = default_gridframe_spec(int(ds.get("terminals", 3)),
-                                    int(ds.get("width", 8)), int(ds.get("height", 8)))
-
-        def sampler(rng, count):
-            X, Y, _ = sample_gridframe(gf, count, rng)
-            return X, Y
-
-        extras = {"task": task, "output_shape": [gf.height, gf.width, 1]}
-        return sampler, gf.pixels, gf.pixels, extras, {**ds, "n": n}
+        data, task, spec = (loaded.X, loaded.Y), loaded.task, loaded.sidecar.get("spec")
+        inputs, targets = loaded.sidecar["input_columns"], loaded.sidecar["target_columns"]
+    elif ds.get("task") in _TRAINABLE_TASKS:
+        task = ds["task"]
+        ds["n"] = _int_field(ds, "n", 10_000)
+        item_rng = None
+        if task == "multilabel":
+            ds["item_seed"] = _int_field(ds, "item_seed", cfg["seed"])
+            item_rng = np.random.default_rng(ds["item_seed"])
+        data, spec, inputs, targets = _task(ds, item_rng)
+    else:
+        raise ValueError(f"dataset spec must name a trainable task or a path, got {ds!r}")
+    # the one place that reads a task's spec fields
+    extras = {"task": task}
     if task == "multilabel":
-        item_seed = int(ds.get("item_seed", cfg["seed"]))
-        ml = make_multilabel_spec(int(ds.get("num_classes", 6)),
-                                  int(ds.get("set_size", 2)),
-                                  np.random.default_rng(item_seed))
-
-        def sampler(rng, count):
-            X, y, _ = sample_multilabel(ml, count, rng)
-            return X, y
-
-        extras = {"task": task, "num_classes": ml.num_classes}
-        return sampler, ml.feature_dim, ml.num_classes, extras, {**ds, "n": n, "item_seed": item_seed}
-    raise ValueError(f"dataset spec must name a trainable task or a path, got {ds!r}")
+        extras["num_classes"] = _int_field(spec, "num_classes")
+    elif task == "gridframe":
+        extras["output_shape"] = [_int_field(spec, "height"), _int_field(spec, "width"), 1]
+    return data, len(inputs), extras.get("num_classes") or len(targets), extras, ds
 
 
 def cmd_train(args) -> int:
     started = _utcnow()
-    cfg = _load_config(args.config)
+    cfg, c = _load_config(args.config)
     data, in_dim, out_dim, extras, ds_cfg = _resolve_dataset(cfg, args.data)
     cfg["dataset"] = ds_cfg
-    base = LossKind.parse(cfg["base_loss"])
-    extras["base_loss"] = base.spec()
-    meta_cfg = MetaLossConfig(int(cfg["M"]), float(cfg["epsilon"]),
-                              float(cfg["dropout_prob"]), base)
-    seed = int(cfg["seed"])
-    init_rng = np.random.default_rng(seed)
-    model = init_mlp(in_dim, cfg["hidden_layers"], out_dim, meta_cfg.num_hypotheses,
-                     init_rng, seed=seed, extras=extras)
-    optimizer = make_optimizer(cfg["optimizer"], model, float(cfg["learning_rate"]),
-                               float(cfg["momentum"]))
-    schedule = TrainSchedule(int(cfg["epochs"]), int(cfg["batch_size"]), seed,
-                             samples_per_epoch=int(ds_cfg.get("n", 10_000)))
+    extras["base_loss"] = c["base_loss"].spec()
+    meta_cfg = MetaLossConfig(c["M"], c["epsilon"], c["dropout_prob"], c["base_loss"])
+    seed = c["seed"]
+    model = init_mlp(in_dim, c["hidden_layers"], out_dim, meta_cfg.num_hypotheses,
+                     np.random.default_rng(seed), seed=seed, extras=extras)
+    optimizer = make_optimizer(c["optimizer"], model, c["learning_rate"], c["momentum"])
+    schedule = TrainSchedule(c["epochs"], c["batch_size"], seed,
+                             samples_per_epoch=_int_field(ds_cfg, "n", 10_000))
     history = train(model, data, meta_cfg, optimizer, schedule)
 
     out = _outdir(args.out)
@@ -260,6 +250,7 @@ def cmd_eval(args) -> int:
         raise ValueError(f"unknown metrics {unknown}; choose from {_METRIC_NAMES}")
     base = LossKind.parse(args.loss or model.extras.get("base_loss", "l2"))
 
+    shape = model.extras.get("output_shape")
     report: dict = {}
     exports: dict[str, np.ndarray] = {}
     if "oracle_min" in wanted:
@@ -273,11 +264,9 @@ def cmd_eval(args) -> int:
         report["hypothesis_variance_mean"] = spread
         report["per_hypothesis_variance"] = per_dim.tolist()
         exports["hypotheses.csv"] = forward(model, dataset.X[0])
-        shape = model.extras.get("output_shape")
         if shape:
             exports["variance_map.csv"] = per_dim.reshape(shape[0], shape[1])
     if "sharpness" in wanted:
-        shape = model.extras.get("output_shape")
         if not shape:
             raise ValueError("sharpness requires a checkpoint trained on grid-shaped outputs")
         report["sharpness"] = dataset_sharpness(model, dataset.X, shape[1], shape[0], shape[2])
@@ -285,21 +274,22 @@ def cmd_eval(args) -> int:
         items = (dataset.sidecar.get("spec") or {}).get("items")
         if not items:
             raise ValueError("multilabel scores need a dataset whose sidecar lists its items")
+        for key in ("features", "labels"):
+            if any(not isinstance(d, dict) or key not in d for d in items):
+                raise ValueError(f"a multilabel item in the dataset sidecar lacks {key!r}")
         feats = np.array([d["features"] for d in items])
         sets = [d["labels"] for d in items]
         recall, precision = multilabel_scores(model, feats, sets)
         report["label_recall_at_M"] = recall
         report["label_precision"] = precision
 
-    text = json.dumps(report, indent=2)
-    print(text)
+    print(json.dumps(report, indent=2))
     if args.out:
         out = _outdir(args.out)
         write_json_atomic(out / "report.json", report)
         outputs = ["report.json"]
         for name, matrix in exports.items():
-            rows = "\n".join(",".join(format_float(v) for v in row) for row in matrix)
-            write_text_atomic(out / name, rows + "\n")
+            write_csv_atomic(out / name, None, matrix)
             outputs.append(name)
         _write_manifest(out, "eval",
                         {"checkpoint": args.checkpoint, "data": args.data,
@@ -313,9 +303,7 @@ def cmd_eval(args) -> int:
 def cmd_lloyd(args) -> int:
     started = _utcnow()
     dataset = load_dataset(args.data)
-    samples = np.asarray(dataset.Y, dtype=np.float64)
-    if samples.ndim == 1:
-        samples = samples[:, None]
+    samples = np.asarray(dataset.Y, dtype=np.float64).reshape(len(dataset.Y), -1)
     rng = np.random.default_rng(args.seed)
     result = lloyd_best_of(samples, args.m, args.restarts, rng,
                            tol=args.tol, max_iters=args.max_iters)
@@ -351,6 +339,9 @@ def cmd_tessellate(args) -> int:
         base = LossKind.parse(doc.get("loss", "l2"))
     else:
         model, _ = load_checkpoint(args.checkpoint)
+        if model.extras.get("task", "temporal2d") != "temporal2d":
+            raise ValueError("tessellate samples temporal2d targets; the checkpoint was "
+                             f"trained on {model.extras['task']!r}")
         generators = forward(model, np.array([args.t]))
         base = LossKind.parse(model.extras.get("base_loss", "l2"))
     rng = np.random.default_rng(args.seed)
@@ -358,10 +349,7 @@ def cmd_tessellate(args) -> int:
     cells = membership(generators, base, samples)
 
     out = _outdir(args.out)
-    lines = ["y1,y2,cell_index"]
-    lines += [f"{format_float(p[0])},{format_float(p[1])},{int(c)}"
-              for p, c in zip(samples, cells)]
-    write_text_atomic(out / "cells.csv", "\n".join(lines) + "\n")
+    write_csv_atomic(out / "cells.csv", ["y1", "y2", "cell_index"], samples, cells)
     write_json_atomic(out / "generators.json", {
         "generators": generators.tolist(),
         "loss": base.spec(),

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .io_utils import format_float, write_json_atomic, write_text_atomic
+from .io_utils import write_csv_atomic, write_json_atomic
 
 # Quadrant bounds, ordered: lower-left, upper-left, lower-right, upper-right.
 # Lower bounds are inclusive, zero-boundaries exclusive on the negative side.
@@ -269,21 +269,9 @@ def write_dataset(outdir, X, Y, *, task: str, spec: dict, seed: int,
     """Write data.csv plus its data.json sidecar; returns both paths."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    X = np.asarray(X)
-    Y = np.asarray(Y)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    csv_path = outdir / "data.csv"
-    header = ",".join([*input_names, *target_names])
-    lines = [header]
-    for i in range(len(Y)):
-        cells = [format_float(v) for v in X[i]] if X.size else []
-        if int_targets:
-            cells.extend(str(int(v)) for v in Y[i])
-        else:
-            cells.extend(format_float(v) for v in Y[i])
-        lines.append(",".join(cells))
-    write_text_atomic(csv_path, "\n".join(lines) + "\n")
+    Y = np.asarray(Y, dtype=np.int64 if int_targets else np.float64)
+    csv_path = write_csv_atomic(outdir / "data.csv", [*input_names, *target_names],
+                                np.asarray(X, dtype=np.float64), Y)
     sidecar = {
         "task": task,
         "spec": spec,

@@ -1,5 +1,4 @@
-"""Small shared I/O helpers: atomic text and JSON writes and round-trip
-float text."""
+"""Small shared I/O helpers: atomic text, JSON and CSV writes."""
 
 from __future__ import annotations
 
@@ -7,6 +6,10 @@ import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
+
+_CSV_CHUNK_ROWS = 4096
 
 
 @contextmanager
@@ -39,6 +42,29 @@ def write_json_atomic(path, obj, *, indent: int | None = 2) -> Path:
     return path
 
 
-def format_float(value: float) -> str:
-    """Shortest decimal text that round-trips to the same float64."""
-    return repr(float(value))
+def _column_text(column: np.ndarray) -> list[str]:
+    if column.dtype.kind in "iu":
+        return list(map(str, column.tolist()))
+    return list(map(repr, column.astype(np.float64, copy=False).tolist()))
+
+
+def write_csv_atomic(path, header, *blocks) -> Path:
+    """Write (n, k) arrays side by side as CSV rows, after an optional header.
+
+    A 1-d block is one column. Integers print as integers, other cells as
+    the shortest text that round-trips to the same float64. Rows are
+    formatted a chunk at a time, so the whole table is never text at once.
+    """
+    path = Path(path)
+    blocks = [b[:, None] if b.ndim == 1 else b for b in map(np.asarray, blocks)]
+    n = len(blocks[0])
+    if any(b.ndim != 2 or len(b) != n for b in blocks):
+        raise ValueError("CSV blocks must be (n, k) arrays with the same n")
+    with _replacing(path) as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        for start in range(0, n, _CSV_CHUNK_ROWS):
+            columns = [_column_text(b[start:start + _CSV_CHUNK_ROWS, j])
+                       for b in blocks for j in range(b.shape[1])]
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+    return path

@@ -31,6 +31,8 @@ class LossKind:
     @classmethod
     def parse(cls, spec: str) -> "LossKind":
         """Parse a config string: "l2", "cross_entropy" or "tukey:<c>"."""
+        if not isinstance(spec, str):
+            raise ValueError(f"a loss is named by a string, got {spec!r}")
         if spec.startswith("tukey:"):
             return cls("tukey", float(spec.split(":", 1)[1]))
         if spec == "tukey":

@@ -27,6 +27,8 @@ from mhp.training import TrainSchedule, train
 from mhp.voronoi import (centroidal_residual, lloyd_best_of, quantization_error,
                          tessellate)
 
+pytestmark = pytest.mark.slow
+
 SEEDS = (0, 1, 2, 3, 4)
 
 

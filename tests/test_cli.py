@@ -355,3 +355,121 @@ class TestMalformedSidecar:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err and "Traceback" not in err
+
+
+def gen(tmp_path, task, *flags, n=200, name="d"):
+    out = tmp_path / name
+    assert main(["gen", "--task", task, "--n", str(n), "--seed", "3", *flags,
+                 "--out", str(out)]) == 0
+    return out
+
+
+class TestSidecarSpec:
+    def drop_spec(spec):
+        return None
+
+    def drop(field):
+        def edit(spec):
+            del spec[field]
+            return spec
+        return edit
+
+    def not_int(spec):
+        spec["width"] = "wide"
+        return spec
+
+    @pytest.mark.parametrize("task, edit, field", [
+        ("multilabel", drop_spec, "num_classes"),
+        ("multilabel", drop("num_classes"), "num_classes"),
+        ("gridframe", drop_spec, "height"),
+        ("gridframe", drop("height"), "height"),
+        ("gridframe", drop("width"), "width"),
+        ("gridframe", not_int, "width"),
+    ])
+    def test_train_data_with_broken_spec_is_usage_error(self, tmp_path, capsys,
+                                                        task, edit, field):
+        data = gen(tmp_path, task)
+        sidecar = json.loads((data / "data.json").read_text())
+        spec = edit(sidecar["spec"])
+        if spec is None:
+            del sidecar["spec"]
+        (data / "data.json").write_text(json.dumps(sidecar))
+        capsys.readouterr()
+        assert main(["train", "--config", str(write_cfg(tmp_path, epochs=1)),
+                     "--data", str(data), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("field", ["features", "labels"])
+    def test_eval_multilabel_item_without_field_is_usage_error(self, tmp_path, capsys, field):
+        data = gen(tmp_path, "multilabel", "--classes", "4")
+        cfg = write_cfg(tmp_path, M=2, base_loss="cross_entropy", epochs=1,
+                        dataset={"task": "multilabel", "num_classes": 4, "n": 100})
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        sidecar = json.loads((data / "data.json").read_text())
+        del sidecar["spec"]["items"][1][field]
+        (data / "data.json").write_text(json.dumps(sidecar))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
+                     "--data", str(data), "--metrics", "multilabel"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err and "Traceback" not in err
+
+
+class TestTaskTable:
+    @pytest.mark.parametrize("dataset, flags", [
+        ({"task": "gridframe", "terminals": 4, "width": 10, "height": 10},
+         ["--terminals", "4", "--grid-size", "10"]),
+        ({"task": "multilabel", "num_classes": 5, "set_size": 3},
+         ["--classes", "5", "--set-size", "3"]),
+    ])
+    def test_config_and_data_path_build_the_same_model(self, tmp_path, dataset, flags):
+        loss = "cross_entropy" if dataset["task"] == "multilabel" else "l2"
+        cfg = write_cfg(tmp_path, M=3, epochs=1, base_loss=loss,
+                        dataset={**dataset, "n": 100})
+        data = gen(tmp_path, dataset["task"], *flags, n=100)
+        models = []
+        for name, extra in (("cfg", []), ("data", ["--data", str(data)])):
+            assert main(["train", "--config", str(cfg), "--out", str(tmp_path / name),
+                         *extra]) == 0
+            models.append(load_checkpoint(tmp_path / name / "checkpoint.json")[0])
+        from_cfg, from_data = models
+        assert from_cfg.extras == from_data.extras
+        assert from_cfg.extras["task"] == dataset["task"]
+        assert ([l.weights.shape for l in from_cfg.layers]
+                == [l.weights.shape for l in from_data.layers])
+
+
+class TestTessellateTask:
+    @pytest.mark.parametrize("task, loss", [("gridframe", "l2"),
+                                            ("multilabel", "cross_entropy")])
+    def test_non_temporal2d_checkpoint_is_usage_error(self, tmp_path, capsys, task, loss):
+        cfg = write_cfg(tmp_path, M=2, epochs=1, base_loss=loss,
+                        dataset={"task": task, "n": 50})
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        assert main(["tessellate", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
+                     "--t", "0.5", "--samples", "10", "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and task in err
+        assert not (tmp_path / "x" / "cells.csv").exists()
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("config, field", [
+        ([TRAIN_CFG], "JSON object"),
+        ({**TRAIN_CFG, "M": [2]}, "'M'"),
+        ({**TRAIN_CFG, "epochs": None}, "'epochs'"),
+        ({**TRAIN_CFG, "base_loss": 3}, "'base_loss'"),
+        ({**TRAIN_CFG, "hidden_layers": 5}, "'hidden_layers'"),
+        ({**TRAIN_CFG, "dataset": 5}, "'dataset'"),
+        ({**TRAIN_CFG, "dataset": {"task": "gridframe", "width": None}}, "'width'"),
+        ({**TRAIN_CFG, "dataset": {"task": "temporal2d", "t": "x"}}, "'t'"),
+    ], ids=["list", "M", "epochs", "base_loss", "hidden_layers", "dataset", "dataset_width",
+            "dataset_t"])
+    def test_usage_error_names_the_field(self, tmp_path, capsys, config, field):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err and "Traceback" not in err
