@@ -107,7 +107,7 @@ def _int_field(fields, name: str, default=None) -> int:
     """``fields[name]`` as an int; ``default`` if given and the field is absent."""
     try:
         return int(fields[name] if default is None or name in fields else default)
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise ValueError(f"dataset field {name!r} is missing or not an integer") from None
 
 
@@ -157,24 +157,34 @@ _TRAIN_FIELDS = {
 
 def _load_config(path: str) -> tuple[dict, dict]:
     """The config with defaults filled in, as the manifest records it, and
-    its fields as read. A field that does not read raises ValueError."""
+    its fields as read. An unknown key or a field that does not read raises
+    ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: a train config must be a JSON object")
+    unknown = sorted(set(cfg) - set(_TRAIN_FIELDS) - {"dataset", "decay"})
+    if unknown:
+        raise ValueError(f"{path}: unknown config keys {unknown}")
+    if "decay" in cfg and "momentum" in cfg:
+        raise ValueError(f"{path}: config keys 'decay' and 'momentum' name the same "
+                         "coefficient; give one")
     merged = {key: default for key, (default, _) in _TRAIN_FIELDS.items()}
     merged.update(cfg)
     if "decay" in merged:
         merged["momentum"] = merged.pop("decay")
     if "MHP_SEED" in os.environ:
-        merged["seed"] = int(os.environ["MHP_SEED"])
+        try:
+            merged["seed"] = int(os.environ["MHP_SEED"])
+        except ValueError:
+            raise ValueError(f"MHP_SEED={os.environ['MHP_SEED']!r} is not an integer") from None
     if not isinstance(merged.get("dataset") or {}, dict):
         raise ValueError("config field 'dataset' must be a JSON object")
     typed = {}
     for key, (_, read) in _TRAIN_FIELDS.items():
         try:
             typed[key] = read(merged[key])
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise ValueError(f"config field {key!r}: {err}") from None
     return merged, typed
 

@@ -288,7 +288,8 @@ def write_dataset(outdir, X, Y, *, task: str, spec: dict, seed: int,
 def load_dataset(path) -> Dataset:
     """Read a dataset directory (or its data.csv path) back into arrays.
 
-    A sidecar that is not a JSON object or lacks a field raises ValueError.
+    A sidecar that is not a JSON object, lacks a field or whose column fields
+    are not lists of names raises ValueError.
     """
     path = Path(path)
     if path.is_dir():
@@ -302,6 +303,9 @@ def load_dataset(path) -> Dataset:
     missing = [k for k in ("input_columns", "target_columns", "task") if k not in sidecar]
     if missing:
         raise ValueError(f"{json_path}: sidecar lacks {', '.join(missing)}")
+    for key in ("input_columns", "target_columns"):
+        if not (isinstance(sidecar[key], list) and all(isinstance(c, str) for c in sidecar[key])):
+            raise ValueError(f"{json_path}: sidecar field {key!r} is not a list of column names")
     n_in = len(sidecar["input_columns"])
     n_out = len(sidecar["target_columns"])
     raw = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2, dtype=np.float64)

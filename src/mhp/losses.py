@@ -25,8 +25,8 @@ class LossKind:
     def __post_init__(self) -> None:
         if self.name not in _KNOWN:
             raise ValueError(f"unknown loss {self.name!r}, expected one of {_KNOWN}")
-        if self.name == "tukey" and not self.tukey_c > 0:
-            raise ValueError("tukey cutoff must be positive")
+        if self.name == "tukey" and not 0.0 < self.tukey_c < np.inf:
+            raise ValueError("tukey cutoff must be positive and finite")
 
     @classmethod
     def parse(cls, spec: str) -> "LossKind":
@@ -50,17 +50,13 @@ L2 = LossKind("l2")
 CROSS_ENTROPY = LossKind("cross_entropy")
 
 
-def _check_classes(targets: np.ndarray, num_classes: int) -> None:
-    if targets.size and (targets.min() < 0 or targets.max() >= num_classes):
-        raise ValueError(f"class index out of range for {num_classes} classes")
-
-
 def _broadcast_logits(p: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
     """Broadcast logits and integer targets to a common leading shape."""
     t = np.asarray(targets)
     if not np.issubdtype(t.dtype, np.integer):
         raise ValueError("cross_entropy targets must be integer class indices")
-    _check_classes(t, p.shape[-1])
+    if t.size and (t.min() < 0 or t.max() >= p.shape[-1]):
+        raise ValueError(f"class index out of range for {p.shape[-1]} classes")
     lead = np.broadcast_shapes(p.shape[:-1], t.shape)
     p = np.broadcast_to(p, lead + p.shape[-1:])
     t = np.broadcast_to(t, lead)
@@ -70,11 +66,23 @@ def _broadcast_logits(p: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
 def hypothesis_targets(kind: LossKind, targets, n: int, output_dim: int) -> np.ndarray:
     """Targets shaped to broadcast against (n, M, ...) hypothesis sets.
 
-    Class indices become (n, 1), regression targets (n, 1, output_dim).
+    The one target shape check: class indices must be (n,) and become
+    (n, 1), regression targets must be (n, output_dim) and become
+    (n, 1, output_dim); any other shape raises ValueError.
     """
     if kind.name == "cross_entropy":
-        return np.asarray(targets).reshape(n, 1)
-    return np.asarray(targets, dtype=np.float64).reshape(n, 1, output_dim)
+        t, want = np.asarray(targets), (n,)
+    else:
+        t, want = np.asarray(targets, dtype=np.float64), (n, output_dim)
+    if t.shape != want:
+        raise ValueError(f"{kind.name} targets must have shape {want}, got {t.shape}")
+    return t[:, None]
+
+
+def _one_row(kind: LossKind, hypotheses, target) -> tuple[np.ndarray, np.ndarray]:
+    """One sample's (M, d) hypotheses and its target as a one-row batch."""
+    h = np.asarray(hypotheses, dtype=np.float64)[None]
+    return h, hypothesis_targets(kind, np.asarray(target)[None], 1, h.shape[-1])
 
 
 def loss_values(kind: LossKind, predictions, targets) -> np.ndarray:
@@ -123,28 +131,19 @@ def softmax(logits) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _validate_pair(kind: LossKind, prediction, target):
+def _one_prediction(kind: LossKind, prediction, target):
+    """One prediction vector and its target as a one-row, one-hypothesis batch."""
     p = np.asarray(prediction, dtype=np.float64)
     if p.ndim != 1:
         raise ValueError("prediction must be a vector")
-    if kind.name == "cross_entropy":
-        t = int(target)
-        if not 0 <= t < p.shape[0]:
-            raise ValueError(f"class index {t} out of range for {p.shape[0]} classes")
-        return p, t
-    t = np.asarray(target, dtype=np.float64)
-    if t.shape != p.shape:
-        raise ValueError(f"prediction shape {p.shape} != target shape {t.shape}")
-    return p, t
+    return _one_row(kind, p[None], target)
 
 
 def loss(kind: LossKind, prediction, target) -> float:
-    """Scalar loss of one prediction against one target."""
-    p, t = _validate_pair(kind, prediction, target)
-    return float(loss_values(kind, p, t))
+    """Scalar loss of one prediction against one target: one :func:`loss_values` row."""
+    return float(loss_values(kind, *_one_prediction(kind, prediction, target))[0, 0])
 
 
 def loss_grad(kind: LossKind, prediction, target) -> np.ndarray:
-    """Gradient of the scalar loss w.r.t. the prediction."""
-    p, t = _validate_pair(kind, prediction, target)
-    return loss_grads(kind, p, t)
+    """Gradient of the scalar loss w.r.t. the prediction: one :func:`loss_grads` row."""
+    return loss_grads(kind, *_one_prediction(kind, prediction, target))[0, 0]

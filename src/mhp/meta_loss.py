@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import L2, LossKind, hypothesis_targets, loss_grads, loss_values
+from .losses import L2, LossKind, _one_row, hypothesis_targets, loss_grads, loss_values
 
 
 @dataclass(frozen=True)
@@ -44,16 +44,6 @@ class AssignmentResult:
     dropped_mask: np.ndarray         # (M,) bool
 
 
-def _broadcast_target(kind: LossKind, hypotheses: np.ndarray, target):
-    """Target shaped so loss_values(kind, hypotheses, target) -> (M,)."""
-    if kind.name == "cross_entropy":
-        return np.asarray(target)
-    t = np.asarray(target, dtype=np.float64)
-    if t.shape != hypotheses.shape[-1:]:
-        raise ValueError(f"target shape {t.shape} != output dim ({hypotheses.shape[-1]},)")
-    return t
-
-
 def assign(config: MetaLossConfig, hypotheses, target,
            rng: np.random.Generator | None = None,
            dropped_mask=None) -> AssignmentResult:
@@ -69,18 +59,17 @@ def assign(config: MetaLossConfig, hypotheses, target,
         raise ValueError(f"expected ({config.num_hypotheses}, d) hypotheses, got {h.shape}")
     if not np.isfinite(h).all():
         raise ValueError("non-finite hypotheses")
-    t = _broadcast_target(config.base_loss, h, target)
     masks = None if dropped_mask is None else np.asarray(dropped_mask, dtype=bool)[None]
-    weights, losses, best, masks = assign_batch(config, h[None], t[None], rng, masks)
+    weights, losses, best, masks = assign_batch(config, h[None], np.asarray(target)[None],
+                                                rng, masks)
     return AssignmentResult(int(best[0]), weights[0], losses[0], masks[0])
 
 
 def meta_loss(config: MetaLossConfig, hypotheses, target,
               assignment: AssignmentResult) -> float:
     """Weighted sum of per-hypothesis base losses under a fixed assignment."""
-    h = np.asarray(hypotheses, dtype=np.float64)
-    losses = loss_values(config.base_loss, h, _broadcast_target(config.base_loss, h, target))
-    return float(assignment.weights @ losses)
+    losses = loss_values(config.base_loss, *_one_row(config.base_loss, hypotheses, target))
+    return float(assignment.weights @ losses[0])
 
 
 def meta_loss_upstream_grads(config: MetaLossConfig, hypotheses, target,
@@ -89,9 +78,8 @@ def meta_loss_upstream_grads(config: MetaLossConfig, hypotheses, target,
 
     Dropped hypotheses get an exactly zero gradient vector.
     """
-    h = np.asarray(hypotheses, dtype=np.float64)
-    g = loss_grads(config.base_loss, h, _broadcast_target(config.base_loss, h, target))
-    return assignment.weights[:, None] * g
+    g = loss_grads(config.base_loss, *_one_row(config.base_loss, hypotheses, target))
+    return assignment.weights[:, None] * g[0]
 
 
 def assign_batch(config: MetaLossConfig, hypotheses, targets,

@@ -32,13 +32,19 @@ def oracle_min_loss_nested(model: MlpModel, X, Y, kind: LossKind) -> np.ndarray:
     return running.mean(axis=0)
 
 
+def _spread(hyps) -> tuple[np.ndarray, np.ndarray]:
+    """For (n, M, d) hypothesis sets: each hypothesis's Euclidean distance to
+    its set's mean, (n, M), and each set's per-dimension variance, (n, d)."""
+    h = np.asarray(hyps, dtype=np.float64)
+    if h.ndim != 3 or h.shape[1] < 2:
+        raise ValueError("hypothesis variance needs sets of at least 2 hypotheses")
+    center = h.mean(axis=1, keepdims=True)
+    return np.linalg.norm(h - center, axis=2), h.var(axis=1)
+
+
 def hypothesis_variance(hypotheses) -> float:
     """Mean Euclidean distance of each hypothesis to the hypothesis mean."""
-    h = np.asarray(hypotheses, dtype=np.float64)
-    if h.ndim != 2 or h.shape[0] < 2:
-        raise ValueError("hypothesis variance needs at least 2 hypotheses")
-    center = h.mean(axis=0)
-    return float(np.linalg.norm(h - center, axis=1).mean())
+    return float(_spread(np.asarray(hypotheses)[None])[0].mean())
 
 
 def per_dimension_variance(hypotheses) -> np.ndarray:
@@ -46,20 +52,13 @@ def per_dimension_variance(hypotheses) -> np.ndarray:
 
     Reshaped to the frame geometry this is the per-pixel variance map.
     """
-    h = np.asarray(hypotheses, dtype=np.float64)
-    if h.ndim != 2 or h.shape[0] < 2:
-        raise ValueError("variance needs at least 2 hypotheses")
-    return h.var(axis=0)
+    return _spread(np.asarray(hypotheses)[None])[1][0]
 
 
 def dataset_hypothesis_variance(model: MlpModel, X) -> tuple[float, np.ndarray]:
     """Mean hypothesis spread over a dataset plus the mean per-dim variance."""
-    hyps = forward_batch(model, X).reshape(len(X), model.num_hypotheses, -1)
-    if model.num_hypotheses < 2:
-        raise ValueError("hypothesis variance needs at least 2 hypotheses")
-    center = hyps.mean(axis=1, keepdims=True)
-    spread = np.linalg.norm(hyps - center, axis=2).mean()
-    return float(spread), hyps.var(axis=1).mean(axis=0)
+    dist, var = _spread(forward_batch(model, X))
+    return float(dist.mean()), var.mean(axis=0)
 
 
 def _gradient_energy(hyps: np.ndarray, width: int, height: int, channels: int) -> np.ndarray:

@@ -106,12 +106,15 @@ def init_mlp(input_dim: int, hidden_dims, output_dim: int, num_hypotheses: int,
     """
     layers: list[Layer] = []
     prev = int(input_dim)
+    widths = [int(h) for h in hidden_dims]
     if prev < 1:
         raise ValueError("input_dim must be positive")
-    for h in hidden_dims:
-        w = rng.normal(0.0, np.sqrt(2.0 / prev), size=(int(h), prev))
-        layers.append(Layer(w, np.zeros(int(h)), "relu"))
-        prev = int(h)
+    if any(h < 1 for h in widths):
+        raise ValueError(f"hidden layer widths must be >= 1, got {widths}")
+    for h in widths:
+        w = rng.normal(0.0, np.sqrt(2.0 / prev), size=(h, prev))
+        layers.append(Layer(w, np.zeros(h), "relu"))
+        prev = h
     base = rng.normal(0.0, np.sqrt(2.0 / prev), size=(output_dim, prev))
     head_w = np.tile(base, (num_hypotheses, 1))
     head_w = head_w + rng.normal(0.0, HEAD_INIT_STD, size=head_w.shape)
@@ -155,15 +158,20 @@ def forward_batch(model: MlpModel, X, *, return_activations: bool = False):
     return (hyps, acts) if return_activations else hyps
 
 
+def _one_input(x) -> np.ndarray:
+    """One 1-d input vector as a one-row batch."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"expected a 1-d input vector, got shape {x.shape}")
+    return x[None]
+
+
 def forward(model: MlpModel, x) -> np.ndarray:
     """Hypothesis set for one input, shape (M, output_dim).
 
     Pure: repeated calls with identical inputs are bit-identical.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a 1-d input vector, got shape {x.shape}")
-    return forward_batch(model, x[None, :])[0]
+    return forward_batch(model, _one_input(x))[0]
 
 
 def backward_batch(model: MlpModel, X, upstream_grads,
@@ -199,11 +207,7 @@ def backward_batch(model: MlpModel, X, upstream_grads,
 
 def backward(model: MlpModel, x, upstream_grads) -> list[tuple[np.ndarray, np.ndarray]]:
     """Single-input wrapper around :func:`backward_batch`."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a 1-d input vector, got shape {x.shape}")
-    u = np.asarray(upstream_grads, dtype=np.float64)
-    return backward_batch(model, x[None, :], u[None, ...])
+    return backward_batch(model, _one_input(x), np.asarray(upstream_grads)[None])
 
 
 @dataclass
@@ -222,8 +226,8 @@ class OptimizerState:
     def __post_init__(self) -> None:
         if self.kind not in ("sgd_momentum", "rmsprop"):
             raise ValueError(f"unknown optimizer {self.kind!r}")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum/decay must lie in [0, 1)")
         for k, (bw, bb) in enumerate(self.buffers):

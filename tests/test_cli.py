@@ -1,9 +1,14 @@
 """Command-line contract: flags, exit codes, file outputs, determinism."""
 
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mhp.cli import main
 from mhp.datagen import load_dataset
@@ -331,6 +336,29 @@ class TestCorruptCheckpoint:
 
 
 class TestMalformedSidecar:
+    @pytest.mark.parametrize("command, field, value", [("lloyd", "input_columns", 5),
+                                                       ("eval", "input_columns", 5),
+                                                       ("train", "input_columns", 5),
+                                                       ("train", "target_columns", "yz")])
+    def test_column_field_not_a_name_list_is_usage_error(self, command, field, value,
+                                                         tmp_path, capsys):
+        data = tmp_path / "d"
+        assert main(["gen", "--task", "temporal2d", "--n", "50", "--out", str(data)]) == 0
+        cfg = write_cfg(tmp_path, epochs=1)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        sidecar = json.loads((data / "data.json").read_text())
+        sidecar[field] = value
+        (data / "data.json").write_text(json.dumps(sidecar))
+        out = str(tmp_path / "out")
+        argv = {"lloyd": ["lloyd", "--data", str(data), "--m", "2", "--out", out],
+                "train": ["train", "--config", str(cfg), "--data", str(data), "--out", out],
+                "eval": ["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
+                         "--data", str(data)]}[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err and "Traceback" not in err
+
     @pytest.mark.parametrize("command, field", [("lloyd", "input_columns"),
                                                 ("eval", "target_columns"),
                                                 ("train", "task")])
@@ -465,11 +493,76 @@ class TestMalformedConfig:
         ({**TRAIN_CFG, "dataset": 5}, "'dataset'"),
         ({**TRAIN_CFG, "dataset": {"task": "gridframe", "width": None}}, "'width'"),
         ({**TRAIN_CFG, "dataset": {"task": "temporal2d", "t": "x"}}, "'t'"),
+        ({**TRAIN_CFG, "hidden_layers": [0]}, "hidden layer widths"),
+        ({**TRAIN_CFG, "epochs": float("inf")}, "'epochs'"),
+        ({**TRAIN_CFG, "batch_size": float("-inf")}, "'batch_size'"),
+        ({**TRAIN_CFG, "M": float("inf")}, "'M'"),
+        ({**TRAIN_CFG, "seed": float("-inf")}, "'seed'"),
+        ({**TRAIN_CFG, "hidden_layers": [16, float("inf")]}, "'hidden_layers'"),
+        ({**TRAIN_CFG, "dataset": {"task": "temporal2d", "n": float("inf")}}, "'n'"),
+        ({**TRAIN_CFG, "dataset": {"task": "gridframe", "width": float("-inf")}}, "'width'"),
+        ({**TRAIN_CFG, "learning_rte": 5.0}, "'learning_rte'"),
+        ({**TRAIN_CFG, "decay": 0.5}, "'decay'"),
+        ({**TRAIN_CFG, "learning_rate": float("inf")}, "learning_rate"),
+        ({**TRAIN_CFG, "base_loss": "tukey:inf"}, "tukey cutoff"),
     ], ids=["list", "M", "epochs", "base_loss", "hidden_layers", "dataset", "dataset_width",
-            "dataset_t"])
+            "dataset_t", "hidden_width_0", "epochs_inf", "batch_size_-inf", "M_inf",
+            "seed_-inf", "hidden_width_inf", "dataset_n_inf", "dataset_width_-inf",
+            "unknown_key", "decay_and_momentum", "learning_rate_inf", "tukey_cutoff_inf"])
     def test_usage_error_names_the_field(self, tmp_path, capsys, config, field):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err and "Traceback" not in err
+
+    def test_non_integer_mhp_seed_names_the_variable(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MHP_SEED", "x")
+        assert main(["train", "--config", str(write_cfg(tmp_path, epochs=1)),
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "MHP_SEED" in err and "Traceback" not in err
+
+
+# One drawn value for one field. Counts stay small: integers and floats lie in
+# [-2, 3], and text is at most three characters.
+SCALARS = st.one_of(st.none(), st.text(max_size=3), st.booleans(), st.integers(-2, 3),
+                    st.floats(-2, 3), st.sampled_from([math.nan, math.inf, -math.inf]))
+VALUES = st.recursive(SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+SMALL_CFG = {**TRAIN_CFG, "epochs": 1, "batch_size": 16, "hidden_layers": [4],
+             "dataset": {"task": "temporal2d", "n": 40}}
+CONFIG_FIELDS = [*SMALL_CFG, "decay", "dataset.n", "dataset.t", "dataset.task"]
+SIDECAR_FIELDS = ["task", "spec", "seed", "n", "input_columns", "target_columns",
+                  "int_targets"]
+
+
+class TestCorruptionProperty:
+    @given(where=st.one_of(st.tuples(st.just("config"), st.sampled_from(CONFIG_FIELDS)),
+                           st.tuples(st.just("sidecar"), st.sampled_from(SIDECAR_FIELDS))),
+           value=VALUES)
+    @settings(max_examples=100, deadline=None)
+    def test_corrupt_field_ends_in_an_exit_code(self, where, value):
+        kind, field = where
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            cfg, data = json.loads(json.dumps(SMALL_CFG)), tmp / "d"
+            train = ["train", "--config", tmp / "config.json", "--out", tmp / "run"]
+            if kind == "config":
+                section, _, key = field.rpartition(".")
+                (cfg[section] if section else cfg)[key] = value
+                runs = [train]
+            else:
+                assert main(["gen", "--task", "temporal2d", "--n", "30", "--out", str(data)]) == 0
+                sidecar = json.loads((data / "data.json").read_text())
+                sidecar[field] = value
+                (data / "data.json").write_text(json.dumps(sidecar))
+                runs = [["lloyd", "--data", data, "--m", "2", "--restarts", "1",
+                         "--out", tmp / "l"],
+                        train + ["--data", data],
+                        ["eval", "--checkpoint", tmp / "run" / "checkpoint.json",
+                         "--data", data, "--metrics", "oracle_min,hypothesis_variance"]]
+            (tmp / "config.json").write_text(json.dumps(cfg))
+            for argv in runs:
+                assert main([str(a) for a in argv]) in (0, 2, 3, 4)

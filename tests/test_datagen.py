@@ -227,6 +227,18 @@ class TestDatasetFiles:
         with pytest.raises(ValueError, match=field):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("field, value", [("input_columns", 5), ("input_columns", "t"),
+                                              ("target_columns", "yz"),
+                                              ("target_columns", ["y1", 2])])
+    def test_sidecar_columns_not_a_name_list_is_value_error(self, tmp_path, field, value):
+        write_dataset(tmp_path, np.zeros((3, 1)), np.zeros((3, 2)), task="temporal2d",
+                      spec={}, seed=0, input_names=["t"], target_names=["y1", "y2"])
+        sidecar = json.loads((tmp_path / "data.json").read_text())
+        sidecar[field] = value
+        (tmp_path / "data.json").write_text(json.dumps(sidecar))
+        with pytest.raises(ValueError, match=field):
+            load_dataset(tmp_path)
+
     def test_sidecar_not_an_object_is_value_error(self, tmp_path):
         write_dataset(tmp_path, np.zeros((3, 1)), np.zeros((3, 2)), task="temporal2d",
                       spec={}, seed=0, input_names=["t"], target_names=["y1", "y2"])

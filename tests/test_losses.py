@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mhp.losses import (CROSS_ENTROPY, DEFAULT_TUKEY_C, L2, LossKind, loss,
-                        loss_grad, loss_values, softmax)
+                        loss_grad, loss_grads, loss_values, softmax)
 
 TUKEY = LossKind("tukey")
 
@@ -171,3 +171,31 @@ class TestSpecStrings:
     def test_nonpositive_cutoff_rejected(self):
         with pytest.raises(ValueError):
             LossKind("tukey", 0.0)
+
+    def test_infinite_cutoff_rejected(self):
+        with pytest.raises(ValueError, match="tukey cutoff"):
+            LossKind.parse("tukey:inf")
+
+
+class TestTargetContract:
+    @pytest.mark.parametrize("fn", [loss, loss_grad])
+    def test_float_class_target_rejected(self, fn):
+        with pytest.raises(ValueError, match="integer class indices"):
+            fn(CROSS_ENTROPY, np.zeros(4), 2.7)
+
+    @pytest.mark.parametrize("fn", [loss, loss_grad])
+    def test_class_target_must_be_a_scalar(self, fn):
+        with pytest.raises(ValueError):
+            fn(CROSS_ENTROPY, np.zeros(4), [1, 2])
+
+    def test_cross_entropy_single_is_bitwise_a_batch_row(self):
+        rng = np.random.default_rng(14)
+        logits = rng.normal(scale=4.0, size=(6, 3, 5))
+        classes = rng.integers(0, 5, size=6)
+        vals = loss_values(CROSS_ENTROPY, logits, classes[:, None])
+        grads = loss_grads(CROSS_ENTROPY, logits, classes[:, None])
+        for i in range(6):
+            for j in range(3):
+                assert loss(CROSS_ENTROPY, logits[i, j], int(classes[i])) == vals[i, j]
+                np.testing.assert_array_equal(
+                    loss_grad(CROSS_ENTROPY, logits[i, j], classes[i]), grads[i, j])

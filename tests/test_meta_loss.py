@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from mhp.losses import CROSS_ENTROPY, L2, LossKind, loss, loss_grad
+from mhp.losses import (CROSS_ENTROPY, L2, LossKind, hypothesis_targets, loss, loss_grad,
+                        loss_grads, loss_values)
 from mhp.meta_loss import (MetaLossConfig, assign, assign_batch, meta_loss,
                            meta_loss_upstream_grads)
 
@@ -243,3 +244,47 @@ class TestAssignBatch:
         cfg = MetaLossConfig(3, dropout_prob=0.0)
         with pytest.raises(ValueError):
             assign(cfg, np.zeros((3, 2)), np.zeros(2), dropped_mask=[False, True])
+
+
+def misshaped(targets):
+    """A transposed (d, n) and a flattened (n*d,) copy of (n, d) targets."""
+    return [targets.T, targets.ravel()]
+
+
+class TestTargetShape:
+    @pytest.mark.parametrize("which", [0, 1], ids=["transposed", "flat"])
+    def test_misshaped_regression_targets_rejected(self, which):
+        cfg = MetaLossConfig(3, dropout_prob=0.0)
+        rng = np.random.default_rng(12)
+        hyps = rng.normal(size=(5, 3, 2))
+        targets = rng.normal(size=(5, 2))
+        assign_batch(cfg, hyps, targets)
+        with pytest.raises(ValueError, match="shape"):
+            assign_batch(cfg, hyps, misshaped(targets)[which])
+
+    def test_class_targets_must_be_one_per_sample(self):
+        cfg = MetaLossConfig(3, base_loss=CROSS_ENTROPY, dropout_prob=0.0)
+        hyps = np.zeros((4, 3, 5))
+        with pytest.raises(ValueError, match="shape"):
+            assign_batch(cfg, hyps, np.zeros((4, 1), dtype=np.int64))
+
+
+class TestSingleIsBatchRow:
+    @pytest.mark.parametrize("kind", [L2, CROSS_ENTROPY, TUKEY])
+    def test_meta_loss_and_grads_bitwise(self, kind):
+        cfg = MetaLossConfig(4, epsilon=0.1, dropout_prob=0.3, base_loss=kind)
+        rng = np.random.default_rng(13)
+        hyps = rng.normal(scale=2.0, size=(16, 4, 3))
+        targets = (rng.integers(0, 3, size=16) if kind.name == "cross_entropy"
+                   else rng.normal(scale=2.0, size=(16, 3)))
+        weights, _, _, _ = assign_batch(cfg, hyps, targets, rng=np.random.default_rng(1))
+        t = hypothesis_targets(kind, targets, 16, 3)
+        losses = loss_values(kind, hyps, t)
+        upstream = weights[:, :, None] * loss_grads(kind, hyps, t)
+        single_rng = np.random.default_rng(1)
+        for i in range(16):
+            res = assign(cfg, hyps[i], targets[i], rng=single_rng)
+            np.testing.assert_array_equal(res.weights, weights[i])
+            assert meta_loss(cfg, hyps[i], targets[i], res) == float(weights[i] @ losses[i])
+            np.testing.assert_array_equal(
+                meta_loss_upstream_grads(cfg, hyps[i], targets[i], res), upstream[i])

@@ -190,3 +190,32 @@ class TestDatasetSharpness:
         model = constant_model(np.zeros((2, 60)))
         with pytest.raises(ValueError):
             dataset_sharpness(model, np.zeros((3, 1)), 8, 8)
+
+
+class TestTargetShape:
+    @pytest.mark.parametrize("metric", [oracle_min_loss, oracle_min_loss_nested])
+    @pytest.mark.parametrize("which", ["transposed", "flat"])
+    def test_misshaped_regression_targets_rejected(self, metric, which):
+        rng = np.random.default_rng(6)
+        model = mhp.init_mlp(1, [8], 2, 3, rng)
+        X = rng.random((5, 1))
+        Y = rng.normal(size=(5, 2))
+        metric(model, X, Y, L2)
+        with pytest.raises(ValueError, match="shape"):
+            metric(model, X, Y.T if which == "transposed" else Y.ravel(), L2)
+
+
+class TestSpreadIsBatchRow:
+    def test_single_set_is_bitwise_a_dataset_row(self):
+        rng = np.random.default_rng(7)
+        model = mhp.init_mlp(2, [8], 3, 4, rng)
+        for x in rng.random((10, 2)):
+            spread, per_dim = dataset_hypothesis_variance(model, x[None])
+            hyps = mhp.forward(model, x)
+            assert hypothesis_variance(hyps) == spread
+            np.testing.assert_array_equal(per_dimension_variance(hyps), per_dim)
+
+    @pytest.mark.parametrize("fn", [hypothesis_variance, per_dimension_variance])
+    def test_not_a_set_rejected(self, fn):
+        with pytest.raises(ValueError, match="at least 2 hypotheses"):
+            fn(np.zeros(3))

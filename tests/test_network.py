@@ -363,3 +363,14 @@ class TestOptimizerStateValidation:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+    def test_infinite_learning_rate_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            make_optimizer("sgd_momentum", reference_model(), np.inf)
+
+
+class TestInitWidths:
+    @pytest.mark.parametrize("hidden", [[0], [8, 0], [-1]])
+    def test_hidden_width_below_one_rejected(self, hidden):
+        with pytest.raises(ValueError, match="hidden layer widths"):
+            init_mlp(2, hidden, 2, 2, np.random.default_rng(0))
