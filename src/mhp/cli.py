@@ -103,11 +103,23 @@ def _task(ds: dict, item_rng: np.random.Generator):
     raise ValueError(f"unknown task {task!r}")
 
 
+def _int(value) -> int:
+    """The one integer reader: an int, or a float with no fractional part.
+
+    A bool, a fractional or non-finite number and anything else raise
+    ValueError; nothing is truncated.
+    """
+    if (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
 def _int_field(fields, name: str, default=None) -> int:
     """``fields[name]`` as an int; ``default`` if given and the field is absent."""
     try:
-        return int(fields[name] if default is None or name in fields else default)
-    except (KeyError, TypeError, ValueError, OverflowError):
+        return _int(fields[name] if default is None or name in fields else default)
+    except (KeyError, TypeError, ValueError):
         raise ValueError(f"dataset field {name!r} is missing or not an integer") from None
 
 
@@ -136,21 +148,21 @@ def cmd_gen(args) -> int:
 def _int_list(value) -> list[int]:
     if not isinstance(value, list):
         raise TypeError(f"expected a list of integers, got {value!r}")
-    return [int(v) for v in value]
+    return [_int(v) for v in value]
 
 
 # Each train config field: its default, and how cmd_train reads it.
 _TRAIN_FIELDS = {
-    "M": (1, int),
+    "M": (1, _int),
     "epsilon": (0.05, float),
     "dropout_prob": (0.01, float),
     "base_loss": ("l2", LossKind.parse),
-    "epochs": (40, int),
-    "batch_size": (32, int),
+    "epochs": (40, _int),
+    "batch_size": (32, _int),
     "optimizer": ("sgd_momentum", str),
     "learning_rate": (0.05, float),
     "momentum": (0.9, float),
-    "seed": (0, int),
+    "seed": (0, _int),
     "hidden_layers": ([50, 50], _int_list),
 }
 

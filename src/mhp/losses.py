@@ -100,7 +100,12 @@ def loss_values(kind: LossKind, predictions, targets) -> np.ndarray:
         return lse - picked
     r = p - np.asarray(targets, dtype=np.float64)
     if kind.name == "l2":
-        return 0.5 * (r * r).sum(axis=-1)
+        # in place, bitwise the same as 0.5 * (r * r).sum(axis=-1): two
+        # temporaries instead of four on the hot path of voronoi._nearest
+        r *= r
+        s = r.sum(axis=-1)
+        s *= 0.5
+        return s
     c = kind.tukey_c
     q = np.minimum((r / c) ** 2, 1.0)
     return (c * c / 6.0) * (1.0 - (1.0 - q) ** 3).sum(axis=-1)

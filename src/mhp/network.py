@@ -141,7 +141,8 @@ def _run_layers(model: MlpModel, X) -> list[np.ndarray]:
     """
     acts = [_check_batch_input(model, X)]
     for layer in model.layers:
-        z = acts[-1] @ layer.weights.T + layer.biases
+        z = acts[-1] @ layer.weights.T
+        z += layer.biases
         acts.append(np.maximum(z, 0.0, out=z) if layer.activation == "relu" else z)
     return acts
 

@@ -56,20 +56,28 @@ def _as_points(arr, name: str) -> np.ndarray:
 def _nearest(gens: np.ndarray, loss: LossKind, samples) -> tuple[np.ndarray, np.ndarray]:
     """Index of and loss against the loss-minimizing generator per sample.
 
-    Works through the samples in chunks so the (chunk, M, d) loss temporary
-    stays bounded; ties go to the lowest index.
+    Works sample-major, one generator at a time: each chunk's targets are
+    laid out with the sample axis contiguous, and each generator's row of
+    losses is folded into a running minimum. The elementwise work, and for
+    regression losses the sum over the d target dimensions, then run along
+    the long sample axis instead of over short per-sample rows of d or M
+    values, and the temporaries stay O(chunk * d). That sum adds the
+    dimensions in sequence; from d = 8 numpy would sum a contiguous row
+    pairwise, so there the last bit can differ from a row-major sum. The
+    strict ``<`` keeps ties on the lowest index, as ``argmin`` does.
     """
     n = len(samples)
-    index = np.empty(n, dtype=np.int64)
+    index = np.zeros(n, dtype=np.int64)
     best = np.empty(n)
     for lo in range(0, n, _CHUNK):
         block = samples[lo:lo + _CHUNK]
-        # (M, chunk) losses: reducing over the leading axis runs along rows of
-        # length chunk, far faster than per-sample reductions over M
-        t = hypothesis_targets(loss, block, len(block), gens.shape[1]).swapaxes(0, 1)
-        values = loss_values(loss, gens[:, None, :], t)
-        index[lo:lo + _CHUNK] = values.argmin(axis=0)
-        best[lo:lo + _CHUNK] = values.min(axis=0)
+        t = np.asfortranarray(hypothesis_targets(loss, block, len(block), gens.shape[1])[:, 0])
+        idx, low = index[lo:lo + _CHUNK], best[lo:lo + _CHUNK]
+        low[:] = loss_values(loss, gens[0], t)
+        for j in range(1, len(gens)):
+            values = loss_values(loss, gens[j], t)
+            np.copyto(idx, j, where=values < low)
+            np.minimum(low, values, out=low)
     return index, best
 
 
@@ -180,7 +188,8 @@ def lloyd(samples, m: int, *, init_generators=None, max_iters: int = 100,
     its nearest generator. Without ``init_generators`` the start is a
     distance-weighted draw from the samples (requires ``rng``).
     """
-    pts = _as_points(samples, "samples")
+    # sample-major once, so that no _nearest call below copies the points
+    pts = np.asfortranarray(_as_points(samples, "samples"))
     if m < 1:
         raise ValueError("m must be >= 1")
     distinct = _distinct_rows(pts, m)

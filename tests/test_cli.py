@@ -505,10 +505,16 @@ class TestMalformedConfig:
         ({**TRAIN_CFG, "decay": 0.5}, "'decay'"),
         ({**TRAIN_CFG, "learning_rate": float("inf")}, "learning_rate"),
         ({**TRAIN_CFG, "base_loss": "tukey:inf"}, "tukey cutoff"),
+        ({**TRAIN_CFG, "epochs": 2.5}, "'epochs'"),
+        ({**TRAIN_CFG, "M": 2.5}, "'M'"),
+        ({**TRAIN_CFG, "hidden_layers": [8.5]}, "'hidden_layers'"),
+        ({**TRAIN_CFG, "dataset": {"task": "temporal2d", "n": 200.7}}, "'n'"),
+        ({**TRAIN_CFG, "epochs": True}, "'epochs'"),
     ], ids=["list", "M", "epochs", "base_loss", "hidden_layers", "dataset", "dataset_width",
             "dataset_t", "hidden_width_0", "epochs_inf", "batch_size_-inf", "M_inf",
             "seed_-inf", "hidden_width_inf", "dataset_n_inf", "dataset_width_-inf",
-            "unknown_key", "decay_and_momentum", "learning_rate_inf", "tukey_cutoff_inf"])
+            "unknown_key", "decay_and_momentum", "learning_rate_inf", "tukey_cutoff_inf",
+            "epochs_2.5", "M_2.5", "hidden_width_8.5", "dataset_n_200.7", "epochs_true"])
     def test_usage_error_names_the_field(self, tmp_path, capsys, config, field):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,20 @@ class TestForward:
             forward(model, np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             forward(model, np.array([np.nan]))
+
+    def test_layer_output_is_the_only_full_size_temporary(self):
+        # the bias is added in place, so a 50-wide layer briefly holds its
+        # input and its output (2x n x 50 floats), not a third array
+        model = reference_model()
+        n = 20_000
+        X = np.linspace(0, 1, n)[:, None]
+        tracemalloc.start()
+        try:
+            forward_batch(model, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * n * 50 * 8
 
     def test_batch_matches_single(self):
         # batched matmuls may pick different BLAS kernels, so agreement is

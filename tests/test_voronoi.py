@@ -6,9 +6,9 @@ import logging
 import numpy as np
 import pytest
 
-from mhp.losses import L2, LossKind, loss_values
-from mhp.voronoi import (_cell_sums, centroidal_residual, lloyd, lloyd_best_of,
-                         membership, quantization_error, tessellate)
+from mhp.losses import CROSS_ENTROPY, L2, LossKind, hypothesis_targets, loss_values
+from mhp.voronoi import (_CHUNK, _cell_sums, _nearest, centroidal_residual, lloyd,
+                         lloyd_best_of, membership, quantization_error, tessellate)
 
 QUADRANT_CENTERS = np.array([[-0.5, -0.5], [-0.5, 0.5], [0.5, -0.5], [0.5, 0.5]])
 
@@ -202,3 +202,77 @@ class TestCellSums:
         assert sums.shape == reference.shape
         assert sums.tobytes() == reference.tobytes()
         assert not sums[[2, 7]].any()
+
+
+def nearest_reference(gens, loss, samples):
+    """The former search: a chunk's (M, chunk) losses at once, then argmin/min over M."""
+    n = len(samples)
+    index, best = np.empty(n, dtype=np.int64), np.empty(n)
+    for lo in range(0, n, _CHUNK):
+        block = samples[lo:lo + _CHUNK]
+        t = hypothesis_targets(loss, block, len(block), gens.shape[1]).swapaxes(0, 1)
+        values = loss_values(loss, gens[:, None, :], t)
+        index[lo:lo + _CHUNK] = values.argmin(axis=0)
+        best[lo:lo + _CHUNK] = values.min(axis=0)
+    return index, best
+
+
+def nearest_case(loss, d, m, n=600, seed=0):
+    """Generators and samples with exact ties: the last generator repeats the
+    first, and for regression losses the first m samples sit on the generators."""
+    rng = np.random.default_rng(seed)
+    gens = rng.normal(size=(m, d))
+    gens[-1] = gens[0]
+    if loss.name == "cross_entropy":
+        return gens, rng.integers(0, d, size=n)
+    samples = rng.normal(size=(n, d))
+    samples[:m] = gens
+    return gens, samples
+
+
+NEAREST_LOSSES = [L2, LossKind("tukey", 1.5), CROSS_ENTROPY]
+
+
+class TestNearest:
+    @pytest.mark.parametrize("loss", NEAREST_LOSSES, ids=lambda k: k.spec())
+    @pytest.mark.parametrize("d", [1, 2, 3, 7])
+    @pytest.mark.parametrize("m", [1, 4, 10])
+    def test_bitwise_equal_to_the_m_by_chunk_search(self, loss, d, m):
+        gens, samples = nearest_case(loss, d, m)
+        ref_index, ref_best = nearest_reference(gens, loss, samples)
+        for laid_out in (np.ascontiguousarray(samples), np.asfortranarray(samples)):
+            index, best = _nearest(gens, loss, laid_out)
+            assert index.tobytes() == ref_index.tobytes()
+            assert best.tobytes() == ref_best.tobytes()
+        if m > 1:
+            assert not (index == m - 1).any()  # the repeated generator never wins a tie
+
+    def test_bitwise_equal_across_chunks(self):
+        # one chunk slice of the F-ordered samples is not itself sample-major
+        gens, samples = nearest_case(L2, 2, 4, n=_CHUNK + 1000, seed=1)
+        ref_index, ref_best = nearest_reference(gens, L2, samples)
+        for laid_out in (samples, np.asfortranarray(samples)):
+            index, best = _nearest(gens, L2, laid_out)
+            assert index.tobytes() == ref_index.tobytes()
+            assert best.tobytes() == ref_best.tobytes()
+
+    @pytest.mark.parametrize("loss", NEAREST_LOSSES, ids=lambda k: k.spec())
+    @pytest.mark.parametrize("d", [8, 64])
+    @pytest.mark.parametrize("m", [1, 4, 10])
+    def test_wide_targets_agree_to_rounding(self, loss, d, m):
+        # from 8 dimensions numpy sums a contiguous row pairwise, while the
+        # sample-major search adds the dimensions in sequence
+        gens, samples = nearest_case(loss, d, m)
+        ref_index, ref_best = nearest_reference(gens, loss, samples)
+        for laid_out in (np.ascontiguousarray(samples), np.asfortranarray(samples)):
+            index, best = _nearest(gens, loss, laid_out)
+            np.testing.assert_array_equal(index, ref_index)
+            np.testing.assert_allclose(best, ref_best, rtol=1e-14, atol=0)
+
+    def test_lloyd_same_for_c_and_f_ordered_points(self):
+        pts = np.random.default_rng(5).normal(size=(3000, 3))
+        runs = [lloyd(laid_out, 5, rng=np.random.default_rng(2))
+                for laid_out in (pts, np.asfortranarray(pts))]
+        assert runs[0].generators.tobytes() == runs[1].generators.tobytes()
+        assert runs[0].iterations == runs[1].iterations
+        assert runs[0].quantization_error == runs[1].quantization_error
