@@ -6,11 +6,13 @@ graph: the forward pass can hand back every layer's activations, and the
 backward pass applies the chain rule to them layer by layer against
 caller-supplied upstream vectors; it runs the forward pass itself only when
 not given them.
-First-order optimizers (SGD with momentum, RMSProp) mutate the model in
-place; the training loop owns the model exclusively between steps.
 
-All arithmetic is float64. Checkpoints are single JSON documents with
-parameters flattened row-major, layer by layer.
+The parameters are one float64 vector, ``MlpModel.params`` of length P, laid
+out by :func:`param_views` alone: per layer, W (out, in) row-major, then b.
+The layers' arrays are views into it. :func:`backward_batch` and :func:`backward`
+return (P,) gradients, :func:`step` takes one, and ``OptimizerState.buffer`` is
+(P,) too. Optimizers (SGD with momentum, RMSProp) update the model in place;
+the training loop owns the model exclusively between steps.
 """
 
 from __future__ import annotations
@@ -38,6 +40,18 @@ class TrainingDivergedError(RuntimeError):
         self.batch_index = batch_index
 
 
+def param_views(shapes, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(W, b) views into ``flat``: per (out, in) shape, W row-major, then b."""
+    views, pos = [], 0
+    for out, ind in shapes:
+        end = pos + out * ind
+        views.append((flat[pos:end].reshape(out, ind), flat[end:end + out]))
+        pos = end + out
+    if pos != len(flat):
+        raise ValueError(f"{len(flat)} values for {pos} parameters")
+    return views
+
+
 @dataclass
 class Layer:
     weights: np.ndarray  # (out, in)
@@ -50,7 +64,8 @@ class MlpModel:
     """Weights of the shared-trunk, multi-headed predictor.
 
     The final layer has ``num_hypotheses * output_dim`` units with identity
-    activation; adjacent layer dimensions must chain.
+    activation; adjacent layer dimensions must chain. The given layers' arrays
+    are replaced by views into ``params``.
     """
 
     layers: list[Layer]
@@ -58,9 +73,14 @@ class MlpModel:
     num_hypotheses: int
     seed: int | None = None
     extras: dict = field(default_factory=dict)
+    params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.validate()
+        self.params = np.empty(sum(out * (ind + 1) for out, ind in self.shapes))
+        for layer, (w, b) in zip(self.layers, param_views(self.shapes, self.params)):
+            w[...], b[...] = layer.weights, layer.biases
+            layer.weights, layer.biases = w, b
 
     @property
     def input_dim(self) -> int:
@@ -89,9 +109,12 @@ class MlpModel:
                 f"{self.num_hypotheses * self.output_dim}")
         if self.layers[-1].activation != "identity":
             raise ValueError("final layer activation must be identity")
+        if not isinstance(self.extras, dict):
+            raise ValueError(f"extras must be a JSON object, got {self.extras!r}")
 
-    def num_parameters(self) -> int:
-        return sum(l.weights.size + l.biases.size for l in self.layers)
+    @property
+    def shapes(self) -> list[tuple[int, int]]:
+        return [np.shape(l.weights) for l in self.layers]
 
 
 def init_mlp(input_dim: int, hidden_dims, output_dim: int, num_hypotheses: int,
@@ -176,12 +199,12 @@ def forward(model: MlpModel, x) -> np.ndarray:
 
 
 def backward_batch(model: MlpModel, X, upstream_grads,
-                   activations: list[np.ndarray] | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Parameter gradients of sum_i sum_j <upstream[i,j], f_j(x_i)>.
+                   activations: list[np.ndarray] | None = None) -> np.ndarray:
+    """Parameter gradient of sum_i sum_j <upstream[i,j], f_j(x_i)>.
 
-    ``upstream_grads`` has shape (n, M, output_dim); the result is one
-    (dweights, dbiases) pair per layer, summed over the batch. Linear in the
-    upstream vectors. ``activations`` are those that
+    ``upstream_grads`` has shape (n, M, output_dim); the result is one (P,)
+    vector in the layout of ``model.params``, summed over the batch. Linear
+    in the upstream vectors. ``activations`` are those that
     ``forward_batch(model, X, return_activations=True)`` returned for the
     same parameters; without them the forward pass runs here first.
     """
@@ -195,34 +218,31 @@ def backward_batch(model: MlpModel, X, upstream_grads,
     if u.shape != want:
         raise ValueError(f"expected upstream grads of shape {want}, got {u.shape}")
     delta = u.reshape(n, model.num_hypotheses * model.output_dim)
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(model.layers)  # type: ignore
-    for k in range(len(model.layers) - 1, -1, -1):
-        grads[k] = (delta.T @ activations[k], delta.sum(axis=0))
+    grad = np.empty(model.params.size)
+    for k, (dw, db) in reversed(list(enumerate(param_views(model.shapes, grad)))):
+        np.matmul(delta.T, activations[k], out=dw)
+        delta.sum(axis=0, out=db)
         if k > 0:
             delta = delta @ model.layers[k].weights
             if model.layers[k - 1].activation == "relu":
                 # relu(z) > 0 exactly where z > 0, so the mask needs no z
                 delta *= activations[k] > 0.0
-    return grads
+    return grad
 
 
-def backward(model: MlpModel, x, upstream_grads) -> list[tuple[np.ndarray, np.ndarray]]:
+def backward(model: MlpModel, x, upstream_grads) -> np.ndarray:
     """Single-input wrapper around :func:`backward_batch`."""
     return backward_batch(model, _one_input(x), np.asarray(upstream_grads)[None])
 
 
 @dataclass
 class OptimizerState:
-    """First-order optimizer state.
-
-    ``momentum`` is the velocity coefficient for sgd_momentum and the
-    squared-gradient decay for rmsprop. Buffers mirror parameter shapes.
-    """
+    """First-order optimizer state; ``buffer`` is (P,), like the parameters."""
 
     kind: str  # "sgd_momentum" | "rmsprop"
     learning_rate: float
-    momentum: float
-    buffers: list[tuple[np.ndarray, np.ndarray]]
+    momentum: float  # the velocity coefficient, or for rmsprop the squared-gradient decay
+    buffer: np.ndarray
 
     def __post_init__(self) -> None:
         if self.kind not in ("sgd_momentum", "rmsprop"):
@@ -231,50 +251,59 @@ class OptimizerState:
             raise ValueError("learning_rate must be positive and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum/decay must lie in [0, 1)")
-        for k, (bw, bb) in enumerate(self.buffers):
-            if bw.ndim != 2 or bb.shape != bw.shape[:1]:
-                raise ValueError(f"optimizer buffer {k}: weights (out,in) and biases (out,) required")
 
 
 def make_optimizer(kind: str, model: MlpModel, learning_rate: float,
                    momentum: float = 0.9) -> OptimizerState:
-    buffers = [(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in model.layers]
-    return OptimizerState(kind, float(learning_rate), float(momentum), buffers)
+    return OptimizerState(kind, float(learning_rate), float(momentum), np.zeros_like(model.params))
 
 
-def step(state: OptimizerState, model: MlpModel, grads) -> None:
-    """Apply one update in place.
+def _require_finite(model: MlpModel, values: np.ndarray, what: str) -> None:
+    """TrainingDivergedError at the first layer where (P,) or (k, P) ``values`` are not finite."""
+    if not np.isfinite(values).all():
+        bad = ~np.isfinite(values).reshape(-1, model.params.size).all(axis=0)
+        k = next(k for k, (w, b) in enumerate(param_views(model.shapes, bad)) if w.any() or b.any())
+        raise TrainingDivergedError(f"non-finite {what} in layer {k}", layer_index=k)
+
+
+def step(state: OptimizerState, model: MlpModel, grad) -> None:
+    """Apply one update to ``model.params`` in place, or change nothing.
 
     sgd_momentum: v <- mu*v - lr*g; theta <- theta + v.
     rmsprop: s <- rho*s + (1-rho)*g^2; theta <- theta - lr*g/sqrt(s + 1e-8).
-    Raises TrainingDivergedError (with the layer index) on non-finite grads.
+    ``grad`` is (P,); a non-finite gradient or result raises TrainingDivergedError.
     """
-    if len(grads) != len(model.layers):
-        raise ValueError("gradient list does not match model layers")
-    grads = [(np.asarray(dw, dtype=np.float64), np.asarray(db, dtype=np.float64))
-             for dw, db in grads]
-    # every gradient is checked before any parameter or buffer moves
-    for k, (layer, (dw, db)) in enumerate(zip(model.layers, grads)):
-        if dw.shape != layer.weights.shape or db.shape != layer.biases.shape:
-            raise ValueError(f"layer {k}: gradient shape mismatch")
-        if not (np.isfinite(dw).all() and np.isfinite(db).all()):
-            raise TrainingDivergedError(f"non-finite gradient in layer {k}", layer_index=k)
+    g = np.asarray(grad, dtype=np.float64)
+    if not g.shape == state.buffer.shape == model.params.shape:
+        raise ValueError(f"gradient {g.shape} and optimizer buffer {state.buffer.shape} "
+                         f"must match the parameters {model.params.shape}")
+    _require_finite(model, g, "gradient")
     lr, mu = state.learning_rate, state.momentum
-    for layer, (dw, db), (bw, bb) in zip(model.layers, grads, state.buffers):
+    buffer, params = new = np.empty((2, g.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(state.buffer, mu, out=buffer)
         if state.kind == "sgd_momentum":
-            bw *= mu
-            bw -= lr * dw
-            bb *= mu
-            bb -= lr * db
-            layer.weights += bw
-            layer.biases += bb
+            buffer -= lr * g
+            np.add(model.params, buffer, out=params)
         else:
-            bw *= mu
-            bw += (1.0 - mu) * dw * dw
-            bb *= mu
-            bb += (1.0 - mu) * db * db
-            layer.weights -= lr * dw / np.sqrt(bw + RMSPROP_EPS)
-            layer.biases -= lr * db / np.sqrt(bb + RMSPROP_EPS)
+            buffer += (1.0 - mu) * g * g
+            np.subtract(model.params, lr * g / np.sqrt(buffer + RMSPROP_EPS), out=params)
+    _require_finite(model, new, "update")
+    state.buffer[...] = buffer
+    model.params[...] = params
+
+
+def _write_pairs(shapes, flat: np.ndarray) -> list[dict]:
+    return [{"weights": w.ravel().tolist(), "biases": b.tolist()}
+            for w, b in param_views(shapes, flat)]
+
+
+def _read_pairs(shapes, pairs) -> np.ndarray:
+    flat = np.empty(sum(out * (ind + 1) for out, ind in shapes))
+    for (w, b), pair in zip(param_views(shapes, flat), pairs, strict=True):
+        w[...] = np.reshape(pair["weights"], w.shape)
+        b[...] = np.reshape(pair["biases"], b.shape)
+    return flat
 
 
 def save_checkpoint(path, model: MlpModel, optimizer: OptimizerState | None = None):
@@ -286,18 +315,12 @@ def save_checkpoint(path, model: MlpModel, optimizer: OptimizerState | None = No
         "M": model.num_hypotheses,
         "output_dim": model.output_dim,
         "seed": model.seed,
-        "parameters": [
-            {"weights": l.weights.ravel().tolist(), "biases": l.biases.tolist()}
-            for l in model.layers
-        ],
+        "parameters": _write_pairs(model.shapes, model.params),
         "optimizer": None if optimizer is None else {
             "kind": optimizer.kind,
             "learning_rate": optimizer.learning_rate,
             "momentum": optimizer.momentum,
-            "buffers": [
-                {"weights": bw.ravel().tolist(), "biases": bb.tolist()}
-                for bw, bb in optimizer.buffers
-            ],
+            "buffers": _write_pairs(model.shapes, optimizer.buffer),
         },
         "extras": model.extras,
     }
@@ -313,25 +336,15 @@ def load_checkpoint(path) -> tuple[MlpModel, OptimizerState | None]:
     try:
         if doc.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
             raise ValueError(f"unsupported checkpoint schema {doc.get('schema_version')!r}")
-        layers = []
-        for (ind, out), act, params in zip(doc["layer_dims"], doc["activations"],
-                                           doc["parameters"], strict=True):
-            w = np.array(params["weights"], dtype=np.float64).reshape(out, ind)
-            b = np.array(params["biases"], dtype=np.float64)
-            layers.append(Layer(w, b, act))
+        shapes = [(out, ind) for ind, out in doc["layer_dims"]]
+        layers = [Layer(w, b, act) for (w, b), act in
+                  zip(param_views(shapes, _read_pairs(shapes, doc["parameters"])),
+                      doc["activations"], strict=True)]
         model = MlpModel(layers, int(doc["output_dim"]), int(doc["M"]),
-                         seed=doc.get("seed"), extras=doc.get("extras") or {})
-        opt = None
-        if doc.get("optimizer"):
-            o = doc["optimizer"]
-            if len(o["buffers"]) != len(layers):
-                raise ValueError(f"{len(o['buffers'])} optimizer buffer pairs for {len(layers)} layers")
-            buffers = []
-            for layer, bufs in zip(layers, o["buffers"]):
-                bw = np.array(bufs["weights"], dtype=np.float64).reshape(layer.weights.shape)
-                bb = np.array(bufs["biases"], dtype=np.float64)
-                buffers.append((bw, bb))
-            opt = OptimizerState(o["kind"], float(o["learning_rate"]), float(o["momentum"]), buffers)
-    except (KeyError, TypeError, AttributeError) as err:
+                         seed=doc.get("seed"), extras=doc.get("extras", {}))
+        o = doc.get("optimizer")
+        opt = OptimizerState(o["kind"], float(o["learning_rate"]), float(o["momentum"]),
+                             _read_pairs(shapes, o["buffers"])) if o else None
+    except (KeyError, TypeError, AttributeError, OverflowError) as err:
         raise ValueError(f"malformed checkpoint {path}: {type(err).__name__} {err}") from err
     return model, opt

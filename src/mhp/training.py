@@ -92,9 +92,9 @@ def train(model: MlpModel, data, config: MetaLossConfig,
             tb = hypothesis_targets(config.base_loss, yb, len(xb), model.output_dim)
             upstream = weights[:, :, None] * loss_grads(config.base_loss, hyps, tb)
             upstream /= len(xb)
-            grads = backward_batch(model, xb, upstream, activations=acts)
+            grad = backward_batch(model, xb, upstream, activations=acts)
             try:
-                step(optimizer, model, grads)
+                step(optimizer, model, grad)
             except TrainingDivergedError as err:
                 err.epoch = epoch
                 err.batch_index = b

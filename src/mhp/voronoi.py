@@ -53,6 +53,11 @@ def _as_points(arr, name: str) -> np.ndarray:
     return pts
 
 
+def _as_samples(loss: LossKind, samples) -> np.ndarray:
+    """Finite (n, d) points; cross-entropy class indices pass as they are."""
+    return np.asarray(samples) if loss.name == "cross_entropy" else _as_points(samples, "samples")
+
+
 def _nearest(gens: np.ndarray, loss: LossKind, samples) -> tuple[np.ndarray, np.ndarray]:
     """Index of and loss against the loss-minimizing generator per sample.
 
@@ -110,13 +115,13 @@ def _distinct_rows(pts: np.ndarray, m: int) -> int:
 
 def membership(generators, loss: LossKind, samples) -> np.ndarray:
     """Index of the loss-minimizing generator per sample (first on ties)."""
-    return _nearest(_as_points(generators, "generators"), loss, samples)[0]
+    return _nearest(_as_points(generators, "generators"), loss, _as_samples(loss, samples))[0]
 
 
 def tessellate(generators, loss: LossKind, samples) -> tuple[Tessellation, CellStats]:
     """Assign every sample to its minimizing generator and summarize cells."""
     gens = _as_points(generators, "generators")
-    pts = _as_points(samples, "samples") if loss.name != "cross_entropy" else np.asarray(samples)
+    pts = _as_samples(loss, samples)
     assignments, per_sample = _nearest(gens, loss, pts)
     m = len(gens)
     counts = np.bincount(assignments, minlength=m)
@@ -150,7 +155,7 @@ def centroidal_residual(tess: Tessellation, stats: CellStats) -> tuple[np.ndarra
 
 def quantization_error(generators, loss: LossKind, samples) -> float:
     """Mean over samples of the loss against the best generator."""
-    gens = _as_points(generators, "generators")
+    gens, samples = _as_points(generators, "generators"), _as_samples(loss, samples)
     n = len(samples)
     if n == 0:
         raise ValueError("no samples")

@@ -45,6 +45,19 @@ def criterion(num: int, name: str, budget_s: float, extra_s: float = 0.0):
     print(f"\nACCEPTANCE {num} ({name}): PASS [{elapsed:.1f}s]")
 
 
+def central_differences(f, theta, h):
+    """Central differences of ``f()`` in each entry of ``theta``, perturbed in place."""
+    numeric = np.zeros(theta.shape)
+    for i in np.ndindex(theta.shape):
+        orig = theta[i]
+        theta[i] = orig + h
+        fp = f()
+        theta[i] = orig - h
+        numeric[i] = (fp - f()) / (2 * h)
+        theta[i] = orig
+    return numeric
+
+
 def fd_scale_error(analytic, numeric):
     scale = max(np.max(np.abs(analytic)), np.max(np.abs(numeric)), 1e-8)
     return float(np.max(np.abs(analytic - numeric)) / scale)
@@ -137,12 +150,7 @@ def test_criterion_1_gradient_suite():
             for _ in range(30):
                 u = rng.normal(size=5)
                 v = int(rng.integers(5)) if kind.name == "cross_entropy" else rng.normal(size=5)
-                numeric = np.zeros(5)
-                for i in range(5):
-                    up, um = u.copy(), u.copy()
-                    up[i] += h
-                    um[i] -= h
-                    numeric[i] = (loss(kind, up, v) - loss(kind, um, v)) / (2 * h)
+                numeric = central_differences(lambda: loss(kind, u, v), u, h)
                 assert fd_scale_error(loss_grad(kind, u, v), numeric) < 1e-5
 
         # meta-loss w.r.t. hypotheses, dropout masks included
@@ -154,38 +162,17 @@ def test_criterion_1_gradient_suite():
                 cfg = MetaLossConfig(m, 0.05, 0.3, kind)
                 res = assign(cfg, hyp, tgt, dropped_mask=rng.random(m) < 0.3)
                 analytic = meta_loss_upstream_grads(cfg, hyp, tgt, res)
-                numeric = np.zeros_like(analytic)
-                for j in range(m):
-                    for k in range(d):
-                        hp, hm = hyp.copy(), hyp.copy()
-                        hp[j, k] += h
-                        hm[j, k] -= h
-                        numeric[j, k] = (meta_loss(cfg, hp, tgt, res)
-                                         - meta_loss(cfg, hm, tgt, res)) / (2 * h)
+                numeric = central_differences(lambda: meta_loss(cfg, hyp, tgt, res), hyp, h)
                 assert fd_scale_error(analytic, numeric) < 1e-5
 
         # full MLP parameter gradients on a <=500-parameter model
         model = init_mlp(3, [8, 6], 2, 2, np.random.default_rng(102))
-        assert model.num_parameters() <= 500
+        assert model.params.size <= 500
         x = rng.normal(size=3)
         upstream = rng.normal(size=(2, 2))
-        analytic_layers = backward(model, x, upstream)
-        analytic = np.concatenate([np.concatenate([dw.ravel(), db])
-                                   for dw, db in analytic_layers])
-        numeric = np.zeros_like(analytic)
-        pos = 0
-        for layer in model.layers:
-            for arr in (layer.weights, layer.biases):
-                flat = arr.ravel()
-                for i in range(flat.size):
-                    orig = flat[i]
-                    flat[i] = orig + h
-                    fp = float((upstream * forward(model, x)).sum())
-                    flat[i] = orig - h
-                    fm = float((upstream * forward(model, x)).sum())
-                    flat[i] = orig
-                    numeric[pos] = (fp - fm) / (2 * h)
-                    pos += 1
+        analytic = backward(model, x, upstream)
+        numeric = central_differences(lambda: float((upstream * forward(model, x)).sum()),
+                                      model.params, h)
         assert fd_scale_error(analytic, numeric) < 1e-5
 
 

@@ -32,6 +32,13 @@ TRAIN_CFG = {
 }
 
 
+def usage_error(capsys, argv, *names):
+    """``main(argv)`` exits 2 with an error line naming each of ``names``, no traceback."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err and all(n in err for n in names)
+
+
 def write_cfg(tmp_path, **overrides):
     cfg = dict(TRAIN_CFG)
     cfg.update(overrides)
@@ -127,6 +134,13 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 4
         assert "diverged" in capsys.readouterr().err
 
+    def test_overflow_on_the_last_step_writes_no_checkpoint(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, optimizer="rmsprop", learning_rate=1e308, epochs=1,
+                        dataset={"task": "temporal2d", "n": 64})  # one batch, one step
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 4
+        assert "diverged" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoint.json").exists()
+
     def test_train_from_data_path(self, tmp_path):
         data = tmp_path / "d"
         assert main(["gen", "--task", "temporal2d", "--n", "600", "--seed", "2",
@@ -165,15 +179,13 @@ class TestEval:
 
     def test_sharpness_on_non_grid_model_is_usage_error(self, trained, capsys):
         ckpt, data = trained
-        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
-                     "--metrics", "sharpness"]) == 2
-        assert "grid" in capsys.readouterr().err
+        usage_error(capsys, ["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                             "--metrics", "sharpness"], "grid")
 
     def test_unknown_metric_rejected(self, trained, capsys):
         ckpt, data = trained
-        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
-                     "--metrics", "psnr"]) == 2
-        capsys.readouterr()
+        usage_error(capsys, ["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                             "--metrics", "psnr"], "psnr")
 
     def test_report_written_with_manifest(self, trained, tmp_path, capsys):
         ckpt, data = trained
@@ -186,9 +198,8 @@ class TestEval:
 
     def test_variance_on_single_hypothesis_is_usage_error(self, trained, capsys):
         ckpt, data = trained
-        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
-                     "--metrics", "hypothesis_variance"]) == 2
-        capsys.readouterr()
+        usage_error(capsys, ["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                             "--metrics", "hypothesis_variance"])
 
     def test_multilabel_scores_from_sidecar_items(self, tmp_path, capsys):
         data = tmp_path / "ml"
@@ -286,17 +297,14 @@ class TestTessellate:
         assert (a / "cells.csv").read_bytes() == (b / "cells.csv").read_bytes()
 
     def test_requires_exactly_one_source(self, checkpoint, tmp_path, capsys):
-        assert main(["tessellate", "--t", "0.5", "--out", str(tmp_path / "x")]) == 2
-        capsys.readouterr()
+        usage_error(capsys, ["tessellate", "--t", "0.5", "--out", str(tmp_path / "x")])
 
     @pytest.mark.parametrize("doc", [{"loss": "l2"}, [[0.0, 0.0]]])
     def test_generators_file_without_generators_is_usage_error(self, tmp_path, capsys, doc):
         path = tmp_path / "generators.json"
         path.write_text(json.dumps(doc))
-        assert main(["tessellate", "--generators", str(path), "--t", "0.5",
-                     "--samples", "10", "--out", str(tmp_path / "x")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "generators" in err
+        usage_error(capsys, ["tessellate", "--generators", str(path), "--t", "0.5",
+                             "--samples", "10", "--out", str(tmp_path / "x")], "generators")
 
 
 class TestCorruptCheckpoint:
@@ -316,7 +324,11 @@ class TestCorruptCheckpoint:
     def drop_output_dim(doc):
         del doc["output_dim"]
 
-    @pytest.mark.parametrize("corrupt", [corrupt_kind, truncate_buffers, drop_output_dim])
+    def extras_not_an_object(doc):
+        doc["extras"] = [1]
+
+    @pytest.mark.parametrize("corrupt", [corrupt_kind, truncate_buffers, drop_output_dim,
+                                         extras_not_an_object])
     @pytest.mark.parametrize("command", ["eval", "tessellate"])
     def test_usage_error_without_traceback(self, good, corrupt, command, tmp_path, capsys):
         doc = json.loads(json.dumps(good))
@@ -330,9 +342,7 @@ class TestCorruptCheckpoint:
         else:
             argv = ["tessellate", "--checkpoint", str(path), "--t", "0.0",
                     "--samples", "50", "--out", str(tmp_path / "cells")]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
+        usage_error(capsys, argv)
 
 
 class TestMalformedSidecar:
@@ -355,9 +365,7 @@ class TestMalformedSidecar:
                 "eval": ["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
                          "--data", str(data)]}[command]
         capsys.readouterr()
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and field in err and "Traceback" not in err
+        usage_error(capsys, argv, field)
 
     @pytest.mark.parametrize("command, field", [("lloyd", "input_columns"),
                                                 ("eval", "target_columns"),
@@ -380,9 +388,7 @@ class TestMalformedSidecar:
             argv = ["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
                     "--data", str(data)]
         capsys.readouterr()
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and field in err and "Traceback" not in err
+        usage_error(capsys, argv, field)
 
 
 def gen(tmp_path, task, *flags, n=200, name="d"):
@@ -423,10 +429,8 @@ class TestSidecarSpec:
             del sidecar["spec"]
         (data / "data.json").write_text(json.dumps(sidecar))
         capsys.readouterr()
-        assert main(["train", "--config", str(write_cfg(tmp_path, epochs=1)),
-                     "--data", str(data), "--out", str(tmp_path / "run")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and field in err and "Traceback" not in err
+        usage_error(capsys, ["train", "--config", str(write_cfg(tmp_path, epochs=1)),
+                             "--data", str(data), "--out", str(tmp_path / "run")], field)
 
     @pytest.mark.parametrize("field", ["features", "labels"])
     def test_eval_multilabel_item_without_field_is_usage_error(self, tmp_path, capsys, field):
@@ -438,10 +442,8 @@ class TestSidecarSpec:
         del sidecar["spec"]["items"][1][field]
         (data / "data.json").write_text(json.dumps(sidecar))
         capsys.readouterr()
-        assert main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
-                     "--data", str(data), "--metrics", "multilabel"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and field in err and "Traceback" not in err
+        usage_error(capsys, ["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
+                             "--data", str(data), "--metrics", "multilabel"], field)
 
 
 class TestTaskTable:
@@ -464,8 +466,7 @@ class TestTaskTable:
         from_cfg, from_data = models
         assert from_cfg.extras == from_data.extras
         assert from_cfg.extras["task"] == dataset["task"]
-        assert ([l.weights.shape for l in from_cfg.layers]
-                == [l.weights.shape for l in from_data.layers])
+        assert from_cfg.shapes == from_data.shapes
 
 
 class TestTessellateTask:
@@ -476,10 +477,8 @@ class TestTessellateTask:
                         dataset={"task": task, "n": 50})
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
         capsys.readouterr()
-        assert main(["tessellate", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
-                     "--t", "0.5", "--samples", "10", "--out", str(tmp_path / "x")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and task in err
+        usage_error(capsys, ["tessellate", "--checkpoint", str(tmp_path / "run/checkpoint.json"),
+                             "--t", "0.5", "--samples", "10", "--out", str(tmp_path / "x")], task)
         assert not (tmp_path / "x" / "cells.csv").exists()
 
 
@@ -518,16 +517,12 @@ class TestMalformedConfig:
     def test_usage_error_names_the_field(self, tmp_path, capsys, config, field):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
-        assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and field in err and "Traceback" not in err
+        usage_error(capsys, ["train", "--config", str(path), "--out", str(tmp_path / "run")], field)
 
     def test_non_integer_mhp_seed_names_the_variable(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MHP_SEED", "x")
-        assert main(["train", "--config", str(write_cfg(tmp_path, epochs=1)),
-                     "--out", str(tmp_path / "run")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "MHP_SEED" in err and "Traceback" not in err
+        usage_error(capsys, ["train", "--config", str(write_cfg(tmp_path, epochs=1)),
+                             "--out", str(tmp_path / "run")], "MHP_SEED")
 
 
 # One drawn value for one field. Counts stay small: integers and floats lie in
@@ -542,33 +537,57 @@ SMALL_CFG = {**TRAIN_CFG, "epochs": 1, "batch_size": 16, "hidden_layers": [4],
 CONFIG_FIELDS = [*SMALL_CFG, "decay", "dataset.n", "dataset.t", "dataset.task"]
 SIDECAR_FIELDS = ["task", "spec", "seed", "n", "input_columns", "target_columns",
                   "int_targets"]
+# top-level keys, then the layer dims, head pairs and optimizer of a SMALL_CFG run
+CHECKPOINT_FIELDS = ["schema_version", "layer_dims", "activations", "M", "output_dim", "seed",
+                     "parameters", "optimizer", "extras", "optimizer.kind",
+                     "optimizer.learning_rate", "optimizer.momentum",
+                     *(f"layer_dims.{i}.{j}" for i in (0, 1) for j in (0, 1)),
+                     *(f"{pairs}.1.{key}" for pairs in ("parameters", "optimizer.buffers")
+                       for key in ("weights", "biases"))]
+
+
+def set_field(doc, field, value):
+    """Sets the entry of ``doc`` at a dotted path such as ``parameters.1.weights``."""
+    *parents, key = field.split(".")
+    for part in parents:
+        doc = doc[int(part) if isinstance(doc, list) else part]
+    doc[int(key) if isinstance(doc, list) else key] = value
 
 
 class TestCorruptionProperty:
     @given(where=st.one_of(st.tuples(st.just("config"), st.sampled_from(CONFIG_FIELDS)),
-                           st.tuples(st.just("sidecar"), st.sampled_from(SIDECAR_FIELDS))),
+                           st.tuples(st.just("sidecar"), st.sampled_from(SIDECAR_FIELDS)),
+                           st.tuples(st.just("checkpoint"), st.sampled_from(CHECKPOINT_FIELDS))),
            value=VALUES)
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_corrupt_field_ends_in_an_exit_code(self, where, value):
         kind, field = where
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             cfg, data = json.loads(json.dumps(SMALL_CFG)), tmp / "d"
+            ckpt = tmp / "run" / "checkpoint.json"
             train = ["train", "--config", tmp / "config.json", "--out", tmp / "run"]
+            evaluate = ["eval", "--checkpoint", ckpt, "--data", data,
+                        "--metrics", "oracle_min,hypothesis_variance"]
             if kind == "config":
-                section, _, key = field.rpartition(".")
-                (cfg[section] if section else cfg)[key] = value
+                set_field(cfg, field, value)
                 runs = [train]
             else:
                 assert main(["gen", "--task", "temporal2d", "--n", "30", "--out", str(data)]) == 0
+            if kind == "sidecar":
                 sidecar = json.loads((data / "data.json").read_text())
-                sidecar[field] = value
+                set_field(sidecar, field, value)
                 (data / "data.json").write_text(json.dumps(sidecar))
                 runs = [["lloyd", "--data", data, "--m", "2", "--restarts", "1",
-                         "--out", tmp / "l"],
-                        train + ["--data", data],
-                        ["eval", "--checkpoint", tmp / "run" / "checkpoint.json",
-                         "--data", data, "--metrics", "oracle_min,hypothesis_variance"]]
+                         "--out", tmp / "l"], train + ["--data", data], evaluate]
             (tmp / "config.json").write_text(json.dumps(cfg))
-            for argv in runs:
-                assert main([str(a) for a in argv]) in (0, 2, 3, 4)
+            if kind == "checkpoint":
+                assert main([str(a) for a in train]) == 0
+                doc = json.loads(ckpt.read_text())
+                set_field(doc, field, value)
+                ckpt.write_text(json.dumps(doc))
+                runs = [evaluate, ["tessellate", "--checkpoint", ckpt, "--t", "0.5",
+                                   "--samples", "20", "--out", tmp / "cells"]]
+            for argv in runs:  # only training can diverge (exit 4)
+                assert main([str(a) for a in argv]) in ((0, 2, 3, 4) if argv[0] == "train"
+                                                        else (0, 2, 3))

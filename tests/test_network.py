@@ -9,7 +9,7 @@ import pytest
 
 from mhp.network import (Layer, MlpModel, TrainingDivergedError, backward,
                          backward_batch, forward, forward_batch, init_mlp,
-                         load_checkpoint, make_optimizer, save_checkpoint, step)
+                         load_checkpoint, make_optimizer, param_views, save_checkpoint, step)
 from mhp.network import OptimizerState
 
 # Output of the seeded reference model below at x = 0.25, recorded once and
@@ -39,21 +39,6 @@ def scalar_forward(model, x):
         a = out
     m, d = model.num_hypotheses, model.output_dim
     return [a[k * d:(k + 1) * d] for k in range(m)]
-
-
-def flatten_params(model):
-    return np.concatenate([np.concatenate([l.weights.ravel(), l.biases]) for l in model.layers])
-
-
-def set_params(model, flat):
-    pos = 0
-    for layer in model.layers:
-        n = layer.weights.size
-        layer.weights[...] = flat[pos:pos + n].reshape(layer.weights.shape)
-        pos += n
-        n = layer.biases.size
-        layer.biases[...] = flat[pos:pos + n]
-        pos += n
 
 
 class TestForward:
@@ -119,6 +104,16 @@ class TestForward:
         for i, x in enumerate(X):
             np.testing.assert_allclose(batch[i], forward(model, x), rtol=1e-12)
 
+    def test_layers_are_views_into_params(self):
+        model = reference_model()
+        assert all(np.shares_memory(arr, model.params)
+                   for layer in model.layers for arr in (layer.weights, layer.biases))
+        before = forward(model, np.array([0.25]))
+        model.params[-1] += 1.0  # the last bias of the last head
+        after = forward(model, np.array([0.25]))
+        assert after[-1, -1] == pytest.approx(before[-1, -1] + 1.0, rel=1e-12)
+        assert np.array_equal(after.ravel()[:-1], before.ravel()[:-1])
+
 
 class TestModelValidation:
     def test_dimension_chain_enforced(self):
@@ -145,16 +140,14 @@ class TestModelValidation:
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         model = reference_model()
-        grads = backward(model, np.array([0.3]), np.zeros((4, 2)))
-        for dw, db in grads:
-            assert np.all(dw == 0.0) and np.all(db == 0.0)
+        assert np.all(backward(model, np.array([0.3]), np.zeros((4, 2))) == 0.0)
 
     def test_single_linear_layer_outer_product(self):
         w = np.array([[1.0, 2.0], [3.0, 4.0]])
         model = MlpModel([Layer(w, np.zeros(2), "identity")], 2, 1)
         x = np.array([0.5, -1.5])
         g = np.array([[2.0, -1.0]])
-        (dw, db), = backward(model, x, g)
+        (dw, db), = param_views(model.shapes, backward(model, x, g))
         np.testing.assert_array_equal(dw, np.outer(g[0], x))
         np.testing.assert_array_equal(db, g[0])
 
@@ -163,35 +156,24 @@ class TestBackward:
         rng = np.random.default_rng(1)
         x = np.array([0.4])
         g = rng.normal(size=(4, 2))
-        scaled = backward(model, x, 3.5 * g)
-        base = backward(model, x, g)
-        for (dws, dbs), (dw, db) in zip(scaled, base):
-            np.testing.assert_allclose(dws, 3.5 * dw, atol=1e-12)
-            np.testing.assert_allclose(dbs, 3.5 * db, atol=1e-12)
+        np.testing.assert_allclose(backward(model, x, 3.5 * g), 3.5 * backward(model, x, g),
+                                   atol=1e-12)
 
     def test_finite_difference_full_model(self):
         # 3-layer model, well under 500 parameters
         rng = np.random.default_rng(9)
         model = init_mlp(3, [8, 6], 2, 2, rng)
-        assert model.num_parameters() <= 500
+        assert model.params.size <= 500
         x = rng.normal(size=3)
         upstream = rng.normal(size=(2, 2))
-
-        def objective(flat):
-            set_params(model, flat)
-            return float((upstream * forward(model, x)).sum())
-
-        theta = flatten_params(model)
-        analytic_layers = backward(model, x, upstream)
-        analytic = np.concatenate(
-            [np.concatenate([dw.ravel(), db]) for dw, db in analytic_layers])
-        numeric = np.zeros_like(theta)
-        for i in range(theta.size):
-            tp, tm = theta.copy(), theta.copy()
-            tp[i] += 1e-6
-            tm[i] -= 1e-6
-            numeric[i] = (objective(tp) - objective(tm)) / 2e-6
-        set_params(model, theta)
+        analytic = backward(model, x, upstream)
+        numeric = np.zeros_like(analytic)
+        for i, orig in enumerate(model.params.copy()):
+            model.params[i] = orig + 1e-6
+            fp = float((upstream * forward(model, x)).sum())
+            model.params[i] = orig - 1e-6
+            numeric[i] = (fp - float((upstream * forward(model, x)).sum())) / 2e-6
+            model.params[i] = orig
         scale = max(np.max(np.abs(analytic)), np.max(np.abs(numeric)), 1e-8)
         assert np.max(np.abs(analytic - numeric)) / scale < 1e-5
 
@@ -205,11 +187,8 @@ class TestBackward:
         rng = np.random.default_rng(6)
         X = rng.random((5, 1))
         U = rng.normal(size=(5, 4, 2))
-        batch = backward_batch(model, X, U)
-        single = [backward(model, X[i], U[i]) for i in range(5)]
-        for k, (dw, db) in enumerate(batch):
-            np.testing.assert_allclose(dw, sum(s[k][0] for s in single), atol=1e-12)
-            np.testing.assert_allclose(db, sum(s[k][1] for s in single), atol=1e-12)
+        single = sum(backward(model, X[i], U[i]) for i in range(5))
+        np.testing.assert_allclose(backward_batch(model, X, U), single, atol=1e-12)
 
     @pytest.mark.parametrize("activations", [("relu", "relu", "identity"),
                                              ("identity", "identity", "identity")])
@@ -224,8 +203,7 @@ class TestBackward:
         assert np.array_equal(hyps, forward_batch(model, X))
         assert len(acts) == len(model.layers) + 1
         cached = backward_batch(model, X, U, activations=acts)
-        for (dw, db), (rw, rb) in zip(cached, backward_batch(model, X, U), strict=True):
-            assert dw.tobytes() == rw.tobytes() and db.tobytes() == rb.tobytes()
+        assert cached.tobytes() == backward_batch(model, X, U).tobytes()
 
     def test_activation_count_validated(self):
         model = reference_model()
@@ -242,22 +220,21 @@ class TestOptimizers:
     def test_plain_sgd_step(self):
         model = self.one_param_model(1.0)
         opt = make_optimizer("sgd_momentum", model, 0.1, momentum=0.0)
-        step(opt, model, [(np.array([[2.0]]), np.zeros(1))])
+        step(opt, model, np.array([2.0, 0.0]))
         assert model.layers[0].weights[0, 0] == pytest.approx(0.8, rel=1e-15)
 
     def test_zero_gradient_is_identity(self):
         for kind in ("sgd_momentum", "rmsprop"):
             model = reference_model()
-            before = flatten_params(model).copy()
+            before = model.params.copy()
             opt = make_optimizer(kind, model, 0.5, momentum=0.9)
-            step(opt, model, [(np.zeros_like(l.weights), np.zeros_like(l.biases))
-                              for l in model.layers])
-            assert np.array_equal(flatten_params(model), before)
+            step(opt, model, np.zeros_like(model.params))
+            assert np.array_equal(model.params, before)
 
     def test_two_momentum_steps(self):
         model = self.one_param_model(0.0)
         opt = make_optimizer("sgd_momentum", model, 0.1, momentum=0.9)
-        g = [(np.array([[1.0]]), np.zeros(1))]
+        g = np.array([1.0, 0.0])
         step(opt, model, g)
         step(opt, model, g)
         assert model.layers[0].weights[0, 0] == pytest.approx(-0.29, rel=1e-12)
@@ -266,18 +243,18 @@ class TestOptimizers:
         model = self.one_param_model(1.0)
         opt = make_optimizer("rmsprop", model, 0.01, momentum=0.9)
         g = 2.0
-        step(opt, model, [(np.array([[g]]), np.zeros(1))])
+        step(opt, model, np.array([g, 0.0]))
         s = 0.1 * g * g
         expected = 1.0 - 0.01 * g / math.sqrt(s + 1e-8)
         assert model.layers[0].weights[0, 0] == pytest.approx(expected, rel=1e-14)
 
     def test_nonfinite_gradient_reports_layer(self):
         model = reference_model()
-        grads = [(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in model.layers]
-        grads[1][0][0, 0] = np.nan
+        grad = np.zeros_like(model.params)
+        param_views(model.shapes, grad)[1][0][0, 0] = np.nan
         opt = make_optimizer("sgd_momentum", model, 0.1)
         with pytest.raises(TrainingDivergedError) as err:
-            step(opt, model, grads)
+            step(opt, model, grad)
         assert err.value.layer_index == 1
 
     def test_unknown_kind_rejected(self):
@@ -290,18 +267,16 @@ class TestCheckpoint:
     def test_roundtrip_bits(self, tmp_path):
         model = reference_model()
         opt = make_optimizer("rmsprop", model, 0.05, momentum=0.95)
-        opt.buffers[0][0][...] = 0.125
+        param_views(model.shapes, opt.buffer)[0][0][...] = 0.125
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, model, opt)
         loaded, lopt = load_checkpoint(path)
         assert loaded.num_hypotheses == 4 and loaded.output_dim == 2
         assert loaded.seed == 42
-        for a, b in zip(model.layers, loaded.layers):
-            assert np.array_equal(a.weights, b.weights)
-            assert np.array_equal(a.biases, b.biases)
-            assert a.activation == b.activation
+        assert loaded.shapes == model.shapes and np.array_equal(loaded.params, model.params)
+        assert [l.activation for l in loaded.layers] == [l.activation for l in model.layers]
         assert lopt.kind == "rmsprop" and lopt.learning_rate == 0.05
-        assert np.array_equal(lopt.buffers[0][0], opt.buffers[0][0])
+        assert np.array_equal(lopt.buffer, opt.buffer)
 
     def test_schema_fields(self, tmp_path):
         path = tmp_path / "ckpt.json"
@@ -328,46 +303,58 @@ class TestStepAtomicity:
         model = reference_model()
         opt = make_optimizer(kind, model, 0.1)
         rng = np.random.default_rng(3)
-        grads = [(rng.normal(size=l.weights.shape), rng.normal(size=l.biases.shape))
-                 for l in model.layers]
-        step(opt, model, grads)  # nonzero buffers, so a partial update would show
-        params = [(l.weights.copy(), l.biases.copy()) for l in model.layers]
-        buffers = [(bw.copy(), bb.copy()) for bw, bb in opt.buffers]
-        grads[2][1][0] = np.nan
+        grad = rng.normal(size=model.params.shape)
+        step(opt, model, grad)  # nonzero buffers, so a partial update would show
+        params, buffer = model.params.tobytes(), opt.buffer.tobytes()
+        param_views(model.shapes, grad)[2][1][0] = np.nan
         with pytest.raises(TrainingDivergedError) as err:
-            step(opt, model, grads)
+            step(opt, model, grad)
         assert err.value.layer_index == 2
-        for layer, (w, b) in zip(model.layers, params):
-            assert layer.weights.tobytes() == w.tobytes()
-            assert layer.biases.tobytes() == b.tobytes()
-        for (bw, bb), (w, b) in zip(opt.buffers, buffers):
-            assert bw.tobytes() == w.tobytes()
-            assert bb.tobytes() == b.tobytes()
+        assert model.params.tobytes() == params and opt.buffer.tobytes() == buffer
 
     def test_shape_mismatch_in_last_layer_changes_nothing(self):
         model = reference_model()
         opt = make_optimizer("sgd_momentum", model, 0.1)
-        before = [l.weights.copy() for l in model.layers]
-        grads = [(np.ones_like(l.weights), np.ones_like(l.biases)) for l in model.layers]
-        grads[2] = (grads[2][0][:, :-1], grads[2][1])
+        before = model.params.tobytes()
         with pytest.raises(ValueError):
-            step(opt, model, grads)
-        for layer, w in zip(model.layers, before):
-            assert layer.weights.tobytes() == w.tobytes()
+            step(opt, model, np.ones(model.params.size - 1))
+        assert model.params.tobytes() == before
+
+
+    @pytest.mark.parametrize("kind, lr, g", [("sgd_momentum", 1e308, 10), ("rmsprop", 1e308, 10),
+                                             ("rmsprop", 0.1, 1e200)])  # here g*g overflows
+    def test_overflowing_update_changes_nothing(self, kind, lr, g):
+        model = reference_model()
+        opt = make_optimizer(kind, model, lr)
+        opt.buffer[...] = 1e-3  # nonzero, so a partial update would show
+        grad = np.zeros_like(model.params)
+        param_views(model.shapes, grad)[2][0][...] = g
+        params, buffer = model.params.tobytes(), opt.buffer.tobytes()
+        with pytest.raises(TrainingDivergedError) as err:
+            step(opt, model, grad)
+        assert err.value.layer_index == 2
+        assert model.params.tobytes() == params and opt.buffer.tobytes() == buffer
+
+    def test_optimizer_of_another_model_changes_nothing(self):
+        rng = np.random.default_rng(0)
+        opt = make_optimizer("sgd_momentum", init_mlp(1, [5], 4, 1, rng), 0.1)
+        model = init_mlp(1, [5, 4], 2, 2, rng)
+        before = model.params.tobytes()
+        with pytest.raises(ValueError):
+            step(opt, model, np.ones_like(model.params))
+        assert model.params.tobytes() == before
 
 
 class TestOptimizerStateValidation:
     def test_direct_construction_is_validated(self):
         model = reference_model()
-        good = make_optimizer("sgd_momentum", model, 0.1).buffers
+        good = make_optimizer("sgd_momentum", model, 0.1).buffer
         with pytest.raises(ValueError):
             OptimizerState("adam", 0.1, 0.9, good)
         with pytest.raises(ValueError):
             OptimizerState("rmsprop", 0.0, 0.9, good)
         with pytest.raises(ValueError):
             OptimizerState("rmsprop", 0.1, 1.0, good)
-        with pytest.raises(ValueError):
-            OptimizerState("rmsprop", 0.1, 0.9, [(good[0][0], good[1][1][:-1])])
 
     def test_truncated_buffers_rejected_on_load(self, tmp_path):
         model = reference_model()

@@ -62,6 +62,11 @@ class TestTessellate:
         cells = membership(gens, LossKind("cross_entropy"), classes)
         np.testing.assert_array_equal(cells, classes)
 
+    @pytest.mark.parametrize("func", [membership, quantization_error])
+    def test_non_finite_samples_rejected(self, func):
+        with pytest.raises(ValueError, match="non-finite samples"):
+            func([[0, 0], [1, 1]], L2, [[np.nan, 1], [1, 1]])
+
 
 class TestCentroidalResidual:
     def test_fixed_point_has_zero_residual(self):
