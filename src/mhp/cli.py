@@ -21,7 +21,8 @@ from . import __version__
 from .datagen import (default_gridframe_spec, load_dataset, make_multilabel_spec,
                       sample_gaussian_mixture, sample_gridframe, sample_multilabel,
                       sample_temporal2d, temporal2d_dataset, write_dataset)
-from .io_utils import write_csv_atomic, write_json_atomic, write_text_atomic
+from .io_utils import (read_field, read_int, read_list, read_number, read_str,
+                       write_csv_atomic, write_json_atomic, write_text_atomic)
 from .losses import LossKind
 from .meta_loss import MetaLossConfig
 from .metrics import (dataset_hypothesis_variance, dataset_sharpness,
@@ -75,9 +76,7 @@ def _task(ds: dict, item_rng: np.random.Generator):
     """
     task = ds.get("task")
     if task == "temporal2d":
-        t = ds.get("t")
-        if t is not None and not isinstance(t, (int, float)):
-            raise ValueError(f"dataset field 't' must be a number or null, got {t!r}")
+        t = read_field(ds, "t", lambda v: v if v is None else read_number(v), None, where="dataset")
         return (lambda rng, n: temporal2d_dataset(n, rng, t)), {"t": t}, ["t"], ["y1", "y2"]
     if task == "multilabel":
         set_size = _int_field(ds, "set_size", 2)
@@ -103,24 +102,8 @@ def _task(ds: dict, item_rng: np.random.Generator):
     raise ValueError(f"unknown task {task!r}")
 
 
-def _int(value) -> int:
-    """The one integer reader: an int, or a float with no fractional part.
-
-    A bool, a fractional or non-finite number and anything else raise
-    ValueError; nothing is truncated.
-    """
-    if (isinstance(value, int) and not isinstance(value, bool)
-            or isinstance(value, float) and value.is_integer()):
-        return int(value)
-    raise ValueError(f"expected an integer, got {value!r}")
-
-
-def _int_field(fields, name: str, default=None) -> int:
-    """``fields[name]`` as an int; ``default`` if given and the field is absent."""
-    try:
-        return _int(fields[name] if default is None or name in fields else default)
-    except (KeyError, TypeError, ValueError):
-        raise ValueError(f"dataset field {name!r} is missing or not an integer") from None
+def _int_field(fields, name: str, *default) -> int:
+    return read_field(fields, name, read_int, *default, where="dataset")
 
 
 # ---------------------------------------------------------------------------
@@ -145,25 +128,19 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 # train
 
-def _int_list(value) -> list[int]:
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list of integers, got {value!r}")
-    return [_int(v) for v in value]
-
-
 # Each train config field: its default, and how cmd_train reads it.
 _TRAIN_FIELDS = {
-    "M": (1, _int),
-    "epsilon": (0.05, float),
-    "dropout_prob": (0.01, float),
+    "M": (1, read_int),
+    "epsilon": (0.05, read_number),
+    "dropout_prob": (0.01, read_number),
     "base_loss": ("l2", LossKind.parse),
-    "epochs": (40, _int),
-    "batch_size": (32, _int),
-    "optimizer": ("sgd_momentum", str),
-    "learning_rate": (0.05, float),
-    "momentum": (0.9, float),
-    "seed": (0, _int),
-    "hidden_layers": ([50, 50], _int_list),
+    "epochs": (40, read_int),
+    "batch_size": (32, read_int),
+    "optimizer": ("sgd_momentum", read_str),
+    "learning_rate": (0.05, read_number),
+    "momentum": (0.9, read_number),
+    "seed": (0, read_int),
+    "hidden_layers": ([50, 50], read_list(read_int)),
 }
 
 
@@ -185,20 +162,12 @@ def _load_config(path: str) -> tuple[dict, dict]:
     merged.update(cfg)
     if "decay" in merged:
         merged["momentum"] = merged.pop("decay")
-    if "MHP_SEED" in os.environ:
-        try:
-            merged["seed"] = int(os.environ["MHP_SEED"])
-        except ValueError:
-            raise ValueError(f"MHP_SEED={os.environ['MHP_SEED']!r} is not an integer") from None
+    if "MHP_SEED" in os.environ:  # a string, so int() parses it
+        merged["seed"] = read_field(dict(os.environ), "MHP_SEED", int, where="environment")
     if not isinstance(merged.get("dataset") or {}, dict):
         raise ValueError("config field 'dataset' must be a JSON object")
-    typed = {}
-    for key, (_, read) in _TRAIN_FIELDS.items():
-        try:
-            typed[key] = read(merged[key])
-        except (TypeError, ValueError, OverflowError) as err:
-            raise ValueError(f"config field {key!r}: {err}") from None
-    return merged, typed
+    return merged, {key: read_field(merged, key, read, where=path)
+                    for key, (_, read) in _TRAIN_FIELDS.items()}
 
 
 _TRAINABLE_TASKS = ("temporal2d", "gridframe", "multilabel")
@@ -208,7 +177,7 @@ def _resolve_dataset(cfg: dict, data_flag: str | None):
     """Returns (data for train(), input_dim, output_dim, extras, dataset cfg)."""
     ds = {"path": data_flag} if data_flag else dict(cfg.get("dataset") or {})
     if "path" in ds:
-        loaded = load_dataset(ds["path"])
+        loaded = load_dataset(read_field(ds, "path", read_str, where="dataset"))
         data, task, spec = (loaded.X, loaded.Y), loaded.task, loaded.sidecar.get("spec")
         inputs, targets = loaded.sidecar["input_columns"], loaded.sidecar["target_columns"]
     elif ds.get("task") in _TRAINABLE_TASKS:
@@ -296,11 +265,10 @@ def cmd_eval(args) -> int:
         items = (dataset.sidecar.get("spec") or {}).get("items")
         if not items:
             raise ValueError("multilabel scores need a dataset whose sidecar lists its items")
-        for key in ("features", "labels"):
-            if any(not isinstance(d, dict) or key not in d for d in items):
-                raise ValueError(f"a multilabel item in the dataset sidecar lacks {key!r}")
-        feats = np.array([d["features"] for d in items])
-        sets = [d["labels"] for d in items]
+        where = f"{args.data}: multilabel item"
+        feats = np.array([read_field(d, "features", read_list(read_number), where=where)
+                          for d in items])
+        sets = [read_field(d, "labels", read_list(read_int), where=where) for d in items]
         recall, precision = multilabel_scores(model, feats, sets)
         report["label_recall_at_M"] = recall
         report["label_precision"] = precision
@@ -355,10 +323,9 @@ def cmd_tessellate(args) -> int:
     if args.generators:
         with open(args.generators, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        if not isinstance(doc, dict) or "generators" not in doc:
-            raise ValueError(f"{args.generators}: no 'generators' field")
-        generators = np.asarray(doc["generators"], dtype=np.float64)
-        base = LossKind.parse(doc.get("loss", "l2"))
+        generators = read_field(doc, "generators", lambda v: np.array(
+            read_list(read_list(read_number))(v)), where=args.generators)
+        base = read_field(doc, "loss", LossKind.parse, "l2", where=args.generators)
     else:
         model, _ = load_checkpoint(args.checkpoint)
         if model.extras.get("task", "temporal2d") != "temporal2d":

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .io_utils import write_csv_atomic, write_json_atomic
+from .io_utils import read_field, read_list, read_str, write_csv_atomic, write_json_atomic
 
 # Quadrant bounds, ordered: lower-left, upper-left, lower-right, upper-right.
 # Lower bounds are inclusive, zero-boundaries exclusive on the negative side.
@@ -289,7 +289,7 @@ def load_dataset(path) -> Dataset:
     """Read a dataset directory (or its data.csv path) back into arrays.
 
     A sidecar that is not a JSON object, lacks a field or whose column fields
-    are not lists of names raises ValueError.
+    are not lists of names, and a non-finite value in the CSV, raise ValueError.
     """
     path = Path(path)
     if path.is_dir():
@@ -298,21 +298,15 @@ def load_dataset(path) -> Dataset:
         csv_path, json_path = path, path.with_name("data.json")
     with open(json_path, "r", encoding="utf-8") as fh:
         sidecar = json.load(fh)
-    if not isinstance(sidecar, dict):
-        raise ValueError(f"{json_path}: sidecar is not a JSON object")
-    missing = [k for k in ("input_columns", "target_columns", "task") if k not in sidecar]
-    if missing:
-        raise ValueError(f"{json_path}: sidecar lacks {', '.join(missing)}")
-    for key in ("input_columns", "target_columns"):
-        if not (isinstance(sidecar[key], list) and all(isinstance(c, str) for c in sidecar[key])):
-            raise ValueError(f"{json_path}: sidecar field {key!r} is not a list of column names")
-    n_in = len(sidecar["input_columns"])
-    n_out = len(sidecar["target_columns"])
+    n_in = len(read_field(sidecar, "input_columns", read_list(read_str), where=json_path))
+    n_out = len(read_field(sidecar, "target_columns", read_list(read_str), where=json_path))
     raw = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2, dtype=np.float64)
     if raw.shape[1] != n_in + n_out:
         raise ValueError(f"{csv_path}: expected {n_in + n_out} columns, found {raw.shape[1]}")
+    if not np.isfinite(raw).all():
+        raise ValueError(f"{csv_path}: a value is NaN or infinite")
     X = raw[:, :n_in]
     Y = raw[:, n_in:]
     if sidecar.get("int_targets"):
         Y = Y.astype(np.int64).ravel() if n_out == 1 else Y.astype(np.int64)
-    return Dataset(X, Y, sidecar["task"], sidecar)
+    return Dataset(X, Y, read_field(sidecar, "task", read_str, where=json_path), sidecar)

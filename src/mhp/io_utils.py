@@ -1,4 +1,5 @@
-"""Small shared I/O helpers: atomic text, JSON and CSV writes."""
+"""Small shared I/O helpers: atomic text, JSON and CSV writes, and :func:`read_field`,
+the one reader for a field of a config, sidecar, checkpoint or generators file."""
 
 from __future__ import annotations
 
@@ -10,6 +11,49 @@ from pathlib import Path
 import numpy as np
 
 _CSV_CHUNK_ROWS = 4096
+
+
+def read_int(value) -> int:
+    """An int or an integral float as an int; a bool is refused, nothing is truncated."""
+    if (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
+def read_number(value) -> float:
+    """An int or a float as a float; a bool or a string is refused."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"expected a number, got {value!r}")
+
+
+def read_str(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
+def read_list(read):
+    """The reader of a JSON list whose entries each read with ``read``."""
+    def read_entries(value) -> list:
+        if not isinstance(value, list):
+            raise ValueError(f"expected a list, got {value!r}")
+        return [read(v) for v in value]
+    return read_entries
+
+
+def read_field(doc, key: str, read, default=..., *, where: str):
+    """``read(doc[key])``, or ``read(default)`` if the key is absent and a default is given.
+    Any failure raises ValueError("<where>: field '<key>': <reason>")."""
+    try:
+        if not isinstance(doc, dict):
+            raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+        if key not in doc and default is ...:
+            raise ValueError("missing")
+        return read(doc.get(key, default))
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ValueError(f"{where}: field {key!r}: {err}") from None
 
 
 @contextmanager

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .io_utils import read_str
+
 DEFAULT_TUKEY_C = 4.685  # 95% asymptotic efficiency under Gaussian noise
 
 _KNOWN = ("l2", "cross_entropy", "tukey")
@@ -31,9 +33,7 @@ class LossKind:
     @classmethod
     def parse(cls, spec: str) -> "LossKind":
         """Parse a config string: "l2", "cross_entropy" or "tukey:<c>"."""
-        if not isinstance(spec, str):
-            raise ValueError(f"a loss is named by a string, got {spec!r}")
-        if spec.startswith("tukey:"):
+        if read_str(spec).startswith("tukey:"):
             return cls("tukey", float(spec.split(":", 1)[1]))
         if spec == "tukey":
             return cls("tukey")

@@ -114,13 +114,7 @@ def assign_batch(config: MetaLossConfig, hypotheses, targets,
     masked = np.where(masks, np.inf, losses)
     best = masked.argmin(axis=1)
     active = m - masks.sum(axis=1)
-    if m == 1:
-        weights = np.ones((n, 1))
-    else:
-        share = config.epsilon / np.maximum(active - 1, 1)
-        weights = np.where(masks, 0.0, share[:, None])
-        rows = np.arange(n)
-        weights[rows, best] = 1.0 - config.epsilon
-        weights[active == 1] = 0.0
-        weights[rows[active == 1], best[active == 1]] = 1.0
+    share = np.where(active > 1, config.epsilon / np.maximum(active - 1, 1), 0.0)
+    weights = np.where(masks, 0.0, share[:, None])
+    weights[np.arange(n), best] = np.where(active > 1, 1.0 - config.epsilon, 1.0)
     return weights, losses, best, masks

@@ -17,11 +17,12 @@ the training loop owns the model exclusively between steps.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .io_utils import write_json_atomic
+from .io_utils import read_field, read_int, read_number, write_json_atomic
 
 ACTIVATIONS = ("relu", "identity")
 HEAD_INIT_STD = 0.01
@@ -64,8 +65,8 @@ class MlpModel:
     """Weights of the shared-trunk, multi-headed predictor.
 
     The final layer has ``num_hypotheses * output_dim`` units with identity
-    activation; adjacent layer dimensions must chain. The given layers' arrays
-    are replaced by views into ``params``.
+    activation; adjacent layer dimensions must chain. The given layers' values
+    are copied into ``params``, and the model's own layers are views into it.
     """
 
     layers: list[Layer]
@@ -78,9 +79,10 @@ class MlpModel:
     def __post_init__(self) -> None:
         self.validate()
         self.params = np.empty(sum(out * (ind + 1) for out, ind in self.shapes))
-        for layer, (w, b) in zip(self.layers, param_views(self.shapes, self.params)):
+        views = param_views(self.shapes, self.params)
+        for layer, (w, b) in zip(self.layers, views):
             w[...], b[...] = layer.weights, layer.biases
-            layer.weights, layer.biases = w, b
+        self.layers = [Layer(w, b, l.activation) for l, (w, b) in zip(self.layers, views)]
 
     @property
     def input_dim(self) -> int:
@@ -251,6 +253,8 @@ class OptimizerState:
             raise ValueError("learning_rate must be positive and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum/decay must lie in [0, 1)")
+        if not np.isfinite(self.buffer).all():
+            raise ValueError("optimizer buffer must be finite")
 
 
 def make_optimizer(kind: str, model: MlpModel, learning_rate: float,
@@ -333,17 +337,20 @@ def load_checkpoint(path) -> tuple[MlpModel, OptimizerState | None]:
 
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    get = functools.partial(read_field, where=path)
     try:
         if doc.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
             raise ValueError(f"unsupported checkpoint schema {doc.get('schema_version')!r}")
-        shapes = [(out, ind) for ind, out in doc["layer_dims"]]
+        shapes = get(doc, "layer_dims", lambda dims: [(read_int(o), read_int(i)) for i, o in dims])
         layers = [Layer(w, b, act) for (w, b), act in
                   zip(param_views(shapes, _read_pairs(shapes, doc["parameters"])),
                       doc["activations"], strict=True)]
-        model = MlpModel(layers, int(doc["output_dim"]), int(doc["M"]),
-                         seed=doc.get("seed"), extras=doc.get("extras", {}))
+        model = MlpModel(layers, get(doc, "output_dim", read_int), get(doc, "M", read_int),
+                         seed=get(doc, "seed", lambda v: v if v is None else read_int(v), None),
+                         extras=doc.get("extras", {}))
         o = doc.get("optimizer")
-        opt = OptimizerState(o["kind"], float(o["learning_rate"]), float(o["momentum"]),
+        opt = OptimizerState(o["kind"], get(o, "learning_rate", read_number),
+                             get(o, "momentum", read_number),
                              _read_pairs(shapes, o["buffers"])) if o else None
     except (KeyError, TypeError, AttributeError, OverflowError) as err:
         raise ValueError(f"malformed checkpoint {path}: {type(err).__name__} {err}") from err

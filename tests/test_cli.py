@@ -344,6 +344,49 @@ class TestCorruptCheckpoint:
                     "--samples", "50", "--out", str(tmp_path / "cells")]
         usage_error(capsys, argv)
 
+    @pytest.mark.parametrize("field, value, name", [
+        ("M", "2", "'M'"),
+        ("seed", "abc", "'seed'"),
+        ("optimizer.learning_rate", "0.05", "'learning_rate'"),
+        ("optimizer.momentum", False, "'momentum'"),
+        ("optimizer.buffers.0.weights.0", math.nan, "buffer"),
+    ], ids=["M_str", "seed_str", "learning_rate_str", "momentum_false", "buffer_nan"])
+    @pytest.mark.parametrize("command", ["eval", "tessellate"])
+    def test_field_that_does_not_read_is_named(self, good, field, value, name, command,
+                                               tmp_path, capsys):
+        doc = json.loads(json.dumps(good))
+        set_field(doc, field, value)
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(doc))
+        if command == "eval":
+            argv = ["eval", "--checkpoint", str(path), "--data", str(gen(tmp_path, "temporal2d"))]
+        else:
+            argv = ["tessellate", "--checkpoint", str(path), "--t", "0.0",
+                    "--samples", "50", "--out", str(tmp_path / "cells")]
+        capsys.readouterr()
+        usage_error(capsys, argv, name)
+
+
+class TestNonFiniteData:
+    @pytest.mark.parametrize("command", ["train", "eval", "lloyd"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_csv_value_is_usage_error(self, command, value, tmp_path, capsys):
+        data = gen(tmp_path, "temporal2d", n=50)
+        lines = (data / "data.csv").read_text().splitlines()
+        lines[7] = lines[7].rsplit(",", 1)[0] + "," + value
+        (data / "data.csv").write_text("\n".join(lines) + "\n")
+        cfg = write_cfg(tmp_path, epochs=1)
+        out = str(tmp_path / "out")
+        if command == "eval":
+            assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        argv = {"lloyd": ["lloyd", "--data", str(data), "--m", "2", "--out", out],
+                "train": ["train", "--config", str(cfg), "--data", str(data), "--out", out],
+                "eval": ["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
+                         "--data", str(data)]}[command]
+        capsys.readouterr()
+        usage_error(capsys, argv, "data.csv")
+        assert not (tmp_path / "out").exists()
+
 
 class TestMalformedSidecar:
     @pytest.mark.parametrize("command, field, value", [("lloyd", "input_columns", 5),
@@ -509,11 +552,16 @@ class TestMalformedConfig:
         ({**TRAIN_CFG, "hidden_layers": [8.5]}, "'hidden_layers'"),
         ({**TRAIN_CFG, "dataset": {"task": "temporal2d", "n": 200.7}}, "'n'"),
         ({**TRAIN_CFG, "epochs": True}, "'epochs'"),
+        ({**TRAIN_CFG, "learning_rate": "0.05"}, "'learning_rate'"),
+        ({**TRAIN_CFG, "momentum": False}, "'momentum'"),
+        ({**TRAIN_CFG, "epsilon": "0.05"}, "'epsilon'"),
+        ({**TRAIN_CFG, "dataset": {"path": 5}}, "'path'"),
     ], ids=["list", "M", "epochs", "base_loss", "hidden_layers", "dataset", "dataset_width",
             "dataset_t", "hidden_width_0", "epochs_inf", "batch_size_-inf", "M_inf",
             "seed_-inf", "hidden_width_inf", "dataset_n_inf", "dataset_width_-inf",
             "unknown_key", "decay_and_momentum", "learning_rate_inf", "tukey_cutoff_inf",
-            "epochs_2.5", "M_2.5", "hidden_width_8.5", "dataset_n_200.7", "epochs_true"])
+            "epochs_2.5", "M_2.5", "hidden_width_8.5", "dataset_n_200.7", "epochs_true",
+            "learning_rate_str", "momentum_false", "epsilon_str", "dataset_path_5"])
     def test_usage_error_names_the_field(self, tmp_path, capsys, config, field):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
@@ -544,6 +592,10 @@ CHECKPOINT_FIELDS = ["schema_version", "layer_dims", "activations", "M", "output
                      *(f"layer_dims.{i}.{j}" for i in (0, 1) for j in (0, 1)),
                      *(f"{pairs}.1.{key}" for pairs in ("parameters", "optimizer.buffers")
                        for key in ("weights", "biases"))]
+# a tessellate --generators file: its keys, its two generators and the first one's coordinates
+GENERATORS_DOC = {"generators": [[0.5, 0.5], [-0.5, -0.5]], "loss": "l2"}
+GENERATORS_FIELDS = ["generators", "loss", "generators.0", "generators.1",
+                     "generators.0.0", "generators.0.1"]
 
 
 def set_field(doc, field, value):
@@ -557,7 +609,8 @@ def set_field(doc, field, value):
 class TestCorruptionProperty:
     @given(where=st.one_of(st.tuples(st.just("config"), st.sampled_from(CONFIG_FIELDS)),
                            st.tuples(st.just("sidecar"), st.sampled_from(SIDECAR_FIELDS)),
-                           st.tuples(st.just("checkpoint"), st.sampled_from(CHECKPOINT_FIELDS))),
+                           st.tuples(st.just("checkpoint"), st.sampled_from(CHECKPOINT_FIELDS)),
+                           st.tuples(st.just("generators"), st.sampled_from(GENERATORS_FIELDS))),
            value=VALUES)
     @settings(max_examples=150, deadline=None)
     def test_corrupt_field_ends_in_an_exit_code(self, where, value):
@@ -588,6 +641,12 @@ class TestCorruptionProperty:
                 ckpt.write_text(json.dumps(doc))
                 runs = [evaluate, ["tessellate", "--checkpoint", ckpt, "--t", "0.5",
                                    "--samples", "20", "--out", tmp / "cells"]]
+            if kind == "generators":
+                doc = json.loads(json.dumps(GENERATORS_DOC))
+                set_field(doc, field, value)
+                (tmp / "generators.json").write_text(json.dumps(doc))
+                runs = [["tessellate", "--generators", tmp / "generators.json", "--t", "0.5",
+                         "--samples", "20", "--out", tmp / "cells"]]
             for argv in runs:  # only training can diverge (exit 4)
                 assert main([str(a) for a in argv]) in ((0, 2, 3, 4) if argv[0] == "train"
                                                         else (0, 2, 3))

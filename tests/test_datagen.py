@@ -239,6 +239,17 @@ class TestDatasetFiles:
         with pytest.raises(ValueError, match=field):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_the_csv(self, tmp_path, value):
+        write_dataset(tmp_path, np.zeros((3, 1)), np.zeros((3, 2)), task="temporal2d",
+                      spec={}, seed=0, input_names=["t"], target_names=["y1", "y2"])
+        csv = tmp_path / "data.csv"
+        lines = csv.read_text().splitlines()
+        lines[2] = f"0.0,{value},0.0"
+        csv.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="data.csv"):
+            load_dataset(tmp_path)
+
     def test_sidecar_not_an_object_is_value_error(self, tmp_path):
         write_dataset(tmp_path, np.zeros((3, 1)), np.zeros((3, 2)), task="temporal2d",
                       spec={}, seed=0, input_names=["t"], target_names=["y1", "y2"])

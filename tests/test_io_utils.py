@@ -1,4 +1,4 @@
-"""Atomic text, JSON and CSV writes."""
+"""Atomic text, JSON and CSV writes, and the JSON field reader."""
 
 import json
 
@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from mhp import io_utils
-from mhp.io_utils import write_csv_atomic, write_json_atomic, write_text_atomic
+from mhp.io_utils import (read_field, read_int, read_list, read_number, read_str,
+                          write_csv_atomic, write_json_atomic, write_text_atomic)
 
 
 def test_text_write_replaces_and_leaves_no_temp(tmp_path):
@@ -56,3 +57,43 @@ def test_csv_bytes_match_the_row_loop(tmp_path, n):
 def test_csv_blocks_of_different_lengths_are_rejected(tmp_path):
     with pytest.raises(ValueError):
         write_csv_atomic(tmp_path / "t.csv", None, np.zeros((3, 1)), np.zeros((4, 1)))
+
+
+@pytest.mark.parametrize("read, good, bad", [
+    (read_int, [(3, 3), (-2.0, -2), (10**20, 10**20)],
+     [True, 2.5, float("inf"), float("nan"), "2", None, [2]]),
+    (read_number, [(3, 3.0), (0.05, 0.05), (float("inf"), float("inf"))],
+     [False, "0.05", None, [1.0], {}]),
+    (read_str, [("l2", "l2")], [5, None, ["l2"]]),
+    (read_list(read_int), [([], []), ([1, 2.0], [1, 2])], [{}, "12", [1, "2"], [1.5]]),
+])
+def test_readers_take_their_type_and_refuse_the_rest(read, good, bad):
+    for value, expected in good:
+        result = read(value)
+        assert result == expected and type(result) is type(expected)
+    for value in bad:
+        with pytest.raises(ValueError):
+            read(value)
+
+
+def test_field_errors_name_the_place_and_the_field():
+    doc = {"M": "2", "lr": 10**400, "n": 4}
+    cases = [(lambda: read_field(doc, "M", read_int, where="c.json"),
+              "c.json: field 'M': expected an integer, got '2'"),
+             (lambda: read_field(doc, "lr", read_number, where="c.json"),
+              "c.json: field 'lr': int too large to convert to float"),
+             (lambda: read_field(doc, "seed", read_int, where="c.json"),
+              "c.json: field 'seed': missing"),
+             (lambda: read_field([doc], "M", read_int, where="c.json"),
+              "c.json: field 'M': expected a JSON object, got list")]
+    for call, message in cases:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+
+def test_field_default_applies_only_when_absent():
+    assert read_field({"n": 4}, "n", read_int, 7, where="w") == 4
+    assert read_field({}, "n", read_int, 7.0, where="w") == 7
+    with pytest.raises(ValueError, match="field 'n'"):
+        read_field({"n": None}, "n", read_int, 7, where="w")

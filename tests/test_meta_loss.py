@@ -240,6 +240,21 @@ class TestAssignBatch:
         with pytest.raises(ValueError, match="dropout masks"):
             assign_batch(cfg, hyps, np.zeros((6, 2)), dropped_masks=np.zeros(shape, bool))
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 10])
+    @pytest.mark.parametrize("dropout", [0.0, 0.3, 0.9])
+    @pytest.mark.parametrize("eps", [1e-9, 0.05, 0.3])
+    def test_weights_match_the_per_row_rule(self, m, dropout, eps):
+        """Bitwise equal to the rule written out row by row."""
+        cfg = MetaLossConfig(m, epsilon=eps, dropout_prob=dropout)
+        rng = np.random.default_rng(m)
+        weights, _, best, masks = assign_batch(cfg, rng.normal(size=(64, m, 2)),
+                                               rng.normal(size=(64, 2)), rng=rng)
+        for row, mask, b in zip(weights, masks, best):
+            active = m - mask.sum()
+            want = np.where(mask, 0.0, eps / (active - 1) if active > 1 else 0.0)
+            want[b] = 1.0 - eps if active > 1 else 1.0
+            assert row.tobytes() == want.tobytes()
+
     def test_single_mask_of_wrong_length_rejected(self):
         cfg = MetaLossConfig(3, dropout_prob=0.0)
         with pytest.raises(ValueError):

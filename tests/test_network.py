@@ -114,6 +114,17 @@ class TestForward:
         assert after[-1, -1] == pytest.approx(before[-1, -1] + 1.0, rel=1e-12)
         assert np.array_equal(after.ravel()[:-1], before.ravel()[:-1])
 
+    def test_models_built_from_the_same_layers_are_independent(self):
+        m1 = reference_model()
+        m2 = MlpModel(m1.layers, m1.output_dim, m1.num_hypotheses)
+        x = np.array([0.25])
+        before = forward(m1, x)
+        step(make_optimizer("sgd_momentum", m1, 0.1), m1, np.ones_like(m1.params))
+        assert not np.array_equal(forward(m1, x), before)
+        assert np.array_equal(forward(m2, x), before)
+        assert not any(np.shares_memory(a.weights, b.weights)
+                       for a, b in zip(m1.layers, m2.layers))
+
 
 class TestModelValidation:
     def test_dimension_chain_enforced(self):
@@ -365,6 +376,13 @@ class TestOptimizerStateValidation:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_buffer_rejected(self, value):
+        buffer = make_optimizer("sgd_momentum", reference_model(), 0.1).buffer
+        buffer[3] = value
+        with pytest.raises(ValueError, match="buffer"):
+            OptimizerState("sgd_momentum", 0.1, 0.9, buffer)
 
     def test_infinite_learning_rate_rejected(self):
         with pytest.raises(ValueError, match="finite"):
