@@ -9,6 +9,7 @@ environment variable MHP_SEED overrides the training config seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -178,7 +179,8 @@ def _resolve_dataset(cfg: dict, data_flag: str | None):
     ds = {"path": data_flag} if data_flag else dict(cfg.get("dataset") or {})
     if "path" in ds:
         loaded = load_dataset(read_field(ds, "path", read_str, where="dataset"))
-        data, task, spec = (loaded.X, loaded.Y), loaded.task, loaded.sidecar.get("spec")
+        data, task = (loaded.X, loaded.Y), loaded.task
+        spec = read_field(loaded.sidecar, "spec", lambda v: v, None, where="dataset")
         inputs, targets = loaded.sidecar["input_columns"], loaded.sidecar["target_columns"]
     elif ds.get("task") in _TRAINABLE_TASKS:
         task = ds["task"]
@@ -231,6 +233,13 @@ def cmd_train(args) -> int:
 _METRIC_NAMES = ("oracle_min", "hypothesis_variance", "sharpness", "multilabel")
 
 
+def _read_extras(model, checkpoint) -> tuple[str, LossKind, list[int] | None]:
+    """The task, base loss and grid (height, width, channels) ``train`` puts in ``extras``."""
+    get = functools.partial(read_field, model.extras, where=f"{checkpoint}: extras")
+    return (get("task", read_str, "temporal2d"), get("base_loss", LossKind.parse, "l2"),
+            get("output_shape", lambda v: v if v is None else read_list(read_int, 3)(v), None))
+
+
 def cmd_eval(args) -> int:
     started = _utcnow()
     model, _ = load_checkpoint(args.checkpoint)
@@ -239,9 +248,8 @@ def cmd_eval(args) -> int:
     unknown = [m for m in wanted if m not in _METRIC_NAMES]
     if unknown:
         raise ValueError(f"unknown metrics {unknown}; choose from {_METRIC_NAMES}")
-    base = LossKind.parse(args.loss or model.extras.get("base_loss", "l2"))
-
-    shape = model.extras.get("output_shape")
+    _, base, shape = _read_extras(model, args.checkpoint)
+    base = LossKind.parse(args.loss) if args.loss else base
     report: dict = {}
     exports: dict[str, np.ndarray] = {}
     if "oracle_min" in wanted:
@@ -262,14 +270,14 @@ def cmd_eval(args) -> int:
             raise ValueError("sharpness requires a checkpoint trained on grid-shaped outputs")
         report["sharpness"] = dataset_sharpness(model, dataset.X, shape[1], shape[0], shape[2])
     if "multilabel" in wanted:
-        items = (dataset.sidecar.get("spec") or {}).get("items")
+        spec = read_field(dataset.sidecar, "spec", lambda v: v, where=args.data)
+        items = read_field(spec, "items", read_list(lambda d: (
+            read_field(d, "features", read_list(read_number), where="item"),
+            read_field(d, "labels", read_list(read_int), where="item"))),
+            where=f"{args.data}: spec")
         if not items:
             raise ValueError("multilabel scores need a dataset whose sidecar lists its items")
-        where = f"{args.data}: multilabel item"
-        feats = np.array([read_field(d, "features", read_list(read_number), where=where)
-                          for d in items])
-        sets = [read_field(d, "labels", read_list(read_int), where=where) for d in items]
-        recall, precision = multilabel_scores(model, feats, sets)
+        recall, precision = multilabel_scores(model, [f for f, _ in items], [s for _, s in items])
         report["label_recall_at_M"] = recall
         report["label_precision"] = precision
 
@@ -328,11 +336,11 @@ def cmd_tessellate(args) -> int:
         base = read_field(doc, "loss", LossKind.parse, "l2", where=args.generators)
     else:
         model, _ = load_checkpoint(args.checkpoint)
-        if model.extras.get("task", "temporal2d") != "temporal2d":
+        task, base, _ = _read_extras(model, args.checkpoint)
+        if task != "temporal2d":
             raise ValueError("tessellate samples temporal2d targets; the checkpoint was "
-                             f"trained on {model.extras['task']!r}")
+                             f"trained on {task!r}")
         generators = forward(model, np.array([args.t]))
-        base = LossKind.parse(model.extras.get("base_loss", "l2"))
     rng = np.random.default_rng(args.seed)
     _, samples = sample_temporal2d(args.t, args.samples, rng)
     cells = membership(generators, base, samples)

@@ -24,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .io_utils import read_field, read_list, read_str, write_csv_atomic, write_json_atomic
+from .io_utils import (read_bool, read_field, read_list, read_str, write_csv_atomic,
+                       write_json_atomic)
 
 # Quadrant bounds, ordered: lower-left, upper-left, lower-right, upper-right.
 # Lower bounds are inclusive, zero-boundaries exclusive on the negative side.
@@ -101,10 +102,6 @@ class MultiLabelSpec:
                 raise ValueError("empty label set")
             if any(not 0 <= c < self.num_classes for c in it.labels):
                 raise ValueError("label out of range")
-
-    @property
-    def feature_dim(self) -> int:
-        return len(self.items[0].features)
 
 
 def class_centers(num_classes: int) -> np.ndarray:
@@ -288,8 +285,8 @@ def write_dataset(outdir, X, Y, *, task: str, spec: dict, seed: int,
 def load_dataset(path) -> Dataset:
     """Read a dataset directory (or its data.csv path) back into arrays.
 
-    A sidecar that is not a JSON object, lacks a field or whose column fields
-    are not lists of names, and a non-finite value in the CSV, raise ValueError.
+    A sidecar field that is missing or does not read as its type, and a CSV
+    value that is non-finite, or fractional in an integer target, raise ValueError.
     """
     path = Path(path)
     if path.is_dir():
@@ -305,8 +302,9 @@ def load_dataset(path) -> Dataset:
         raise ValueError(f"{csv_path}: expected {n_in + n_out} columns, found {raw.shape[1]}")
     if not np.isfinite(raw).all():
         raise ValueError(f"{csv_path}: a value is NaN or infinite")
-    X = raw[:, :n_in]
-    Y = raw[:, n_in:]
-    if sidecar.get("int_targets"):
+    X, Y = raw[:, :n_in], raw[:, n_in:]
+    if read_field(sidecar, "int_targets", read_bool, False, where=json_path):
+        if (Y != np.trunc(Y)).any():
+            raise ValueError(f"{csv_path}: an integer target column holds a fractional value")
         Y = Y.astype(np.int64).ravel() if n_out == 1 else Y.astype(np.int64)
     return Dataset(X, Y, read_field(sidecar, "task", read_str, where=json_path), sidecar)

@@ -34,11 +34,19 @@ def read_str(value) -> str:
     return value
 
 
-def read_list(read):
-    """The reader of a JSON list whose entries each read with ``read``."""
+def read_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+def read_list(read, length: int | None = None):
+    """The reader of a JSON list whose entries each read with ``read``, of ``length`` if given."""
     def read_entries(value) -> list:
         if not isinstance(value, list):
             raise ValueError(f"expected a list, got {value!r}")
+        if length is not None and len(value) != length:
+            raise ValueError(f"expected {length} entries, got {value!r}")
         return [read(v) for v in value]
     return read_entries
 

@@ -18,11 +18,12 @@ the training loop owns the model exclusively between steps.
 from __future__ import annotations
 
 import functools
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .io_utils import read_field, read_int, read_number, write_json_atomic
+from .io_utils import read_field, read_int, read_list, read_number, read_str, write_json_atomic
 
 ACTIVATIONS = ("relu", "identity")
 HEAD_INIT_STD = 0.01
@@ -304,9 +305,9 @@ def _write_pairs(shapes, flat: np.ndarray) -> list[dict]:
 
 def _read_pairs(shapes, pairs) -> np.ndarray:
     flat = np.empty(sum(out * (ind + 1) for out, ind in shapes))
-    for (w, b), pair in zip(param_views(shapes, flat), pairs, strict=True):
-        w[...] = np.reshape(pair["weights"], w.shape)
-        b[...] = np.reshape(pair["biases"], b.shape)
+    for k, (pair, (w, b)) in enumerate(zip(pairs, param_views(shapes, flat), strict=True)):
+        get = functools.partial(read_field, pair, read=read_list(read_number), where=f"entry {k}")
+        w[...], b[...] = np.reshape(get("weights"), w.shape), np.reshape(get("biases"), b.shape)
     return flat
 
 
@@ -332,26 +333,22 @@ def save_checkpoint(path, model: MlpModel, optimizer: OptimizerState | None = No
 
 
 def load_checkpoint(path) -> tuple[MlpModel, OptimizerState | None]:
-    """Read a checkpoint back; a malformed document raises ValueError."""
-    import json
-
+    """Read a checkpoint back; every field goes through ``read_field``, which names a bad one."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     get = functools.partial(read_field, where=path)
-    try:
-        if doc.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
-            raise ValueError(f"unsupported checkpoint schema {doc.get('schema_version')!r}")
-        shapes = get(doc, "layer_dims", lambda dims: [(read_int(o), read_int(i)) for i, o in dims])
-        layers = [Layer(w, b, act) for (w, b), act in
-                  zip(param_views(shapes, _read_pairs(shapes, doc["parameters"])),
-                      doc["activations"], strict=True)]
-        model = MlpModel(layers, get(doc, "output_dim", read_int), get(doc, "M", read_int),
-                         seed=get(doc, "seed", lambda v: v if v is None else read_int(v), None),
-                         extras=doc.get("extras", {}))
-        o = doc.get("optimizer")
-        opt = OptimizerState(o["kind"], get(o, "learning_rate", read_number),
-                             get(o, "momentum", read_number),
-                             _read_pairs(shapes, o["buffers"])) if o else None
-    except (KeyError, TypeError, AttributeError, OverflowError) as err:
-        raise ValueError(f"malformed checkpoint {path}: {type(err).__name__} {err}") from err
+    if (version := get(doc, "schema_version", read_int)) != CHECKPOINT_SCHEMA_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint schema {version!r}")
+    shapes = get(doc, "layer_dims", lambda dims: [(read_int(o), read_int(i)) for i, o in dims])
+    params = get(doc, "parameters", lambda v: _read_pairs(shapes, v))
+    layers = get(doc, "activations", lambda acts: [Layer(w, b, act) for (w, b), act in zip(
+        param_views(shapes, params), read_list(read_str)(acts), strict=True)])
+    model = MlpModel(layers, get(doc, "output_dim", read_int), get(doc, "M", read_int),
+                     seed=get(doc, "seed", lambda v: v if v is None else read_int(v), None),
+                     extras=get(doc, "extras", lambda v: v, {}))
+    o = get(doc, "optimizer", lambda v: v, None)
+    opt_get = functools.partial(read_field, o, where=f"{path}: optimizer")
+    opt = None if o is None else OptimizerState(
+        opt_get("kind", read_str), opt_get("learning_rate", read_number),
+        opt_get("momentum", read_number), opt_get("buffers", lambda v: _read_pairs(shapes, v)))
     return model, opt

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from mhp.cli import main
 from mhp.datagen import load_dataset
-from mhp.losses import L2
+from mhp.losses import L2, LossKind
 from mhp.metrics import oracle_min_loss
 from mhp.network import load_checkpoint
 
@@ -231,6 +231,28 @@ class TestEval:
         grid = np.loadtxt(out / "hypotheses.csv", delimiter=",", ndmin=2)
         assert grid.shape == (3, 2)
 
+    def test_baseline_loss_is_the_baselines_own_oracle_min(self, trained, tmp_path, capsys):
+        ckpt, data = trained
+        cfg = write_cfg(tmp_path, M=2, epochs=1)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "mhp")]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(tmp_path / "mhp" / "checkpoint.json"),
+                     "--data", str(data), "--baseline-checkpoint", str(ckpt)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 0
+        alone = json.loads(capsys.readouterr().out)
+        assert report["shp_baseline_loss"] == alone["oracle_min_loss"]
+
+    def test_loss_flag_overrides_the_checkpoints_base_loss(self, trained, capsys):
+        ckpt, data = trained
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--loss", "tukey:1.5"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        model, _ = load_checkpoint(ckpt)
+        ds = load_dataset(data)
+        assert report["oracle_min_loss"] == oracle_min_loss(model, ds.X, ds.Y,
+                                                            LossKind.parse("tukey:1.5"))
+
 
 class TestLloyd:
     def test_single_cell_is_data_mean(self, tmp_path):
@@ -263,6 +285,20 @@ class TestLloyd:
                      "--out", str(data)]) == 0
         assert main(["lloyd", "--data", str(data), "--m", "11",
                      "--out", str(tmp_path / "l")]) == 2
+
+    @pytest.mark.parametrize("flags, iterations, converged", [
+        (["--max-iters", "0"], 0, False),
+        (["--max-iters", "1"], 1, None),
+        (["--tol", "10"], 0, True),
+    ], ids=["max_iters_0", "max_iters_1", "tol_10"])
+    def test_iteration_flags(self, tmp_path, flags, iterations, converged):
+        data = gen(tmp_path, "temporal2d", "--t", "0.5", n=5000)
+        out = tmp_path / "l"
+        assert main(["lloyd", "--data", str(data), "--m", "4", *flags, "--out", str(out)]) == 0
+        doc = json.loads((out / "lloyd.json").read_text())
+        assert doc["iterations"] == iterations
+        if converged is not None:
+            assert doc["converged"] is converged
 
 
 class TestTessellate:
@@ -365,6 +401,48 @@ class TestCorruptCheckpoint:
                     "--samples", "50", "--out", str(tmp_path / "cells")]
         capsys.readouterr()
         usage_error(capsys, argv, name)
+
+    def nested_weights(doc):
+        weights = doc["parameters"][1]["weights"]
+        return [weights[:len(weights) // 2], weights[len(weights) // 2:]]
+
+    @pytest.mark.parametrize("field, value, name", [
+        ("parameters.1.weights.0", True, "'weights'"),
+        ("parameters.1.biases.0", "1.5", "'biases'"),
+        ("parameters.1.weights", nested_weights, "'weights'"),
+        ("activations", [1, 2], "'activations'"),
+        ("optimizer.kind", 5, "'kind'"),
+        ("optimizer", {}, "'kind'"),
+        ("extras.task", [1], "'task'"),
+    ], ids=["weight_true", "bias_str", "nested_weights", "activations_ints", "kind_int",
+            "optimizer_empty", "extras_task_list"])
+    @pytest.mark.parametrize("command", ["eval", "tessellate"])
+    def test_array_activation_optimizer_and_extras_fields_are_named(
+            self, good, field, value, name, command, tmp_path, capsys):
+        doc = json.loads(json.dumps(good))
+        set_field(doc, field, value(doc) if callable(value) else value)
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(doc))
+        if command == "eval":
+            argv = ["eval", "--checkpoint", str(path), "--data", str(gen(tmp_path, "temporal2d"))]
+        else:
+            argv = ["tessellate", "--checkpoint", str(path), "--t", "0.0",
+                    "--samples", "50", "--out", str(tmp_path / "cells")]
+        capsys.readouterr()
+        usage_error(capsys, argv, name)
+
+    @pytest.mark.parametrize("shape", [["8", "8", 1], [8, 8]], ids=["strings", "two_entries"])
+    def test_gridframe_output_shape_is_read(self, tmp_path, capsys, shape):
+        cfg = write_cfg(tmp_path, M=2, epochs=1, dataset={"task": "gridframe", "n": 50})
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        ckpt = tmp_path / "run" / "checkpoint.json"
+        doc = json.loads(ckpt.read_text())
+        doc["extras"]["output_shape"] = shape
+        ckpt.write_text(json.dumps(doc))
+        data = gen(tmp_path, "gridframe", n=50)
+        capsys.readouterr()
+        usage_error(capsys, ["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                             "--metrics", "sharpness"], "'output_shape'")
 
 
 class TestNonFiniteData:
@@ -488,6 +566,18 @@ class TestSidecarSpec:
         usage_error(capsys, ["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
                              "--data", str(data), "--metrics", "multilabel"], field)
 
+    def test_eval_multilabel_spec_not_an_object_is_usage_error(self, tmp_path, capsys):
+        data = gen(tmp_path, "multilabel", "--classes", "4")
+        cfg = write_cfg(tmp_path, M=2, base_loss="cross_entropy", epochs=1,
+                        dataset={"task": "multilabel", "num_classes": 4, "n": 100})
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        sidecar = json.loads((data / "data.json").read_text())
+        sidecar["spec"] = [1]
+        (data / "data.json").write_text(json.dumps(sidecar))
+        capsys.readouterr()
+        usage_error(capsys, ["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
+                             "--data", str(data), "--metrics", "multilabel"], "spec")
+
 
 class TestTaskTable:
     @pytest.mark.parametrize("dataset, flags", [
@@ -591,7 +681,9 @@ CHECKPOINT_FIELDS = ["schema_version", "layer_dims", "activations", "M", "output
                      "optimizer.learning_rate", "optimizer.momentum",
                      *(f"layer_dims.{i}.{j}" for i in (0, 1) for j in (0, 1)),
                      *(f"{pairs}.1.{key}" for pairs in ("parameters", "optimizer.buffers")
-                       for key in ("weights", "biases"))]
+                       for key in ("weights", "biases")),
+                     "extras.task", "extras.base_loss", "activations.0",
+                     "parameters.1.weights.0", "optimizer.buffers.1.biases.0"]
 # a tessellate --generators file: its keys, its two generators and the first one's coordinates
 GENERATORS_DOC = {"generators": [[0.5, 0.5], [-0.5, -0.5]], "loss": "l2"}
 GENERATORS_FIELDS = ["generators", "loss", "generators.0", "generators.1",

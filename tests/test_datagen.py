@@ -250,6 +250,27 @@ class TestDatasetFiles:
         with pytest.raises(ValueError, match="data.csv"):
             load_dataset(tmp_path)
 
+    def test_fractional_int_target_names_the_csv(self, tmp_path):
+        write_dataset(tmp_path, np.zeros((3, 2)), np.array([0, 1, 2]), task="multilabel",
+                      spec={}, seed=0, input_names=["x1", "x2"], target_names=["label"],
+                      int_targets=True)
+        csv = tmp_path / "data.csv"
+        lines = csv.read_text().splitlines()
+        lines[2] = "0.0,0.0,1.5"
+        csv.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="data.csv"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("value", ["no", 1])
+    def test_int_targets_not_a_bool_is_value_error(self, tmp_path, value):
+        write_dataset(tmp_path, np.zeros((3, 1)), np.zeros((3, 2)), task="temporal2d",
+                      spec={}, seed=0, input_names=["t"], target_names=["y1", "y2"])
+        sidecar = json.loads((tmp_path / "data.json").read_text())
+        sidecar["int_targets"] = value
+        (tmp_path / "data.json").write_text(json.dumps(sidecar))
+        with pytest.raises(ValueError, match="int_targets"):
+            load_dataset(tmp_path)
+
     def test_sidecar_not_an_object_is_value_error(self, tmp_path):
         write_dataset(tmp_path, np.zeros((3, 1)), np.zeros((3, 2)), task="temporal2d",
                       spec={}, seed=0, input_names=["t"], target_names=["y1", "y2"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mhp import io_utils
-from mhp.io_utils import (read_field, read_int, read_list, read_number, read_str,
+from mhp.io_utils import (read_bool, read_field, read_int, read_list, read_number, read_str,
                           write_csv_atomic, write_json_atomic, write_text_atomic)
 
 
@@ -68,6 +68,19 @@ def test_csv_blocks_of_different_lengths_are_rejected(tmp_path):
     (read_list(read_int), [([], []), ([1, 2.0], [1, 2])], [{}, "12", [1, "2"], [1.5]]),
 ])
 def test_readers_take_their_type_and_refuse_the_rest(read, good, bad):
+    for value, expected in good:
+        result = read(value)
+        assert result == expected and type(result) is type(expected)
+    for value in bad:
+        with pytest.raises(ValueError):
+            read(value)
+
+
+@pytest.mark.parametrize("read, good, bad", [
+    (read_bool, [(True, True), (False, False)], [0, 1, "no", "true", None]),
+    (read_list(read_int, 3), [([8, 8, 1.0], [8, 8, 1])], [[8, 8], [8, 8, 1, 1], ["8", "8", 1]]),
+])
+def test_bool_and_fixed_length_readers(read, good, bad):
     for value, expected in good:
         result = read(value)
         assert result == expected and type(result) is type(expected)
