@@ -107,6 +107,11 @@ def _int_field(fields, name: str, *default) -> int:
     return read_field(fields, name, read_int, *default, where="dataset")
 
 
+def _grid_shape(spec) -> list[int]:
+    """The (height, width, channels) of a gridframe dataset's outputs, from its spec."""
+    return [_int_field(spec, "height"), _int_field(spec, "width"), 1]
+
+
 # ---------------------------------------------------------------------------
 # gen
 
@@ -197,7 +202,7 @@ def _resolve_dataset(cfg: dict, data_flag: str | None):
     if task == "multilabel":
         extras["num_classes"] = _int_field(spec, "num_classes")
     elif task == "gridframe":
-        extras["output_shape"] = [_int_field(spec, "height"), _int_field(spec, "width"), 1]
+        extras["output_shape"] = _grid_shape(spec)
     return data, len(inputs), extras.get("num_classes") or len(targets), extras, ds
 
 
@@ -233,11 +238,18 @@ def cmd_train(args) -> int:
 _METRIC_NAMES = ("oracle_min", "hypothesis_variance", "sharpness", "multilabel")
 
 
-def _read_extras(model, checkpoint) -> tuple[str, LossKind, list[int] | None]:
-    """The task, base loss and grid (height, width, channels) ``train`` puts in ``extras``."""
+def _read_extras(model, checkpoint, grid=None) -> tuple[str, LossKind, list[int] | None]:
+    """The task, base loss and grid (height, width, channels) ``train`` puts in ``extras``.
+    The grid must hold the model's outputs and, if ``grid`` is given, equal it."""
+    def read_shape(value):
+        shape = None if value is None else read_list(read_int, 3)(value)
+        if shape and (np.prod(shape) != model.output_dim or grid not in (None, shape)):
+            raise ValueError(f"{shape} does not fit the model's {model.output_dim} outputs"
+                             + (f" on the dataset's {grid} grid" if grid else ""))
+        return shape
     get = functools.partial(read_field, model.extras, where=f"{checkpoint}: extras")
     return (get("task", read_str, "temporal2d"), get("base_loss", LossKind.parse, "l2"),
-            get("output_shape", lambda v: v if v is None else read_list(read_int, 3)(v), None))
+            get("output_shape", read_shape, None))
 
 
 def cmd_eval(args) -> int:
@@ -248,7 +260,9 @@ def cmd_eval(args) -> int:
     unknown = [m for m in wanted if m not in _METRIC_NAMES]
     if unknown:
         raise ValueError(f"unknown metrics {unknown}; choose from {_METRIC_NAMES}")
-    _, base, shape = _read_extras(model, args.checkpoint)
+    grid = (_grid_shape(read_field(dataset.sidecar, "spec", lambda v: v, where=args.data))
+            if dataset.task == "gridframe" else None)
+    _, base, shape = _read_extras(model, args.checkpoint, grid)
     base = LossKind.parse(args.loss) if args.loss else base
     report: dict = {}
     exports: dict[str, np.ndarray] = {}

@@ -138,12 +138,12 @@ def sample_multilabel(spec: MultiLabelSpec, n: int, rng: np.random.Generator):
     if n < 1:
         raise ValueError("n must be >= 1")
     feats = np.array([it.features for it in spec.items])
+    sizes = np.array([len(it.labels) for it in spec.items])
+    flat = np.concatenate([it.labels for it in spec.items]).astype(np.int64)
     idx = rng.integers(0, len(spec.items), size=n)
-    labels = np.empty(n, dtype=np.int64)
-    for i, j in enumerate(idx):
-        cand = spec.items[j].labels
-        labels[i] = cand[rng.integers(len(cand))]
-    return feats[idx], labels, idx
+    # one draw, the same stream as one rng.integers(len(labels)) per sample in order
+    picks = rng.integers(0, sizes[idx])
+    return feats[idx], flat[(np.cumsum(sizes) - sizes)[idx] + picks], idx
 
 
 SMOOTH_KERNEL = np.array([[0.25, 0.5, 0.25],

@@ -13,30 +13,36 @@ import numpy as np
 _CSV_CHUNK_ROWS = 4096
 
 
+def _shown(value) -> str:
+    """``repr(value)`` cut to 60 characters, so a refused list stays one short line."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 def read_int(value) -> int:
     """An int or an integral float as an int; a bool is refused, nothing is truncated."""
     if (isinstance(value, int) and not isinstance(value, bool)
             or isinstance(value, float) and value.is_integer()):
         return int(value)
-    raise ValueError(f"expected an integer, got {value!r}")
+    raise ValueError(f"expected an integer, got {_shown(value)}")
 
 
 def read_number(value) -> float:
     """An int or a float as a float; a bool or a string is refused."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
-    raise ValueError(f"expected a number, got {value!r}")
+    raise ValueError(f"expected a number, got {_shown(value)}")
 
 
 def read_str(value) -> str:
     if not isinstance(value, str):
-        raise ValueError(f"expected a string, got {value!r}")
+        raise ValueError(f"expected a string, got {_shown(value)}")
     return value
 
 
 def read_bool(value) -> bool:
     if not isinstance(value, bool):
-        raise ValueError(f"expected true or false, got {value!r}")
+        raise ValueError(f"expected true or false, got {_shown(value)}")
     return value
 
 
@@ -44,9 +50,9 @@ def read_list(read, length: int | None = None):
     """The reader of a JSON list whose entries each read with ``read``, of ``length`` if given."""
     def read_entries(value) -> list:
         if not isinstance(value, list):
-            raise ValueError(f"expected a list, got {value!r}")
+            raise ValueError(f"expected a list, got {_shown(value)}")
         if length is not None and len(value) != length:
-            raise ValueError(f"expected {length} entries, got {value!r}")
+            raise ValueError(f"expected {length} entries, got {_shown(value)}")
         return [read(v) for v in value]
     return read_entries
 

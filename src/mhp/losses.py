@@ -50,17 +50,18 @@ L2 = LossKind("l2")
 CROSS_ENTROPY = LossKind("cross_entropy")
 
 
-def _broadcast_logits(p: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
-    """Broadcast logits and integer targets to a common leading shape."""
+def _target_logits(p: np.ndarray, targets) -> tuple[np.ndarray, tuple]:
+    """Logits broadcast (only where needed) to the leading shape they share with the integer
+    targets, and one fancy index of each target's logit, which never copies a broadcast view."""
     t = np.asarray(targets)
     if not np.issubdtype(t.dtype, np.integer):
         raise ValueError("cross_entropy targets must be integer class indices")
     if t.size and (t.min() < 0 or t.max() >= p.shape[-1]):
         raise ValueError(f"class index out of range for {p.shape[-1]} classes")
     lead = np.broadcast_shapes(p.shape[:-1], t.shape)
-    p = np.broadcast_to(p, lead + p.shape[-1:])
-    t = np.broadcast_to(t, lead)
-    return p, t
+    if p.shape[:-1] != lead:
+        p = np.broadcast_to(p, lead + p.shape[-1:])
+    return p, (*np.indices(lead, sparse=True), t)
 
 
 def hypothesis_targets(kind: LossKind, targets, n: int, output_dim: int) -> np.ndarray:
@@ -93,11 +94,10 @@ def loss_values(kind: LossKind, predictions, targets) -> np.ndarray:
     """
     p = np.asarray(predictions, dtype=np.float64)
     if kind.name == "cross_entropy":
-        p, t = _broadcast_logits(p, targets)
+        p, picked = _target_logits(p, targets)
         m = p.max(axis=-1, keepdims=True)
         lse = np.log(np.exp(p - m).sum(axis=-1)) + m[..., 0]
-        picked = np.take_along_axis(p, t[..., None], axis=-1)[..., 0]
-        return lse - picked
+        return lse - p[picked]
     r = p - np.asarray(targets, dtype=np.float64)
     if kind.name == "l2":
         # in place, bitwise the same as 0.5 * (r * r).sum(axis=-1): two
@@ -112,13 +112,12 @@ def loss_values(kind: LossKind, predictions, targets) -> np.ndarray:
 
 
 def loss_grads(kind: LossKind, predictions, targets) -> np.ndarray:
-    """Gradient of :func:`loss_values` w.r.t. the predictions, same shape."""
+    """Gradient of :func:`loss_values`: a fresh, writable array shaped like the predictions."""
     p = np.asarray(predictions, dtype=np.float64)
     if kind.name == "cross_entropy":
-        p, t = _broadcast_logits(p, targets)
+        p, picked = _target_logits(p, targets)
         g = softmax(p)
-        idx = t[..., None]
-        np.put_along_axis(g, idx, np.take_along_axis(g, idx, axis=-1) - 1.0, axis=-1)
+        g[picked] -= 1.0
         return g
     r = p - np.asarray(targets, dtype=np.float64)
     if kind.name == "l2":

@@ -277,23 +277,29 @@ def step(state: OptimizerState, model: MlpModel, grad) -> None:
     sgd_momentum: v <- mu*v - lr*g; theta <- theta + v.
     rmsprop: s <- rho*s + (1-rho)*g^2; theta <- theta - lr*g/sqrt(s + 1e-8).
     ``grad`` is (P,); a non-finite gradient or result raises TrainingDivergedError.
+
+    One pass checks the sum of the new buffer and parameters: a non-finite gradient makes it
+    non-finite, a finite sum has no non-finite term. Only a non-finite sum runs the per-layer
+    checks, of the gradient and then of the result, so a sum that merely overflows still steps.
     """
     g = np.asarray(grad, dtype=np.float64)
     if not g.shape == state.buffer.shape == model.params.shape:
         raise ValueError(f"gradient {g.shape} and optimizer buffer {state.buffer.shape} "
                          f"must match the parameters {model.params.shape}")
-    _require_finite(model, g, "gradient")
     lr, mu = state.learning_rate, state.momentum
     buffer, params = new = np.empty((2, g.size))
     with np.errstate(over="ignore", invalid="ignore"):
         np.multiply(state.buffer, mu, out=buffer)
         if state.kind == "sgd_momentum":
-            buffer -= lr * g
+            buffer -= np.multiply(g, lr, out=params)
             np.add(model.params, buffer, out=params)
         else:
             buffer += (1.0 - mu) * g * g
             np.subtract(model.params, lr * g / np.sqrt(buffer + RMSPROP_EPS), out=params)
-    _require_finite(model, new, "update")
+        finite = np.isfinite(new.sum())
+    if not finite:
+        _require_finite(model, g, "gradient")
+        _require_finite(model, new, "update")
     state.buffer[...] = buffer
     model.params[...] = params
 

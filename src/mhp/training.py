@@ -90,7 +90,8 @@ def train(model: MlpModel, data, config: MetaLossConfig,
             meta_sum += float((weights * losses).sum())
             oracle_sum += float(losses.min(axis=1).sum())
             tb = hypothesis_targets(config.base_loss, yb, len(xb), model.output_dim)
-            upstream = weights[:, :, None] * loss_grads(config.base_loss, hyps, tb)
+            upstream = loss_grads(config.base_loss, hyps, tb)
+            upstream *= weights[:, :, None]
             upstream /= len(xb)
             grad = backward_batch(model, xb, upstream, activations=acts)
             try:

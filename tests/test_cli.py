@@ -1,5 +1,6 @@
 """Command-line contract: flags, exit codes, file outputs, determinism."""
 
+import hashlib
 import json
 import math
 import tempfile
@@ -85,6 +86,15 @@ class TestGen:
                      "--out", str(out)]) == 0
         ds = load_dataset(out)
         assert len(ds.Y) == 200
+
+    def test_multilabel_csv_bytes_are_pinned(self, tmp_path):
+        # SHA-256 of the file the per-sample label loop wrote for these flags;
+        # the one-draw sampler must keep the same stream
+        out = tmp_path / "d"
+        assert main(["gen", "--task", "multilabel", "--n", "1000", "--seed", "5",
+                     "--classes", "5", "--set-size", "3", "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "data.csv").read_bytes()).hexdigest() == (
+            "8709c8a350725ec435c85abfbc68245cd9ac12e157c0a8163034c846b09327ec")
 
     def test_fixed_t_flag(self, tmp_path):
         out = tmp_path / "d"
@@ -430,6 +440,56 @@ class TestCorruptCheckpoint:
                     "--samples", "50", "--out", str(tmp_path / "cells")]
         capsys.readouterr()
         usage_error(capsys, argv, name)
+
+    def test_nested_weights_message_is_one_short_line(self, good, tmp_path, capsys):
+        doc = json.loads(json.dumps(good))
+        set_field(doc, "parameters.1.weights", TestCorruptCheckpoint.nested_weights(doc))
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(doc))
+        argv = ["eval", "--checkpoint", str(path), "--data", str(gen(tmp_path, "temporal2d"))]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'weights'" in err
+        assert len(err.splitlines()) == 1 and len(err) < 250
+
+    @pytest.fixture(scope="class")
+    def grid_run(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("grid")
+        cfg = write_cfg(tmp, M=2, epochs=1, dataset={"task": "gridframe", "n": 50})
+        assert main(["train", "--config", str(cfg), "--out", str(tmp / "run")]) == 0
+        return json.loads((tmp / "run/checkpoint.json").read_text()), gen(tmp, "gridframe", n=50)
+
+    # tessellate has no dataset, so only a shape that does not hold the 64
+    # outputs fails there on the shape; [4, 16, 1] fails on the task
+    @pytest.mark.parametrize("shape, tessellate_error", [
+        ([4, 16, 1], "gridframe"), ([8, 4, 1], "'output_shape'"), ([8, 8, 2], "'output_shape'"),
+    ], ids=["other_grid", "too_few_outputs", "too_many_outputs"])
+    def test_output_shape_must_fit_the_model_and_the_data(self, grid_run, shape,
+                                                          tessellate_error, tmp_path, capsys):
+        doc, data = grid_run
+        doc = json.loads(json.dumps(doc))
+        doc["extras"]["output_shape"] = shape
+        ckpt = tmp_path / "checkpoint.json"
+        ckpt.write_text(json.dumps(doc))
+        out = tmp_path / "report"
+        capsys.readouterr()
+        usage_error(capsys, ["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                             "--metrics", "sharpness,hypothesis_variance", "--out", str(out)],
+                    "'output_shape'", "64")
+        assert not (out / "variance_map.csv").exists()
+        usage_error(capsys, ["tessellate", "--checkpoint", str(ckpt), "--t", "0.0",
+                             "--samples", "50", "--out", str(tmp_path / "cells")], tessellate_error)
+
+    def test_output_shape_of_its_own_grid_is_accepted(self, grid_run, tmp_path, capsys):
+        doc, data = grid_run
+        ckpt = tmp_path / "checkpoint.json"
+        ckpt.write_text(json.dumps(doc))
+        out = tmp_path / "report"
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--metrics", "sharpness,hypothesis_variance", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert len((out / "variance_map.csv").read_text().splitlines()) == 8
 
     @pytest.mark.parametrize("shape", [["8", "8", 1], [8, 8]], ids=["strings", "two_entries"])
     def test_gridframe_output_shape_is_read(self, tmp_path, capsys, shape):

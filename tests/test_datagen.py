@@ -107,6 +107,33 @@ class TestMultiLabel:
         off_diag = dists[~np.eye(len(feats), dtype=bool)]
         assert off_diag.min() > 0.3
 
+    @staticmethod
+    def reference_sample(spec, n, rng):
+        """The per-sample loop ``sample_multilabel`` replaced: one label draw per sample."""
+        feats = np.array([it.features for it in spec.items])
+        idx = rng.integers(0, len(spec.items), size=n)
+        labels = np.empty(n, dtype=np.int64)
+        for i, j in enumerate(idx):
+            cand = spec.items[j].labels
+            labels[i] = cand[rng.integers(len(cand))]
+        return feats[idx], labels, idx
+
+    @pytest.mark.parametrize("spec", [
+        make_multilabel_spec(6, 2, np.random.default_rng(77)),
+        MultiLabelSpec(7, (MultiLabelItem((0.0, 1.0), (4,)), MultiLabelItem((1.0, 0.0), (2, 5)),
+                           MultiLabelItem((-1.0, 0.5), (0, 3, 6)),
+                           MultiLabelItem((0.5, -1.0), (6, 1, 2)))),
+    ], ids=["acceptance", "sizes_1_2_3"])
+    @pytest.mark.parametrize("n", [1, 5, 1280])
+    @pytest.mark.parametrize("seed", [0, 13, 2024])
+    def test_stream_is_bitwise_the_per_sample_loop(self, spec, n, seed):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = sample_multilabel(spec, n, rng), self.reference_sample(spec, n, ref_rng)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert rng.integers(2**62) == ref_rng.integers(2**62)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_empty_label_set_rejected(self):
         with pytest.raises(ValueError):
             MultiLabelSpec(3, (MultiLabelItem((0.0, 0.0), ()),))

@@ -89,6 +89,17 @@ def test_bool_and_fixed_length_readers(read, good, bad):
             read(value)
 
 
+@pytest.mark.parametrize("read", [read_int, read_number, read_str, read_bool,
+                                  read_list(read_int, 3), read_list(read_str)],
+                         ids=["int", "number", "str", "bool", "list_of_3", "entry"])
+def test_a_refused_value_is_shown_cut_short(read):
+    value = [[0.125 * k for k in range(100)], list(range(100))]
+    with pytest.raises(ValueError) as info:
+        read(value)
+    shown = str(info.value).split("got ", 1)[1]
+    assert len(shown) == 60 and shown.endswith("...") and shown[:-3] in repr(value)
+
+
 def test_field_errors_name_the_place_and_the_field():
     doc = {"M": "2", "lr": 10**400, "n": 4}
     cases = [(lambda: read_field(doc, "M", read_int, where="c.json"),

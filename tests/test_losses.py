@@ -156,6 +156,49 @@ class TestBatched:
                     loss(CROSS_ENTROPY, logits[i, j], int(classes[i])), rel=1e-15)
 
 
+def reference_cross_entropy(logits, targets):
+    """Cross-entropy values and gradients through ``take_along_axis`` and
+    ``put_along_axis`` on fully broadcast logits and targets."""
+    p, t = np.asarray(logits, dtype=np.float64), np.asarray(targets)
+    lead = np.broadcast_shapes(p.shape[:-1], t.shape)
+    p, t = np.broadcast_to(p, lead + p.shape[-1:]), np.broadcast_to(t, lead)[..., None]
+    m = p.max(axis=-1, keepdims=True)
+    values = np.log(np.exp(p - m).sum(axis=-1)) + m[..., 0] - np.take_along_axis(p, t, -1)[..., 0]
+    grads = softmax(p)
+    np.put_along_axis(grads, t, np.take_along_axis(grads, t, -1) - 1.0, -1)
+    return values, grads
+
+
+class TestIndexedCrossEntropy:
+    @pytest.mark.parametrize("logit_shape, target_shape", [
+        ((32, 3, 6), (32, 1)),    # training: (n, M, C) against (n, 1)
+        ((6,), (4096,)),          # voronoi: one generator against a chunk of samples
+        ((1, 1, 6), (1, 1)),      # one row
+        ((5, 4, 12), (5, 4)),
+    ])
+    def test_bitwise_the_take_along_axis_reference(self, logit_shape, target_shape):
+        rng = np.random.default_rng(21)
+        logits = rng.normal(scale=5.0, size=logit_shape)
+        targets = rng.integers(0, logit_shape[-1], size=target_shape)
+        values, grads = reference_cross_entropy(logits, targets)
+        got_values = loss_values(CROSS_ENTROPY, logits, targets)
+        got_grads = loss_grads(CROSS_ENTROPY, logits, targets)
+        assert got_values.shape == values.shape and got_values.tobytes() == values.tobytes()
+        assert got_grads.shape == grads.shape and got_grads.tobytes() == grads.tobytes()
+
+    @pytest.mark.parametrize("kind", [L2, CROSS_ENTROPY, LossKind("tukey", 1.5)])
+    def test_grads_are_a_fresh_writable_array(self, kind):
+        rng = np.random.default_rng(22)
+        preds = rng.normal(size=(4, 2, 3))
+        targets = (rng.integers(0, 3, size=(4, 1)) if kind == CROSS_ENTROPY
+                   else rng.normal(size=(4, 1, 3)))
+        before = preds.copy()
+        grads = loss_grads(kind, preds, targets)
+        assert grads.flags.writeable and not np.shares_memory(grads, preds)
+        grads *= 2.0
+        assert np.array_equal(preds, before)
+
+
 class TestSpecStrings:
     def test_parse_roundtrip(self):
         for s in ("l2", "cross_entropy", "tukey:4.685", "tukey:1.5"):

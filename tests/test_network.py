@@ -356,6 +356,70 @@ class TestStepAtomicity:
         assert model.params.tobytes() == before
 
 
+def reference_step(state, model, grad):
+    """The update rules of ``step`` as plain expressions on copies: (buffer, params)."""
+    lr, mu = state.learning_rate, state.momentum
+    if state.kind == "sgd_momentum":
+        buffer = mu * state.buffer - lr * grad
+        return buffer, model.params + buffer
+    buffer = mu * state.buffer + (1.0 - mu) * grad * grad
+    return buffer, model.params - lr * grad / np.sqrt(buffer + 1e-8)
+
+
+class TestOnePassStepCheck:
+    @pytest.mark.parametrize("kind", ["sgd_momentum", "rmsprop"])
+    def test_steps_are_bitwise_the_update_rules(self, kind):
+        model = reference_model()
+        opt = make_optimizer(kind, model, 0.05, momentum=0.9)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            grad = rng.normal(size=model.params.shape)
+            buffer, params = reference_step(opt, model, grad)
+            step(opt, model, grad)
+            assert opt.buffer.tobytes() == buffer.tobytes()
+            assert model.params.tobytes() == params.tobytes()
+
+    @pytest.mark.parametrize("kind", ["sgd_momentum", "rmsprop"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("layer", [0, 1, 2])
+    def test_non_finite_gradient_names_its_layer_and_changes_nothing(self, kind, value, layer):
+        model = reference_model()
+        opt = make_optimizer(kind, model, 0.1)
+        grad = np.random.default_rng(6).normal(size=model.params.shape)
+        step(opt, model, grad)  # nonzero buffers, so a partial update would show
+        params, buffer = model.params.tobytes(), opt.buffer.tobytes()
+        param_views(model.shapes, grad)[layer][0][-1, -1] = value
+        with pytest.raises(TrainingDivergedError,
+                           match=f"^non-finite gradient in layer {layer}$") as err:
+            step(opt, model, grad)
+        assert err.value.layer_index == layer
+        assert model.params.tobytes() == params and opt.buffer.tobytes() == buffer
+
+    def test_overflowing_rmsprop_update_names_the_update(self):
+        model = reference_model()
+        opt = make_optimizer("rmsprop", model, 1e308)
+        opt.buffer[...] = 1e-3
+        grad = np.zeros_like(model.params)
+        param_views(model.shapes, grad)[1][1][...] = 10.0
+        params, buffer = model.params.tobytes(), opt.buffer.tobytes()
+        with pytest.raises(TrainingDivergedError, match="^non-finite update in layer 1$") as err:
+            step(opt, model, grad)
+        assert err.value.layer_index == 1
+        assert model.params.tobytes() == params and opt.buffer.tobytes() == buffer
+
+    @pytest.mark.parametrize("kind", ["sgd_momentum", "rmsprop"])
+    def test_finite_values_whose_sum_overflows_still_step(self, kind):
+        model = MlpModel([Layer(np.array([[1e308]]), np.array([1e308]), "identity")], 1, 1)
+        opt = make_optimizer(kind, model, 0.5, momentum=0.5)
+        grad = np.array([1.0, 2.0])
+        buffer, params = reference_step(opt, model, grad)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.concatenate([buffer, params]).sum())
+        step(opt, model, grad)
+        assert opt.buffer.tobytes() == buffer.tobytes()
+        assert model.params.tobytes() == params.tobytes()
+
+
 class TestOptimizerStateValidation:
     def test_direct_construction_is_validated(self):
         model = reference_model()
