@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .datagen import (default_gridframe_spec, load_dataset, make_multilabel_spec,
+from .datagen import (default_gridframe_spec, encode_spec, load_dataset, make_multilabel_spec,
                       sample_gaussian_mixture, sample_gridframe, sample_multilabel,
                       sample_temporal2d, temporal2d_dataset, write_dataset)
 from .io_utils import (read_field, read_int, read_list, read_number, read_str,
@@ -72,28 +72,22 @@ def _outdir(path: str) -> Path:
 def _task(ds: dict, item_rng: np.random.Generator):
     """One synthetic task, named and sized by the dataset config keys in ``ds``.
 
-    Returns (sampler(rng, n) -> (X, Y), sidecar spec, input column names,
-    target column names). ``item_rng`` draws the multilabel item pool.
+    Returns (sampler(rng, n) -> (X, Y), task spec, input column names, target
+    column names). ``item_rng`` draws the multilabel item pool.
     """
     task = ds.get("task")
     if task == "temporal2d":
         t = read_field(ds, "t", lambda v: v if v is None else read_number(v), None, where="dataset")
         return (lambda rng, n: temporal2d_dataset(n, rng, t)), {"t": t}, ["t"], ["y1", "y2"]
     if task == "multilabel":
-        set_size = _int_field(ds, "set_size", 2)
-        ml = make_multilabel_spec(_int_field(ds, "num_classes", 6), set_size, item_rng)
-        spec = {"num_classes": ml.num_classes, "set_size": set_size,
-                "items": [{"features": list(it.features), "labels": list(it.labels)}
-                          for it in ml.items]}
-        return (lambda rng, n: sample_multilabel(ml, n, rng)[:2]), spec, ["x1", "x2"], ["label"]
+        spec = make_multilabel_spec(_int_field(ds, "num_classes", 6),
+                                    _int_field(ds, "set_size", 2), item_rng)
+        return (lambda rng, n: sample_multilabel(spec, n, rng)[:2]), spec, ["x1", "x2"], ["label"]
     if task == "gridframe":
-        gf = default_gridframe_spec(_int_field(ds, "terminals", 3), _int_field(ds, "width", 8),
-                                    _int_field(ds, "height", 8))
-        spec = {"width": gf.width, "height": gf.height, "start": list(gf.start),
-                "terminals": [list(p) for p in gf.terminals],
-                "probabilities": list(gf.probabilities)}
-        return ((lambda rng, n: sample_gridframe(gf, n, rng)[:2]), spec,
-                [f"in{i}" for i in range(gf.pixels)], [f"out{i}" for i in range(gf.pixels)])
+        spec = default_gridframe_spec(_int_field(ds, "terminals", 3), _int_field(ds, "width", 8),
+                                      _int_field(ds, "height", 8))
+        return ((lambda rng, n: sample_gridframe(spec, n, rng)[:2]), spec,
+                [f"in{i}" for i in range(spec.pixels)], [f"out{i}" for i in range(spec.pixels)])
     if task == "gmm":
         spec = {"means": [[-1.5, 0.0], [1.5, 0.0]],
                 "covs": [[[0.09, 0.0], [0.0, 0.09]], [[0.09, 0.0], [0.0, 0.09]]],
@@ -105,11 +99,6 @@ def _task(ds: dict, item_rng: np.random.Generator):
 
 def _int_field(fields, name: str, *default) -> int:
     return read_field(fields, name, read_int, *default, where="dataset")
-
-
-def _grid_shape(spec) -> list[int]:
-    """The (height, width, channels) of a gridframe dataset's outputs, from its spec."""
-    return [_int_field(spec, "height"), _int_field(spec, "width"), 1]
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +113,8 @@ def cmd_gen(args) -> int:
          "width": args.grid_size, "height": args.grid_size}, rng)
     X, Y = sampler(rng, args.n)  # each sampler rejects n < 1
     write_dataset(args.out, X, Y, task=args.task, spec=spec, seed=args.seed,
-                  input_names=inputs, target_names=targets,
-                  int_targets=args.task == "multilabel")
-    _write_manifest(Path(args.out), "gen", {"task": args.task, "n": args.n, "spec": spec},
+                  input_names=inputs, target_names=targets)
+    _write_manifest(Path(args.out), "gen", dict(task=args.task, n=args.n, spec=encode_spec(spec)),
                     args.seed, ["data.csv", "data.json"], started)
     return EXIT_OK
 
@@ -184,9 +172,8 @@ def _resolve_dataset(cfg: dict, data_flag: str | None):
     ds = {"path": data_flag} if data_flag else dict(cfg.get("dataset") or {})
     if "path" in ds:
         loaded = load_dataset(read_field(ds, "path", read_str, where="dataset"))
-        data, task = (loaded.X, loaded.Y), loaded.task
-        spec = read_field(loaded.sidecar, "spec", lambda v: v, None, where="dataset")
-        inputs, targets = loaded.sidecar["input_columns"], loaded.sidecar["target_columns"]
+        data, task, spec = (loaded.X, loaded.Y), loaded.task, loaded.spec
+        in_dim, out_dim = loaded.X.shape[1], 1 if loaded.Y.ndim == 1 else loaded.Y.shape[1]
     elif ds.get("task") in _TRAINABLE_TASKS:
         task = ds["task"]
         ds["n"] = _int_field(ds, "n", 10_000)
@@ -195,15 +182,15 @@ def _resolve_dataset(cfg: dict, data_flag: str | None):
             ds["item_seed"] = _int_field(ds, "item_seed", cfg["seed"])
             item_rng = np.random.default_rng(ds["item_seed"])
         data, spec, inputs, targets = _task(ds, item_rng)
+        in_dim, out_dim = len(inputs), len(targets)
     else:
         raise ValueError(f"dataset spec must name a trainable task or a path, got {ds!r}")
-    # the one place that reads a task's spec fields
     extras = {"task": task}
     if task == "multilabel":
-        extras["num_classes"] = _int_field(spec, "num_classes")
+        extras["num_classes"] = out_dim = spec.num_classes
     elif task == "gridframe":
-        extras["output_shape"] = _grid_shape(spec)
-    return data, len(inputs), extras.get("num_classes") or len(targets), extras, ds
+        extras["output_shape"] = [spec.height, spec.width, 1]
+    return data, in_dim, out_dim, extras, ds
 
 
 def cmd_train(args) -> int:
@@ -258,10 +245,10 @@ def cmd_eval(args) -> int:
     dataset = load_dataset(args.data)
     wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
     unknown = [m for m in wanted if m not in _METRIC_NAMES]
-    if unknown:
-        raise ValueError(f"unknown metrics {unknown}; choose from {_METRIC_NAMES}")
-    grid = (_grid_shape(read_field(dataset.sidecar, "spec", lambda v: v, where=args.data))
-            if dataset.task == "gridframe" else None)
+    if unknown or not wanted:
+        raise ValueError((f"unknown metrics {unknown}" if unknown else "--metrics names no metric")
+                         + f"; choose from {_METRIC_NAMES}")
+    grid = [dataset.spec.height, dataset.spec.width, 1] if dataset.task == "gridframe" else None
     _, base, shape = _read_extras(model, args.checkpoint, grid)
     base = LossKind.parse(args.loss) if args.loss else base
     report: dict = {}
@@ -284,14 +271,10 @@ def cmd_eval(args) -> int:
             raise ValueError("sharpness requires a checkpoint trained on grid-shaped outputs")
         report["sharpness"] = dataset_sharpness(model, dataset.X, shape[1], shape[0], shape[2])
     if "multilabel" in wanted:
-        spec = read_field(dataset.sidecar, "spec", lambda v: v, where=args.data)
-        items = read_field(spec, "items", read_list(lambda d: (
-            read_field(d, "features", read_list(read_number), where="item"),
-            read_field(d, "labels", read_list(read_int), where="item"))),
-            where=f"{args.data}: spec")
-        if not items:
-            raise ValueError("multilabel scores need a dataset whose sidecar lists its items")
-        recall, precision = multilabel_scores(model, [f for f, _ in items], [s for _, s in items])
+        if dataset.task != "multilabel":
+            raise ValueError(f"multilabel scores need a multilabel dataset, not {dataset.task!r}")
+        recall, precision = multilabel_scores(model, [it.features for it in dataset.spec.items],
+                                              [it.labels for it in dataset.spec.items])
         report["label_recall_at_M"] = recall
         report["label_precision"] = precision
 

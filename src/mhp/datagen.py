@@ -19,13 +19,13 @@ given it. Tasks:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .io_utils import (read_bool, read_field, read_list, read_str, write_csv_atomic,
-                       write_json_atomic)
+from .io_utils import (read_bool, read_field, read_int, read_list, read_number, read_str,
+                       write_csv_atomic, write_json_atomic)
 
 # Quadrant bounds, ordered: lower-left, upper-left, lower-right, upper-right.
 # Lower bounds are inclusive, zero-boundaries exclusive on the negative side.
@@ -90,6 +90,7 @@ class MultiLabelItem:
 @dataclass(frozen=True)
 class MultiLabelSpec:
     num_classes: int
+    set_size: int = field(init=False)  # the largest label set's size; recorded, never read
     items: tuple[MultiLabelItem, ...]
 
     def __post_init__(self) -> None:
@@ -102,6 +103,7 @@ class MultiLabelSpec:
                 raise ValueError("empty label set")
             if any(not 0 <= c < self.num_classes for c in it.labels):
                 raise ValueError("label out of range")
+        object.__setattr__(self, "set_size", max(len(it.labels) for it in self.items))
 
 
 def class_centers(num_classes: int) -> np.ndarray:
@@ -172,9 +174,9 @@ class GridFrameSpec:
             raise ValueError("need at least one terminal position")
         if len(self.probabilities) != len(self.terminals):
             raise ValueError("one probability per terminal required")
-        if any(p < 0 for p in self.probabilities):
+        if any(not p >= 0 for p in self.probabilities):
             raise ValueError("probabilities must be nonnegative")
-        if abs(sum(self.probabilities) - 1.0) > 1e-9:
+        if not abs(sum(self.probabilities) - 1.0) <= 1e-9:
             raise ValueError("terminal probabilities must sum to 1")
         for pos in (self.start, *self.terminals):
             r, c = pos
@@ -258,35 +260,58 @@ class Dataset:
     X: np.ndarray
     Y: np.ndarray
     task: str
-    sidecar: dict
+    spec: GridFrameSpec | MultiLabelSpec | dict | None
 
 
-def write_dataset(outdir, X, Y, *, task: str, spec: dict, seed: int,
-                  input_names, target_names, int_targets: bool = False):
-    """Write data.csv plus its data.json sidecar; returns both paths."""
+def encode_spec(spec):
+    """The JSON form of a task spec, as the sidecar and the ``gen`` manifest record it."""
+    return asdict(spec) if is_dataclass(spec) else spec
+
+
+def _read_spec(task: str, n_out: int, doc):
+    """A gridframe or multilabel ``spec`` as its checked dataclass; another task's as stored."""
+    get = lambda key, read: read_field(doc, key, read, where=None)
+    cell = lambda v: tuple(read_list(read_int, 2)(v))
+    if task == "gridframe":
+        spec = GridFrameSpec(height=get("height", read_int), width=get("width", read_int),
+                             start=get("start", cell),
+                             terminals=tuple(get("terminals", read_list(cell))),
+                             probabilities=tuple(get("probabilities", read_list(read_number))))
+        if spec.pixels != n_out:
+            raise ValueError(f"{spec.height}x{spec.width} pixels but {n_out} target columns")
+        return spec
+    if task == "multilabel":
+        item = lambda d: MultiLabelItem(
+            tuple(read_field(d, "features", read_list(read_number), where=None)),
+            tuple(read_field(d, "labels", read_list(read_int), where=None)))
+        return MultiLabelSpec(get("num_classes", read_int), tuple(get("items", read_list(item))))
+    return doc
+
+
+def write_dataset(outdir, X, Y, *, task: str, spec, seed: int, input_names, target_names):
+    """Write data.csv plus its data.json sidecar (an integer Y as integer targets)."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    Y = np.asarray(Y, dtype=np.int64 if int_targets else np.float64)
     csv_path = write_csv_atomic(outdir / "data.csv", [*input_names, *target_names],
                                 np.asarray(X, dtype=np.float64), Y)
     sidecar = {
         "task": task,
-        "spec": spec,
+        "spec": encode_spec(spec),
         "seed": seed,
         "n": len(Y),
         "input_columns": list(input_names),
         "target_columns": list(target_names),
-        "int_targets": bool(int_targets),
+        "int_targets": np.asarray(Y).dtype.kind in "iu",
     }
     json_path = write_json_atomic(outdir / "data.json", sidecar)
     return csv_path, json_path
 
 
 def load_dataset(path) -> Dataset:
-    """Read a dataset directory (or its data.csv path) back into arrays.
+    """Read a dataset directory (or its data.csv path) back into arrays and its spec.
 
-    A sidecar field that is missing or does not read as its type, and a CSV
-    value that is non-finite, or fractional in an integer target, raise ValueError.
+    A sidecar field that is missing or does not read (the spec as its task's), and a
+    CSV value that is non-finite, or fractional in an integer target, raise ValueError.
     """
     path = Path(path)
     if path.is_dir():
@@ -297,6 +322,8 @@ def load_dataset(path) -> Dataset:
         sidecar = json.load(fh)
     n_in = len(read_field(sidecar, "input_columns", read_list(read_str), where=json_path))
     n_out = len(read_field(sidecar, "target_columns", read_list(read_str), where=json_path))
+    task = read_field(sidecar, "task", read_str, where=json_path)
+    spec = read_field(sidecar, "spec", lambda v: _read_spec(task, n_out, v), None, where=json_path)
     raw = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2, dtype=np.float64)
     if raw.shape[1] != n_in + n_out:
         raise ValueError(f"{csv_path}: expected {n_in + n_out} columns, found {raw.shape[1]}")
@@ -307,4 +334,4 @@ def load_dataset(path) -> Dataset:
         if (Y != np.trunc(Y)).any():
             raise ValueError(f"{csv_path}: an integer target column holds a fractional value")
         Y = Y.astype(np.int64).ravel() if n_out == 1 else Y.astype(np.int64)
-    return Dataset(X, Y, read_field(sidecar, "task", read_str, where=json_path), sidecar)
+    return Dataset(X, Y, task, spec)

@@ -57,9 +57,9 @@ def read_list(read, length: int | None = None):
     return read_entries
 
 
-def read_field(doc, key: str, read, default=..., *, where: str):
+def read_field(doc, key: str, read, default=..., *, where: str | None):
     """``read(doc[key])``, or ``read(default)`` if the key is absent and a default is given.
-    Any failure raises ValueError("<where>: field '<key>': <reason>")."""
+    Failures raise ValueError("<where>: field '<key>': <reason>"); where=None drops "<where>: "."""
     try:
         if not isinstance(doc, dict):
             raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
@@ -67,7 +67,7 @@ def read_field(doc, key: str, read, default=..., *, where: str):
             raise ValueError("missing")
         return read(doc.get(key, default))
     except (TypeError, ValueError, OverflowError) as err:
-        raise ValueError(f"{where}: field {key!r}: {err}") from None
+        raise ValueError(f"{'' if where is None else f'{where}: '}field {key!r}: {err}") from None
 
 
 @contextmanager

@@ -59,10 +59,22 @@ def train(model: MlpModel, data, config: MetaLossConfig,
     ``data`` is either a fixed ``(X, Y)`` pair, reshuffled every epoch, or a
     callable ``sampler(rng, n)`` drawing a fresh epoch of n samples. Aborts
     with TrainingDivergedError (carrying epoch and batch index) as soon as a
-    non-finite loss or gradient appears.
+    non-finite loss or gradient appears. A call either finishes or changes
+    nothing: on any exception ``model.params`` and ``optimizer.buffer`` are
+    put back to their values at the call before it propagates.
     """
     if config.num_hypotheses != model.num_hypotheses:
         raise ValueError("meta-loss config and model disagree on the hypothesis count")
+    start = model.params.copy(), optimizer.buffer.copy()
+    try:
+        return _train_epochs(model, data, config, optimizer, schedule)
+    except BaseException:
+        model.params[...], optimizer.buffer[...] = start
+        raise
+
+
+def _train_epochs(model: MlpModel, data, config: MetaLossConfig,
+                  optimizer: OptimizerState, schedule: TrainSchedule) -> list[EpochMetrics]:
     root = np.random.SeedSequence(schedule.seed)
     data_ss, dropout_ss = root.spawn(2)
     data_rng = np.random.default_rng(data_ss)

@@ -197,6 +197,8 @@ def lloyd(samples, m: int, *, init_generators=None, max_iters: int = 100,
     pts = np.asfortranarray(_as_points(samples, "samples"))
     if m < 1:
         raise ValueError("m must be >= 1")
+    if not tol >= 0:  # also refuses NaN, which would never stop the loop
+        raise ValueError(f"tol must be a nonnegative number, got {tol}")
     distinct = _distinct_rows(pts, m)
     if m > distinct:
         raise ValueError(f"m={m} exceeds the {distinct} distinct samples")

@@ -87,14 +87,35 @@ class TestGen:
         ds = load_dataset(out)
         assert len(ds.Y) == 200
 
-    def test_multilabel_csv_bytes_are_pinned(self, tmp_path):
-        # SHA-256 of the file the per-sample label loop wrote for these flags;
-        # the one-draw sampler must keep the same stream
+    # SHA-256 of data.csv and data.json for 1000 samples at seed 5. The multilabel
+    # CSV digest is the file the per-sample label loop wrote; the one-draw sampler
+    # keeps its stream. The sidecars were pinned before datagen encoded the specs.
+    @pytest.mark.parametrize("task, flags, csv_sha, json_sha", [
+        ("temporal2d", [],
+         "675f9876823c4074810146d3c1b8239249802789b7c9d71188e8593214ae2708",
+         "8e80c9a294cd5b4b97ca7b152def2e88e6fede749e73876e0d76e001ed729653"),
+        ("temporal2d", ["--t", "0.3"],
+         "d83f24fe48b9c69a953375a7a9cd9f532d1ff36aa8e53927a4b1b856bbbfcaaf",
+         "408b178753df94a5bc7dc7880bd923f12b237c13c527a8cea509c9d77d255d4f"),
+        ("multilabel", ["--classes", "5", "--set-size", "3"],
+         "8709c8a350725ec435c85abfbc68245cd9ac12e157c0a8163034c846b09327ec",
+         "3c63c48a368eb0055c145d8ec8e987b5a7273dde150a645296f6a16128745577"),
+        ("gridframe", ["--terminals", "12"],
+         "4d6956633bf86f257bc36db96758daf8cecb9679848be706405498034c720263",
+         "40e9bd118bc0be2f9f0105f138b427e8748a17337833346ade1fa160c716217f"),
+        ("gridframe", ["--terminals", "4", "--grid-size", "10"],
+         "789373bddfa3237147627e128511c6026557e02465d282749bd76a3d4680ef51",
+         "851ba725c0c1a96797016377955580955f3234a985421e37fe92b9a76c83efce"),
+        ("gmm", [],
+         "b926fd6e2bc64d6e751dd55440d8f974bcb2ef9f2854ce0b56dc3fb657b0704e",
+         "bf45eb15016469adcfc6b59af5ef48c27ab8d7e4a9516e134234c0db2ca59fe9"),
+    ], ids=["temporal2d", "temporal2d_t", "multilabel", "gridframe", "gridframe_10", "gmm"])
+    def test_dataset_bytes_are_pinned(self, tmp_path, task, flags, csv_sha, json_sha):
         out = tmp_path / "d"
-        assert main(["gen", "--task", "multilabel", "--n", "1000", "--seed", "5",
-                     "--classes", "5", "--set-size", "3", "--out", str(out)]) == 0
-        assert hashlib.sha256((out / "data.csv").read_bytes()).hexdigest() == (
-            "8709c8a350725ec435c85abfbc68245cd9ac12e157c0a8163034c846b09327ec")
+        assert main(["gen", "--task", task, "--n", "1000", "--seed", "5", *flags,
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "data.csv").read_bytes()).hexdigest() == csv_sha
+        assert hashlib.sha256((out / "data.json").read_bytes()).hexdigest() == json_sha
 
     def test_fixed_t_flag(self, tmp_path):
         out = tmp_path / "d"
@@ -197,6 +218,13 @@ class TestEval:
         usage_error(capsys, ["eval", "--checkpoint", str(ckpt), "--data", str(data),
                              "--metrics", "psnr"], "psnr")
 
+    @pytest.mark.parametrize("metrics", [",", "", " , "])
+    def test_empty_metric_list_is_usage_error(self, trained, tmp_path, capsys, metrics):
+        ckpt, data = trained
+        usage_error(capsys, ["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                             "--metrics", metrics, "--out", str(tmp_path / "r")], "no metric")
+        assert not (tmp_path / "r").exists()
+
     def test_report_written_with_manifest(self, trained, tmp_path, capsys):
         ckpt, data = trained
         out = tmp_path / "report"
@@ -295,6 +323,15 @@ class TestLloyd:
                      "--out", str(data)]) == 0
         assert main(["lloyd", "--data", str(data), "--m", "11",
                      "--out", str(tmp_path / "l")]) == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_nan_or_negative_tol_is_usage_error(self, tmp_path, capsys, tol):
+        data = gen(tmp_path, "temporal2d", n=50)
+        out = tmp_path / "l"
+        capsys.readouterr()
+        usage_error(capsys, ["lloyd", "--data", str(data), "--m", "2", "--tol", tol,
+                             "--out", str(out)], "tol")
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags, iterations, converged", [
         (["--max-iters", "0"], 0, False),
@@ -637,6 +674,58 @@ class TestSidecarSpec:
         capsys.readouterr()
         usage_error(capsys, ["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
                              "--data", str(data), "--metrics", "multilabel"], "spec")
+
+
+class TestGridSpecDecoding:
+    """Every command that loads a gridframe dataset decodes its spec whole."""
+
+    @pytest.fixture(scope="class")
+    def checkpoint(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("grid")
+        cfg = write_cfg(tmp, M=2, epochs=1, dataset={"task": "gridframe", "n": 50})
+        assert main(["train", "--config", str(cfg), "--out", str(tmp / "run")]) == 0
+        return tmp / "run" / "checkpoint.json"
+
+    def without_height(spec):
+        del spec["height"]
+
+    def ten_by_ten(spec):  # 100 pixels over the 64 target columns of an 8x8 dataset
+        spec["width"] = spec["height"] = 10
+
+    def four_by_sixteen(spec):  # 64 pixels, but the start (4, 4) lies outside 4 columns
+        spec["width"], spec["height"] = 4, 16
+
+    def terminal_on_the_border(spec):
+        spec["terminals"][0] = [7, 3]
+
+    @pytest.mark.parametrize("edit, names", [
+        (without_height, ["'spec'", "'height'", "missing"]),
+        (ten_by_ten, ["'spec'", "10x10", "64 target columns"]),
+        (four_by_sixteen, ["'spec'", "(4, 4)", "16x4"]),
+        (terminal_on_the_border, ["'spec'", "(7, 3)"]),
+    ], ids=["without_height", "10x10", "4x16", "terminal_on_the_border"])
+    @pytest.mark.parametrize("command", ["train", "eval", "lloyd"])
+    def test_spec_its_dataclass_refuses_is_usage_error(self, checkpoint, tmp_path, capsys,
+                                                       edit, names, command):
+        data = gen(tmp_path, "gridframe", n=50)
+        sidecar = json.loads((data / "data.json").read_text())
+        edit(sidecar["spec"])
+        (data / "data.json").write_text(json.dumps(sidecar))
+        out = tmp_path / "out"
+        argv = {"train": ["train", "--config", str(write_cfg(tmp_path, epochs=1)),
+                          "--data", str(data), "--out", str(out)],
+                "eval": ["eval", "--checkpoint", str(checkpoint), "--data", str(data),
+                         "--metrics", "sharpness", "--out", str(out)],
+                "lloyd": ["lloyd", "--data", str(data), "--m", "2", "--out", str(out)]}[command]
+        capsys.readouterr()
+        usage_error(capsys, argv, f"{data / 'data.json'}: field", *names)
+        assert not out.exists()
+
+    def test_multilabel_scores_need_a_multilabel_dataset(self, checkpoint, tmp_path, capsys):
+        data = gen(tmp_path, "gridframe", n=50)
+        capsys.readouterr()
+        usage_error(capsys, ["eval", "--checkpoint", str(checkpoint), "--data", str(data),
+                             "--metrics", "multilabel"], "multilabel dataset", "gridframe")
 
 
 class TestTaskTable:

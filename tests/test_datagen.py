@@ -228,12 +228,82 @@ class TestDatasetFiles:
     def test_int_targets_roundtrip(self, tmp_path):
         X = np.zeros((5, 2))
         y = np.array([0, 1, 2, 1, 0])
-        write_dataset(tmp_path, X, y, task="multilabel", spec={}, seed=0,
-                      input_names=["x1", "x2"], target_names=["label"],
-                      int_targets=True)
+        write_dataset(tmp_path, X, y, task="multilabel", spec=make_multilabel_spec(3), seed=0,
+                      input_names=["x1", "x2"], target_names=["label"])
         ds = load_dataset(tmp_path)
         assert ds.Y.dtype == np.int64
         np.testing.assert_array_equal(ds.Y, y)
+
+    @pytest.mark.parametrize("task, spec", [
+        ("gridframe", default_gridframe_spec(4, 10, 9)),
+        ("multilabel", make_multilabel_spec(5, 3, np.random.default_rng(3))),
+        ("multilabel", MultiLabelSpec(7, (MultiLabelItem((0.0, 1.0), (4,)),
+                                          MultiLabelItem((1.0, 0.0), (2, 5))))),
+        ("temporal2d", {"t": 0.25}),
+    ], ids=["gridframe", "multilabel", "multilabel_sizes_1_2", "temporal2d"])
+    def test_spec_roundtrip(self, tmp_path, task, spec):
+        n_out = spec.pixels if task == "gridframe" else 1
+        write_dataset(tmp_path, np.zeros((2, 1)), np.zeros((2, n_out), dtype=np.int64),
+                      task=task, spec=spec, seed=0, input_names=["x"],
+                      target_names=[f"y{i}" for i in range(n_out)])
+        assert load_dataset(tmp_path).spec == spec
+
+    def test_multilabel_sidecar_records_the_largest_set_size(self, tmp_path):
+        spec = MultiLabelSpec(7, (MultiLabelItem((0.0, 1.0), (4,)),
+                                  MultiLabelItem((1.0, 0.0), (2, 5, 6))))
+        write_dataset(tmp_path, np.zeros((1, 2)), np.array([4]), task="multilabel", spec=spec,
+                      seed=0, input_names=["x1", "x2"], target_names=["label"])
+        sidecar = json.loads((tmp_path / "data.json").read_text())
+        assert list(sidecar["spec"]) == ["num_classes", "set_size", "items"]
+        assert sidecar["spec"]["set_size"] == 3
+
+    @pytest.mark.parametrize("Y, int_targets", [(np.array([0, 2]), True),
+                                                (np.array([0.0, 2.0]), False),
+                                                ([0, 2], True)])
+    def test_int_targets_follow_the_dtype(self, tmp_path, Y, int_targets):
+        write_dataset(tmp_path, np.zeros((2, 1)), Y, task="temporal2d", spec={}, seed=0,
+                      input_names=["t"], target_names=["y"])
+        assert json.loads((tmp_path / "data.json").read_text())["int_targets"] is int_targets
+        ds = load_dataset(tmp_path)
+        assert ds.Y.dtype == (np.int64 if int_targets else np.float64)
+
+    @pytest.mark.parametrize("key, value, names", [
+        ("height", None, ["'height'", "expected an integer"]),
+        ("start", [4], ["'start'", "2 entries"]),
+        ("terminals", [[1, 1], [1.5, 2]], ["'terminals'", "1.5"]),
+        ("probabilities", [float("nan"), 0.5, 0.5], ["nonnegative"]),
+        ("probabilities", [0.25, 0.25, 0.25], ["sum to 1"]),
+        ("probabilities", [0.5, 0.5], ["one probability per terminal"]),
+    ])
+    def test_gridframe_spec_field_is_checked(self, tmp_path, key, value, names):
+        spec = default_gridframe_spec(3)
+        write_dataset(tmp_path, np.zeros((1, 64)), np.zeros((1, 64)), task="gridframe",
+                      spec=spec, seed=0, input_names=[f"in{i}" for i in range(64)],
+                      target_names=[f"out{i}" for i in range(64)])
+        sidecar = json.loads((tmp_path / "data.json").read_text())
+        sidecar["spec"][key] = value
+        (tmp_path / "data.json").write_text(json.dumps(sidecar))
+        with pytest.raises(ValueError) as err:
+            load_dataset(tmp_path)
+        message = str(err.value)
+        assert message.startswith(f"{tmp_path / 'data.json'}: field 'spec': ")
+        assert message.count(str(tmp_path)) == 1 and all(n in message for n in names)
+
+    @pytest.mark.parametrize("edit, names", [
+        (lambda spec: spec["items"][0].pop("labels"), ["'items'", "'labels'", "missing"]),
+        (lambda spec: spec["items"][0].update(labels=[9]), ["label out of range"]),
+        (lambda spec: spec.update(items=[]), ["at least one item"]),
+    ], ids=["item_without_labels", "label_out_of_range", "no_items"])
+    def test_multilabel_spec_is_checked(self, tmp_path, edit, names):
+        write_dataset(tmp_path, np.zeros((1, 2)), np.array([0]), task="multilabel",
+                      spec=make_multilabel_spec(4), seed=0, input_names=["x1", "x2"],
+                      target_names=["label"])
+        sidecar = json.loads((tmp_path / "data.json").read_text())
+        edit(sidecar["spec"])
+        (tmp_path / "data.json").write_text(json.dumps(sidecar))
+        with pytest.raises(ValueError, match="field 'spec'") as err:
+            load_dataset(tmp_path)
+        assert all(n in str(err.value) for n in names)
 
     def test_write_is_deterministic(self, tmp_path):
         rng = np.random.default_rng(24)
@@ -279,8 +349,8 @@ class TestDatasetFiles:
 
     def test_fractional_int_target_names_the_csv(self, tmp_path):
         write_dataset(tmp_path, np.zeros((3, 2)), np.array([0, 1, 2]), task="multilabel",
-                      spec={}, seed=0, input_names=["x1", "x2"], target_names=["label"],
-                      int_targets=True)
+                      spec=make_multilabel_spec(3), seed=0, input_names=["x1", "x2"],
+                      target_names=["label"])
         csv = tmp_path / "data.csv"
         lines = csv.read_text().splitlines()
         lines[2] = "0.0,0.0,1.5"

@@ -71,6 +71,54 @@ class TestDivergence:
                   MetaLossConfig(2), opt, TrainSchedule(1, 32, 0))
 
 
+def spoiled_sampler(epoch, row):
+    """temporal2d epochs, the one numbered ``epoch`` with an infinite target in ``row``,
+    or empty if ``row`` is None."""
+    drawn = []
+
+    def sample(rng, n):
+        X, Y = temporal2d_dataset(n, rng)
+        if len(drawn) == epoch:
+            if row is None:
+                X, Y = X[:0], Y[:0]
+            else:
+                Y[row] = np.inf
+        drawn.append(n)
+        return X, Y
+    return sample
+
+
+class TestAllOrNothing:
+    """A train call that raises leaves the parameters and the optimizer buffer as they were."""
+
+    @pytest.mark.parametrize("spoiled, lr, error, steps_taken", [
+        ((0, 0), 0.02, TrainingDivergedError, False),
+        ((2, 300), 0.02, TrainingDivergedError, True),
+        (None, None, TrainingDivergedError, True),
+        ((1, None), 0.02, ValueError, True),
+    ], ids=["first_step", "mid_run", "learning_rate", "empty_epoch"])
+    @pytest.mark.parametrize("kind", ["sgd_momentum", "rmsprop"])
+    def test_failed_call_changes_nothing(self, spoiled, lr, error, steps_taken, kind):
+        data = spoiled_sampler(*spoiled) if spoiled else temporal_sampler
+        # learning rates that diverge only after some steps
+        lr = lr or {"sgd_momentum": 1e5, "rmsprop": 1e50}[kind]
+        model = fresh_model(4)
+        cfg = MetaLossConfig(4, 0.05, 0.01)
+        # a first run that finishes, so the buffer going in is not all zeros
+        warm = mhp.make_optimizer(kind, model, 0.001, 0.9)
+        train(model, temporal_sampler, cfg, warm, TrainSchedule(1, 32, 0, samples_per_epoch=256))
+        opt = mhp.network.OptimizerState(kind, lr, 0.9, warm.buffer)
+        params, buffer = model.params.copy(), opt.buffer.copy()
+        assert buffer.any()
+        with pytest.raises(error) as err:
+            train(model, data, cfg, opt, TrainSchedule(4, 32, 1, samples_per_epoch=512))
+        if error is TrainingDivergedError:
+            assert (err.value.epoch > 0 or err.value.batch_index > 0) == steps_taken
+        assert model.params.tobytes() == params.tobytes()
+        assert opt.buffer.tobytes() == buffer.tobytes()
+        assert all(np.shares_memory(l.weights, model.params) for l in model.layers)
+
+
 class TestLearning:
     def test_loss_decreases_and_stabilizes(self):
         # non-increasing after epoch 5 up to 5% noise, recorded for this seed

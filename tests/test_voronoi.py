@@ -150,6 +150,15 @@ class TestLloyd:
         with pytest.raises(ValueError):
             lloyd(pts, 3, rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, -np.inf])
+    def test_nan_or_negative_tol_rejected(self, tol):
+        # a NaN tol never stops the loop, a negative one can never be met
+        pts = uniform_square(100, seed=3)
+        with pytest.raises(ValueError, match="tol"):
+            lloyd(pts, 2, rng=np.random.default_rng(0), tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            lloyd_best_of(pts, 2, 3, np.random.default_rng(0), tol=tol)
+
     def test_distinct_count_named_when_rejected(self):
         rows = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         pts = rows[np.random.default_rng(1).integers(3, size=500)]
