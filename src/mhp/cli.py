@@ -22,7 +22,7 @@ from . import __version__
 from .datagen import (default_gridframe_spec, encode_spec, load_dataset, make_multilabel_spec,
                       sample_gaussian_mixture, sample_gridframe, sample_multilabel,
                       sample_temporal2d, temporal2d_dataset, write_dataset)
-from .io_utils import (read_field, read_int, read_list, read_number, read_str,
+from .io_utils import (read_field, read_int, read_json, read_list, read_number, read_str,
                        write_csv_atomic, write_json_atomic, write_text_atomic)
 from .losses import LossKind
 from .meta_loss import MetaLossConfig
@@ -142,8 +142,7 @@ def _load_config(path: str) -> tuple[dict, dict]:
     """The config with defaults filled in, as the manifest records it, and
     its fields as read. An unknown key or a field that does not read raises
     ValueError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    cfg = read_json(path)
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: a train config must be a JSON object")
     unknown = sorted(set(cfg) - set(_TRAIN_FIELDS) - {"dataset", "decay"})
@@ -326,8 +325,7 @@ def cmd_tessellate(args) -> int:
     if bool(args.checkpoint) == bool(args.generators):
         raise ValueError("provide exactly one of --checkpoint and --generators")
     if args.generators:
-        with open(args.generators, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = read_json(args.generators)
         generators = read_field(doc, "generators", lambda v: np.array(
             read_list(read_list(read_number))(v)), where=args.generators)
         base = read_field(doc, "loss", LossKind.parse, "l2", where=args.generators)

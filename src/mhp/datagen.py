@@ -18,14 +18,15 @@ given it. Tasks:
 
 from __future__ import annotations
 
-import json
+import functools
+import warnings
 from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .io_utils import (read_bool, read_field, read_int, read_list, read_number, read_str,
-                       write_csv_atomic, write_json_atomic)
+from .io_utils import (read_bool, read_field, read_int, read_json, read_list, read_number,
+                       read_str, write_csv_atomic, write_json_atomic)
 
 # Quadrant bounds, ordered: lower-left, upper-left, lower-right, upper-right.
 # Lower bounds are inclusive, zero-boundaries exclusive on the negative side.
@@ -33,11 +34,18 @@ _QUAD_LO = np.array([[-1.0, -1.0], [-1.0, 0.0], [0.0, -1.0], [0.0, 0.0]])
 _QUAD_HI = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 
 
-def region_probabilities(t: float) -> np.ndarray:
-    """Quadrant selection probabilities [(1-t)/2, t/2, t/2, (1-t)/2]."""
-    if not 0.0 <= t <= 1.0:
+def region_probabilities(t) -> np.ndarray:
+    """Quadrant selection probabilities [(1-t)/2, t/2, t/2, (1-t)/2], along a last axis of
+    length 4 for an array of t."""
+    ts = np.asarray(t, dtype=np.float64)
+    if not ((0.0 <= ts) & (ts <= 1.0)).all():
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    return np.array([(1.0 - t) / 2.0, t / 2.0, t / 2.0, (1.0 - t) / 2.0])
+    return np.stack([(1.0 - ts) / 2.0, ts / 2.0, ts / 2.0, (1.0 - ts) / 2.0], axis=-1)
+
+
+def _draw(p, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n category indices by inverse CDF on one uniform each; ``p`` is (k,) or (n, k)."""
+    return (rng.random(n)[:, None] >= np.cumsum(p, axis=-1)[..., :-1]).sum(-1)
 
 
 def region_index(points) -> np.ndarray:
@@ -49,36 +57,23 @@ def region_index(points) -> np.ndarray:
     return np.where(inside, idx, -1)
 
 
-def _sample_quadrant_points(ts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    n = len(ts)
-    u = rng.random(n)
-    c1 = (1.0 - ts) / 2.0
-    c2 = c1 + ts / 2.0
-    c3 = c2 + ts / 2.0
-    region = (u >= c1).astype(np.int64) + (u >= c2) + (u >= c3)
-    region = np.minimum(region, 3)
-    frac = rng.random((n, 2))
+def _temporal2d(n: int, rng: np.random.Generator, t: float | None):
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    ts = rng.random(n) if t is None else np.full(n, float(t))
+    region = _draw(region_probabilities(ts if t is None else t), n, rng)
     lo, hi = _QUAD_LO[region], _QUAD_HI[region]
-    return lo + frac * (hi - lo)
+    return ts[:, None], lo + rng.random((n, 2)) * (hi - lo)
 
 
 def sample_temporal2d(t: float, n: int, rng: np.random.Generator):
     """n pairs (input = t, target 2D point); targets stay in [-1, 1]^2."""
-    region_probabilities(t)  # validates t
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    ts = np.full(n, float(t))
-    return ts[:, None], _sample_quadrant_points(ts, rng)
+    return _temporal2d(n, rng, t)
 
 
 def temporal2d_dataset(n: int, rng: np.random.Generator, t: float | None = None):
     """Training set over the task: t per sample is Uniform[0,1] unless fixed."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if t is not None:
-        return sample_temporal2d(t, n, rng)
-    ts = rng.random(n)
-    return ts[:, None], _sample_quadrant_points(ts, rng)
+    return _temporal2d(n, rng, t)
 
 
 @dataclass(frozen=True)
@@ -106,6 +101,9 @@ class MultiLabelSpec:
         object.__setattr__(self, "set_size", max(len(it.labels) for it in self.items))
 
 
+ITEM_NOISE_STD = 0.1  # std of the frozen Gaussian noise on multilabel item inputs
+
+
 def class_centers(num_classes: int) -> np.ndarray:
     """Unit-circle anchor point per class."""
     angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
@@ -113,8 +111,7 @@ def class_centers(num_classes: int) -> np.ndarray:
 
 
 def make_multilabel_spec(num_classes: int, set_size: int = 2,
-                         rng: np.random.Generator | None = None,
-                         noise_std: float = 0.1) -> MultiLabelSpec:
+                         rng: np.random.Generator | None = None) -> MultiLabelSpec:
     """One item per cyclically adjacent label run {k, ..., k+set_size-1}.
 
     Adjacent runs keep the item inputs (center means plus frozen Gaussian
@@ -130,7 +127,7 @@ def make_multilabel_spec(num_classes: int, set_size: int = 2,
         labels = tuple(sorted((k + j) % num_classes for j in range(set_size)))
         feat = centers[list(labels)].mean(axis=0)
         if rng is not None:
-            feat = feat + rng.normal(0.0, noise_std, size=2)
+            feat = feat + rng.normal(0.0, ITEM_NOISE_STD, size=2)
         items.append(MultiLabelItem(tuple(float(v) for v in feat), labels))
     return MultiLabelSpec(num_classes, tuple(items))
 
@@ -219,9 +216,7 @@ def sample_gridframe(spec: GridFrameSpec, n: int, rng: np.random.Generator):
         raise ValueError("n must be >= 1")
     start = render_frame(spec, spec.start).ravel()
     frames = np.stack([render_frame(spec, pos).ravel() for pos in spec.terminals])
-    cum = np.cumsum(spec.probabilities)
-    idx = np.minimum(np.searchsorted(cum, rng.random(n), side="right"),
-                     len(spec.terminals) - 1)
+    idx = _draw(spec.probabilities, n, rng)
     X = np.tile(start, (n, 1))
     return X, frames[idx], idx
 
@@ -243,7 +238,7 @@ def sample_gaussian_mixture(means, covs, weights, n: int, rng: np.random.Generat
         chol = np.linalg.cholesky(sig)
     except np.linalg.LinAlgError as err:
         raise ValueError("covariances must be positive-definite") from err
-    comp = np.minimum(np.searchsorted(np.cumsum(w), rng.random(n), side="right"), len(mu) - 1)
+    comp = _draw(w, n, rng)
     z = rng.standard_normal((n, mu.shape[1]))
     out = np.empty_like(z)
     for k in range(len(mu)):
@@ -310,27 +305,39 @@ def write_dataset(outdir, X, Y, *, task: str, spec, seed: int, input_names, targ
 def load_dataset(path) -> Dataset:
     """Read a dataset directory (or its data.csv path) back into arrays and its spec.
 
-    A sidecar field that is missing or does not read (the spec as its task's), and a
-    CSV value that is non-finite, or fractional in an integer target, raise ValueError.
+    A sidecar field that is missing or does not read (the spec as its task's), a CSV that
+    has no rows, a row count other than the sidecar's ``n``, and a CSV value that does not
+    parse, is non-finite, or is fractional in an integer target, raise ValueError.
     """
     path = Path(path)
     if path.is_dir():
         csv_path, json_path = path / "data.csv", path / "data.json"
     else:
         csv_path, json_path = path, path.with_name("data.json")
-    with open(json_path, "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    n_in = len(read_field(sidecar, "input_columns", read_list(read_str), where=json_path))
-    n_out = len(read_field(sidecar, "target_columns", read_list(read_str), where=json_path))
-    task = read_field(sidecar, "task", read_str, where=json_path)
-    spec = read_field(sidecar, "spec", lambda v: _read_spec(task, n_out, v), None, where=json_path)
-    raw = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2, dtype=np.float64)
+    sidecar = read_json(json_path)
+    get = functools.partial(read_field, sidecar, where=json_path)
+    n_in = len(get("input_columns", read_list(read_str)))
+    n_out = len(get("target_columns", read_list(read_str)))
+    task = get("task", read_str)
+    spec = get("spec", lambda v: _read_spec(task, n_out, v), None)
+    n = get("n", read_int)
+    try:
+        with warnings.catch_warnings():
+            # an empty table is refused below, by name, instead of with numpy's warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            raw = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2, dtype=np.float64)
+    except ValueError as err:  # a cell that does not parse, a row with too few columns
+        raise ValueError(f"{csv_path}: {err}") from None
+    if len(raw) == 0:
+        raise ValueError(f"{csv_path}: no rows")
+    if len(raw) != n:
+        raise ValueError(f"{csv_path}: {len(raw)} rows, but {json_path} gives n = {n}")
     if raw.shape[1] != n_in + n_out:
         raise ValueError(f"{csv_path}: expected {n_in + n_out} columns, found {raw.shape[1]}")
     if not np.isfinite(raw).all():
         raise ValueError(f"{csv_path}: a value is NaN or infinite")
     X, Y = raw[:, :n_in], raw[:, n_in:]
-    if read_field(sidecar, "int_targets", read_bool, False, where=json_path):
+    if get("int_targets", read_bool, False):
         if (Y != np.trunc(Y)).any():
             raise ValueError(f"{csv_path}: an integer target column holds a fractional value")
         Y = Y.astype(np.int64).ravel() if n_out == 1 else Y.astype(np.int64)

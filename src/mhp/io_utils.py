@@ -1,5 +1,6 @@
-"""Small shared I/O helpers: atomic text, JSON and CSV writes, and :func:`read_field`,
-the one reader for a field of a config, sidecar, checkpoint or generators file."""
+"""Small shared I/O helpers: atomic text, JSON and CSV writes, :func:`read_json`, the one
+reader of a config, sidecar, checkpoint or generators file, and :func:`read_field`, the one
+reader for a field of it."""
 
 from __future__ import annotations
 
@@ -55,6 +56,16 @@ def read_list(read, length: int | None = None):
             raise ValueError(f"expected {length} entries, got {_shown(value)}")
         return [read(v) for v in value]
     return read_entries
+
+
+def read_json(path):
+    """The JSON document at ``path``. Text that does not decode as UTF-8 or parse as JSON
+    raises ValueError("<path>: <reason>"); a file that cannot be read raises OSError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def read_field(doc, key: str, read, default=..., *, where: str | None):

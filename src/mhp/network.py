@@ -4,8 +4,7 @@ One trunk feeds a wide final layer that is sliced into contiguous blocks, so
 a single model emits several output vectors per input. There is no autodiff
 graph: the forward pass can hand back every layer's activations, and the
 backward pass applies the chain rule to them layer by layer against
-caller-supplied upstream vectors; it runs the forward pass itself only when
-not given them.
+caller-supplied upstream vectors.
 
 The parameters are one float64 vector, ``MlpModel.params`` of length P, laid
 out by :func:`param_views` alone: per layer, W (out, in) row-major, then b.
@@ -18,12 +17,12 @@ the training loop owns the model exclusively between steps.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .io_utils import read_field, read_int, read_list, read_number, read_str, write_json_atomic
+from .io_utils import (read_field, read_int, read_json, read_list, read_number, read_str,
+                       write_json_atomic)
 
 ACTIVATIONS = ("relu", "identity")
 HEAD_INIT_STD = 0.01
@@ -34,12 +33,12 @@ CHECKPOINT_SCHEMA_VERSION = 1
 class TrainingDivergedError(RuntimeError):
     """Non-finite values appeared on the training path."""
 
-    def __init__(self, message: str, *, layer_index: int | None = None,
-                 epoch: int | None = None, batch_index: int | None = None):
+    def __init__(self, message: str, *, layer_index: int | None = None):
         super().__init__(message)
         self.layer_index = layer_index
-        self.epoch = epoch
-        self.batch_index = batch_index
+        # where in a ``training.train`` run it happened; the training loop sets both
+        self.epoch: int | None = None
+        self.batch_index: int | None = None
 
 
 def param_views(shapes, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -159,28 +158,18 @@ def _check_batch_input(model: MlpModel, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _run_layers(model: MlpModel, X) -> list[np.ndarray]:
-    """Checks the inputs, then returns activations a_{-1} = X, a_0, ..., a_L.
+def forward_batch(model: MlpModel, X, *, return_activations: bool = False):
+    """Hypothesis sets for a batch of inputs, shape (n, M, output_dim).
 
-    The one forward loop: :func:`forward_batch` and a :func:`backward_batch`
-    called without activations both run it.
+    With ``return_activations`` the result is ``(hypotheses, activations)``,
+    where ``activations`` (a_{-1} = X, a_0, ..., a_L) is the list
+    :func:`backward_batch` takes for the same model and inputs.
     """
     acts = [_check_batch_input(model, X)]
     for layer in model.layers:
         z = acts[-1] @ layer.weights.T
         z += layer.biases
         acts.append(np.maximum(z, 0.0, out=z) if layer.activation == "relu" else z)
-    return acts
-
-
-def forward_batch(model: MlpModel, X, *, return_activations: bool = False):
-    """Hypothesis sets for a batch of inputs, shape (n, M, output_dim).
-
-    With ``return_activations`` the result is ``(hypotheses, activations)``,
-    where ``activations`` is the list :func:`backward_batch` accepts for the
-    same model and inputs.
-    """
-    acts = _run_layers(model, X)
     hyps = acts[-1].reshape(len(acts[0]), model.num_hypotheses, model.output_dim)
     return (hyps, acts) if return_activations else hyps
 
@@ -201,19 +190,16 @@ def forward(model: MlpModel, x) -> np.ndarray:
     return forward_batch(model, _one_input(x))[0]
 
 
-def backward_batch(model: MlpModel, X, upstream_grads,
-                   activations: list[np.ndarray] | None = None) -> np.ndarray:
+def backward_batch(model: MlpModel, upstream_grads, activations: list[np.ndarray]) -> np.ndarray:
     """Parameter gradient of sum_i sum_j <upstream[i,j], f_j(x_i)>.
 
     ``upstream_grads`` has shape (n, M, output_dim); the result is one (P,)
     vector in the layout of ``model.params``, summed over the batch. Linear
     in the upstream vectors. ``activations`` are those that
     ``forward_batch(model, X, return_activations=True)`` returned for the
-    same parameters; without them the forward pass runs here first.
+    same parameters.
     """
-    if activations is None:
-        activations = _run_layers(model, X)
-    elif len(activations) != len(model.layers) + 1:
+    if len(activations) != len(model.layers) + 1:
         raise ValueError(f"expected {len(model.layers) + 1} activations, got {len(activations)}")
     u = np.asarray(upstream_grads, dtype=np.float64)
     n = activations[0].shape[0]
@@ -235,7 +221,8 @@ def backward_batch(model: MlpModel, X, upstream_grads,
 
 def backward(model: MlpModel, x, upstream_grads) -> np.ndarray:
     """Single-input wrapper around :func:`backward_batch`."""
-    return backward_batch(model, _one_input(x), np.asarray(upstream_grads)[None])
+    _, acts = forward_batch(model, _one_input(x), return_activations=True)
+    return backward_batch(model, np.asarray(upstream_grads)[None], acts)
 
 
 @dataclass
@@ -340,8 +327,7 @@ def save_checkpoint(path, model: MlpModel, optimizer: OptimizerState | None = No
 
 def load_checkpoint(path) -> tuple[MlpModel, OptimizerState | None]:
     """Read a checkpoint back; every field goes through ``read_field``, which names a bad one."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     get = functools.partial(read_field, where=path)
     if (version := get(doc, "schema_version", read_int)) != CHECKPOINT_SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint schema {version!r}")

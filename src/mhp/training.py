@@ -90,27 +90,23 @@ def _train_epochs(model: MlpModel, data, config: MetaLossConfig,
         for b, lo in enumerate(range(0, n, schedule.batch_size)):
             xb = X[lo:lo + schedule.batch_size]
             yb = Y[lo:lo + schedule.batch_size]
-            hyps, acts = forward_batch(model, xb, return_activations=True)
-            # overflow here is how divergence first shows up; it is turned
-            # into a typed error right below
-            with np.errstate(over="ignore", invalid="ignore"):
-                weights, losses, _, _ = assign_batch(config, hyps, yb, rng=dropout_rng)
-            if not np.isfinite(losses).all():
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch}, batch {b}",
-                    epoch=epoch, batch_index=b)
-            meta_sum += float((weights * losses).sum())
-            oracle_sum += float(losses.min(axis=1).sum())
-            tb = hypothesis_targets(config.base_loss, yb, len(xb), model.output_dim)
-            upstream = loss_grads(config.base_loss, hyps, tb)
-            upstream *= weights[:, :, None]
-            upstream /= len(xb)
-            grad = backward_batch(model, xb, upstream, activations=acts)
+            # overflow anywhere in a step is how divergence first shows up; the
+            # checks below and in ``step`` turn it into a typed error
             try:
-                step(optimizer, model, grad)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    hyps, acts = forward_batch(model, xb, return_activations=True)
+                    weights, losses, _, _ = assign_batch(config, hyps, yb, rng=dropout_rng)
+                    if not np.isfinite(losses).all():
+                        raise TrainingDivergedError(f"non-finite loss at epoch {epoch}, batch {b}")
+                    meta_sum += float((weights * losses).sum())
+                    oracle_sum += float(losses.min(axis=1).sum())
+                    tb = hypothesis_targets(config.base_loss, yb, len(xb), model.output_dim)
+                    upstream = loss_grads(config.base_loss, hyps, tb)
+                    upstream *= weights[:, :, None]
+                    upstream /= len(xb)
+                    step(optimizer, model, backward_batch(model, upstream, acts))
             except TrainingDivergedError as err:
-                err.epoch = epoch
-                err.batch_index = b
+                err.epoch, err.batch_index = epoch, b
                 raise
         history.append(EpochMetrics(
             epoch=epoch,

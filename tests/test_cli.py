@@ -165,6 +165,13 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 4
         assert "diverged" in capsys.readouterr().err
 
+    def test_overflow_in_forward_and_backward_exits_4(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, M=4, learning_rate=1e50, hidden_layers=[50, 50],
+                        dataset={"task": "temporal2d", "n": 256})
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged") and "Traceback" not in err
+
     def test_overflow_on_the_last_step_writes_no_checkpoint(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, optimizer="rmsprop", learning_rate=1e308, epochs=1,
                         dataset={"task": "temporal2d", "n": 64})  # one batch, one step
@@ -561,6 +568,53 @@ class TestNonFiniteData:
         capsys.readouterr()
         usage_error(capsys, argv, "data.csv")
         assert not (tmp_path / "out").exists()
+
+
+class TestMalformedCsv:
+    @pytest.mark.parametrize("damage, names", [
+        ("cut", ["7 rows", "n = 20"]),
+        ("header_only", ["no rows"]),
+        ("bad_cell", ["could not convert string 'abc'"]),
+        ("short_row", ["number of columns changed"])])
+    def test_refused_with_the_csv_path(self, damage, names, tmp_path, capsys):
+        data = gen(tmp_path, "temporal2d", n=20)
+        lines = (data / "data.csv").read_text().splitlines()
+        if damage == "bad_cell":
+            lines[1] = "abc," + lines[1].split(",", 1)[1]
+        elif damage == "short_row":
+            lines[4] = lines[4].rsplit(",", 1)[0]
+        lines = {"cut": lines[:8], "header_only": lines[:1]}.get(damage, lines)
+        (data / "data.csv").write_text("\n".join(lines) + "\n")
+        argv = ["train", "--config", str(write_cfg(tmp_path, epochs=1)), "--data", str(data),
+                "--out", str(tmp_path / "out")]
+        capsys.readouterr()
+        usage_error(capsys, argv, f"error: {data / 'data.csv'}: ", *names)
+        assert not (tmp_path / "out").exists()
+
+
+class TestMalformedJson:
+    @pytest.mark.parametrize("document", ["config", "checkpoint", "sidecar", "generators"])
+    @pytest.mark.parametrize("damage", ["truncated", "not_utf8"])
+    def test_error_names_the_file(self, document, damage, tmp_path, capsys):
+        data = gen(tmp_path, "temporal2d", n=50)
+        cfg = write_cfg(tmp_path, epochs=1)
+        ckpt = tmp_path / "run" / "checkpoint.json"
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        gens = tmp_path / "generators.json"
+        gens.write_text(json.dumps(GENERATORS_DOC))
+        out = tmp_path / "out"
+        path, argv = {
+            "config": (cfg, ["train", "--config", cfg, "--out", out]),
+            "checkpoint": (ckpt, ["eval", "--checkpoint", ckpt, "--data", data]),
+            "sidecar": (data / "data.json", ["lloyd", "--data", data, "--m", "2", "--out", out]),
+            "generators": (gens, ["tessellate", "--generators", gens, "--t", "0.5",
+                                  "--samples", "20", "--out", out]),
+        }[document]
+        text = path.read_bytes()
+        path.write_bytes(text[:8] if damage == "truncated" else b"\xff" + text)
+        capsys.readouterr()
+        usage_error(capsys, [str(a) for a in argv], f"error: {path}: ")
+        assert not out.exists()
 
 
 class TestMalformedSidecar:

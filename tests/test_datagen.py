@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mhp.datagen import (GridFrameSpec, KERNEL_MASS, MultiLabelItem, MultiLabelSpec,
+from mhp.datagen import (GridFrameSpec, KERNEL_MASS, MultiLabelItem, MultiLabelSpec, _draw,
                          default_gridframe_spec, load_dataset, make_multilabel_spec,
                          region_index, region_probabilities, render_frame,
                          sample_gaussian_mixture, sample_gridframe,
@@ -15,6 +15,30 @@ from mhp.datagen import (GridFrameSpec, KERNEL_MASS, MultiLabelItem, MultiLabelS
 
 def binomial_3sigma(p, n):
     return 3.0 * np.sqrt(p * (1.0 - p) / n)
+
+
+class TestCategoricalDraw:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_searchsorted_inverse_cdf(self, seed):
+        # the reference: the last index a uniform's right-sided search of the CDF gives
+        rng = np.random.default_rng(seed)
+        p = rng.random(6) * (rng.random(6) < 0.7)
+        p /= p.sum()
+        u = np.random.default_rng(100 + seed).random(4000)
+        want = np.minimum(np.searchsorted(np.cumsum(p), u, side="right"), len(p) - 1)
+        got = _draw(p, 4000, np.random.default_rng(100 + seed))
+        assert np.array_equal(got, want)
+        assert not np.isin(got, np.flatnonzero(p == 0)).any()
+
+    def test_row_probabilities_match_scalar_ones(self):
+        ts = np.array([0.0, 0.3, 1.0])
+        rows = _draw(region_probabilities(np.repeat(ts, 500)), 1500, np.random.default_rng(2))
+        u = np.random.default_rng(2).random(1500)
+        for k, t in enumerate(ts):
+            part = slice(500 * k, 500 * (k + 1))
+            cdf = np.cumsum(region_probabilities(t))
+            assert np.array_equal(rows[part], np.minimum(
+                np.searchsorted(cdf, u[part], side="right"), 3))
 
 
 class TestTemporal2D:

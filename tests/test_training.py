@@ -5,6 +5,7 @@ import pytest
 
 import mhp
 import mhp.network
+import mhp.training
 from mhp.datagen import temporal2d_dataset
 from mhp.losses import CROSS_ENTROPY
 from mhp.meta_loss import MetaLossConfig
@@ -53,6 +54,17 @@ class TestDivergence:
         sched = TrainSchedule(5, 32, 0, samples_per_epoch=512)
         with pytest.raises(TrainingDivergedError) as err:
             train(model, temporal_sampler, cfg, opt, sched)
+        assert err.value.epoch is not None
+        assert err.value.batch_index is not None
+
+    def test_overflow_in_forward_and_backward_is_divergence(self):
+        # at this rate the second step's forward and backward passes overflow, which under
+        # the suite's warnings-as-errors would escape as a RuntimeWarning
+        model = fresh_model(4, hidden=(50, 50))
+        opt = mhp.make_optimizer("sgd_momentum", model, 1e50, 0.9)
+        with pytest.raises(TrainingDivergedError) as err:
+            train(model, temporal_sampler, MetaLossConfig(4), opt,
+                  TrainSchedule(2, 32, 0, samples_per_epoch=256))
         assert err.value.epoch is not None
         assert err.value.batch_index is not None
 
@@ -164,13 +176,13 @@ class TestLearning:
 class TestSinglePass:
     def test_one_layer_loop_per_step(self, monkeypatch):
         calls = []
-        run_layers = mhp.network._run_layers
+        forward_batch = mhp.training.forward_batch
 
-        def counted(model, X):
+        def counted(model, X, **kw):
             calls.append(len(X))
-            return run_layers(model, X)
+            return forward_batch(model, X, **kw)
 
-        monkeypatch.setattr(mhp.network, "_run_layers", counted)
+        monkeypatch.setattr(mhp.training, "forward_batch", counted)
         model = fresh_model(2)
         opt = mhp.make_optimizer("sgd_momentum", model, 0.02, 0.9)
         cfg = MetaLossConfig(2, 0.05, 0.01, mhp.L2)
