@@ -17,11 +17,11 @@ from .network import (Layer, MlpModel, OptimizerState, TrainingDivergedError,
                       backward, forward, forward_batch, init_mlp, load_checkpoint,
                       make_optimizer, save_checkpoint, step)
 from .training import EpochMetrics, TrainSchedule, train
-from .voronoi import (CellStats, LloydResult, Tessellation, centroidal_residual,
-                      lloyd, lloyd_best_of, quantization_error, tessellate)
+from .voronoi import (LloydResult, Tessellation, centroidal_residual, lloyd, lloyd_best_of,
+                      quantization_error, tessellate)
 
 __all__ = [
-    "AssignmentResult", "CellStats", "CROSS_ENTROPY", "DEFAULT_TUKEY_C",
+    "AssignmentResult", "CROSS_ENTROPY", "DEFAULT_TUKEY_C",
     "EpochMetrics", "L2", "Layer", "LloydResult", "LossKind", "MetaLossConfig",
     "MlpModel", "OptimizerState", "Tessellation", "TrainSchedule",
     "TrainingDivergedError", "assign", "assign_batch", "backward",

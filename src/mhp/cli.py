@@ -163,18 +163,32 @@ def _load_config(path: str) -> tuple[dict, dict]:
                     for key, (_, read) in _TRAIN_FIELDS.items()}
 
 
-_TRAINABLE_TASKS = ("temporal2d", "gridframe", "multilabel")
+# The keys a train config's dataset reads: a path, or a trainable task and its _task keys.
+_DATASET_KEYS = {
+    "path": {"path"},
+    "temporal2d": {"task", "n", "t"},
+    "gridframe": {"task", "n", "terminals", "width", "height"},
+    "multilabel": {"task", "n", "num_classes", "set_size", "item_seed"},
+}
 
 
 def _resolve_dataset(cfg: dict, data_flag: str | None):
-    """Returns (data for train(), input_dim, output_dim, extras, dataset cfg)."""
+    """Returns (data for train(), input_dim, output_dim, extras, dataset cfg).
+
+    A key the dataset's source does not read raises ValueError."""
     ds = {"path": data_flag} if data_flag else dict(cfg.get("dataset") or {})
-    if "path" in ds:
+    source = "path" if "path" in ds else ds.get("task")
+    if not (isinstance(source, str) and source in _DATASET_KEYS):
+        raise ValueError(f"dataset spec must name a trainable task or a path, got {ds!r}")
+    unused = sorted(set(ds) - _DATASET_KEYS[source])
+    if unused:
+        raise ValueError(f"config field 'dataset': {source!r} does not read {unused}")
+    if source == "path":
         loaded = load_dataset(read_field(ds, "path", read_str, where="dataset"))
         data, task, spec = (loaded.X, loaded.Y), loaded.task, loaded.spec
         in_dim, out_dim = loaded.X.shape[1], 1 if loaded.Y.ndim == 1 else loaded.Y.shape[1]
-    elif ds.get("task") in _TRAINABLE_TASKS:
-        task = ds["task"]
+    else:
+        task = source
         ds["n"] = _int_field(ds, "n", 10_000)
         item_rng = None
         if task == "multilabel":
@@ -182,8 +196,6 @@ def _resolve_dataset(cfg: dict, data_flag: str | None):
             item_rng = np.random.default_rng(ds["item_seed"])
         data, spec, inputs, targets = _task(ds, item_rng)
         in_dim, out_dim = len(inputs), len(targets)
-    else:
-        raise ValueError(f"dataset spec must name a trainable task or a path, got {ds!r}")
     extras = {"task": task}
     if task == "multilabel":
         extras["num_classes"] = out_dim = spec.num_classes

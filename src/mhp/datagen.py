@@ -150,19 +150,19 @@ SMOOTH_KERNEL = np.array([[0.25, 0.5, 0.25],
                           [0.25, 0.5, 0.25]])
 KERNEL_MASS = float(SMOOTH_KERNEL.sum())
 
-# Interior cells of the default 8x8 grid, most spread out first; terminal
-# defaults take a prefix of this list.
+# Interior cells of the default 8x8 grid, most spread out first;
+# default_gridframe_spec takes a prefix of this list.
 _DEFAULT_TERMINALS = ((1, 1), (1, 3), (1, 5), (3, 1), (3, 3), (3, 5),
                       (5, 1), (5, 3), (5, 5), (6, 6), (1, 6), (6, 1))
 
 
 @dataclass(frozen=True)
 class GridFrameSpec:
-    width: int = 8
-    height: int = 8
-    start: tuple[int, int] = (4, 4)                 # (row, col)
-    terminals: tuple[tuple[int, int], ...] = _DEFAULT_TERMINALS[:3]
-    probabilities: tuple[float, ...] = (1 / 3, 1 / 3, 1 / 3)
+    width: int
+    height: int
+    start: tuple[int, int]                 # (row, col)
+    terminals: tuple[tuple[int, int], ...]
+    probabilities: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if self.width < 3 or self.height < 3:
@@ -305,9 +305,10 @@ def write_dataset(outdir, X, Y, *, task: str, spec, seed: int, input_names, targ
 def load_dataset(path) -> Dataset:
     """Read a dataset directory (or its data.csv path) back into arrays and its spec.
 
-    A sidecar field that is missing or does not read (the spec as its task's), a CSV that
-    has no rows, a row count other than the sidecar's ``n``, and a CSV value that does not
-    parse, is non-finite, or is fractional in an integer target, raise ValueError.
+    A sidecar field that is missing or does not read (the spec as its task's), a CSV header
+    other than the sidecar's input and target columns, a CSV that has no rows, a row count
+    other than the sidecar's ``n``, and a CSV value that does not parse, is non-finite, or is
+    fractional in an integer target, raise ValueError.
     """
     path = Path(path)
     if path.is_dir():
@@ -316,17 +317,23 @@ def load_dataset(path) -> Dataset:
         csv_path, json_path = path, path.with_name("data.json")
     sidecar = read_json(json_path)
     get = functools.partial(read_field, sidecar, where=json_path)
-    n_in = len(get("input_columns", read_list(read_str)))
-    n_out = len(get("target_columns", read_list(read_str)))
+    inputs = get("input_columns", read_list(read_str))
+    targets = get("target_columns", read_list(read_str))
+    n_in, n_out = len(inputs), len(targets)
     task = get("task", read_str)
     spec = get("spec", lambda v: _read_spec(task, n_out, v), None)
     n = get("n", read_int)
     try:
+        with open(csv_path, encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\r\n")
+        if header != ",".join(inputs + targets):
+            raise ValueError(f"header {header!r} is not the columns "
+                             f"{','.join(inputs + targets)!r} of {json_path}")
         with warnings.catch_warnings():
             # an empty table is refused below, by name, instead of with numpy's warning
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             raw = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2, dtype=np.float64)
-    except ValueError as err:  # a cell that does not parse, a row with too few columns
+    except ValueError as err:  # the header, a cell that does not parse, a row too short
         raise ValueError(f"{csv_path}: {err}") from None
     if len(raw) == 0:
         raise ValueError(f"{csv_path}: no rows")

@@ -25,23 +25,14 @@ _CHUNK = 1 << 17
 
 @dataclass
 class Tessellation:
+    """Each sample's cell and each cell's empirical statistics; NaN entries flag empty cells."""
+
     generators: np.ndarray   # (M, d)
     loss: LossKind
     assignments: np.ndarray  # (N,) int, best cell per sample
     cell_counts: np.ndarray  # (M,) int
-
-
-@dataclass
-class CellStats:
-    """Empirical per-cell statistics; NaN entries flag empty cells."""
-
-    means: np.ndarray        # (M, d)
-    counts: np.ndarray       # (M,) int
+    means: np.ndarray        # (M, d), all NaN under cross-entropy
     mean_losses: np.ndarray  # (M,)
-
-    @property
-    def nonempty(self) -> np.ndarray:
-        return self.counts > 0
 
 
 def _as_points(arr, name: str) -> np.ndarray:
@@ -118,28 +109,24 @@ def membership(generators, loss: LossKind, samples) -> np.ndarray:
     return _nearest(_as_points(generators, "generators"), loss, _as_samples(loss, samples))[0]
 
 
-def tessellate(generators, loss: LossKind, samples) -> tuple[Tessellation, CellStats]:
+def tessellate(generators, loss: LossKind, samples) -> Tessellation:
     """Assign every sample to its minimizing generator and summarize cells."""
     gens = _as_points(generators, "generators")
     pts = _as_samples(loss, samples)
     assignments, per_sample = _nearest(gens, loss, pts)
     m = len(gens)
     counts = np.bincount(assignments, minlength=m)
-
+    occupied, divisor = counts > 0, np.maximum(counts, 1)
     if loss.name == "cross_entropy":
-        means = np.full((m, gens.shape[1]), np.nan)
+        means = np.full(gens.shape, np.nan)
     else:
-        means = _cell_sums(assignments, pts, m)
-        with np.errstate(invalid="ignore"):
-            means = np.where(counts[:, None] > 0, means / np.maximum(counts, 1)[:, None], np.nan)
-    sums = _cell_sums(assignments, per_sample, m)
-    with np.errstate(invalid="ignore"):
-        mean_losses = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    tess = Tessellation(gens, loss, assignments, counts)
-    return tess, CellStats(means, counts, mean_losses)
+        means = np.where(occupied[:, None], _cell_sums(assignments, pts, m) / divisor[:, None],
+                         np.nan)
+    mean_losses = np.where(occupied, _cell_sums(assignments, per_sample, m) / divisor, np.nan)
+    return Tessellation(gens, loss, assignments, counts, means, mean_losses)
 
 
-def centroidal_residual(tess: Tessellation, stats: CellStats) -> tuple[np.ndarray, float]:
+def centroidal_residual(tess: Tessellation) -> tuple[np.ndarray, float]:
     """Distance between each generator and its cell's empirical mean.
 
     Only defined for the squared-error loss. Empty cells yield NaN residuals
@@ -147,21 +134,24 @@ def centroidal_residual(tess: Tessellation, stats: CellStats) -> tuple[np.ndarra
     """
     if tess.loss.name != "l2":
         raise ValueError("centroidal residuals are only defined for the l2 loss")
-    if not stats.nonempty.any():
+    if not tess.cell_counts.any():
         raise ValueError("all cells are empty")
-    residuals = np.linalg.norm(tess.generators - stats.means, axis=1)
+    residuals = np.linalg.norm(tess.generators - tess.means, axis=1)
     return residuals, float(np.nanmax(residuals))
+
+
+def _mean_loss(best: np.ndarray) -> float:
+    """Mean of per-sample losses, summed per chunk in order so seeded outputs keep their bytes."""
+    n = len(best)
+    return sum(float(best[lo:lo + _CHUNK].sum()) for lo in range(0, n, _CHUNK)) / n
 
 
 def quantization_error(generators, loss: LossKind, samples) -> float:
     """Mean over samples of the loss against the best generator."""
     gens, samples = _as_points(generators, "generators"), _as_samples(loss, samples)
-    n = len(samples)
-    if n == 0:
+    if len(samples) == 0:
         raise ValueError("no samples")
-    _, best = _nearest(gens, loss, samples)
-    # per-chunk sums added in order keep seeded outputs' bytes unchanged
-    return sum(float(best[lo:lo + _CHUNK].sum()) for lo in range(0, n, _CHUNK)) / n
+    return _mean_loss(_nearest(gens, loss, samples)[1])
 
 
 @dataclass
@@ -174,12 +164,10 @@ class LloydResult:
 
 def _kmeanspp_init(samples: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
     gens = [samples[rng.integers(len(samples))]]
-    d2 = ((samples - gens[0]) ** 2).sum(axis=1)
+    d2 = loss_values(L2, samples, gens[0])
     for _ in range(m - 1):
-        total = d2.sum()
-        probs = d2 / total
-        gens.append(samples[rng.choice(len(samples), p=probs)])
-        d2 = np.minimum(d2, ((samples - gens[-1]) ** 2).sum(axis=1))
+        gens.append(samples[rng.choice(len(samples), p=d2 / d2.sum())])
+        d2 = np.minimum(d2, loss_values(L2, samples, gens[-1]))
     return np.array(gens)
 
 
@@ -199,6 +187,8 @@ def lloyd(samples, m: int, *, init_generators=None, max_iters: int = 100,
         raise ValueError("m must be >= 1")
     if not tol >= 0:  # also refuses NaN, which would never stop the loop
         raise ValueError(f"tol must be a nonnegative number, got {tol}")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     distinct = _distinct_rows(pts, m)
     if m > distinct:
         raise ValueError(f"m={m} exceeds the {distinct} distinct samples")
@@ -211,10 +201,12 @@ def lloyd(samples, m: int, *, init_generators=None, max_iters: int = 100,
             raise ValueError("rng required for seeded initialization")
         gens = _kmeanspp_init(pts, m, rng)
 
-    iterations = 0
     converged = False
-    for _ in range(max_iters):
+    for iterations in range(max_iters + 1):
+        # the last pass searches the returned generators; that search gives their error
         assignments, near = _nearest(gens, L2, pts)
+        if iterations == max_iters:
+            break
         counts = np.bincount(assignments, minlength=m)
         empty = np.flatnonzero(counts == 0)
         if empty.size:
@@ -223,7 +215,6 @@ def lloyd(samples, m: int, *, init_generators=None, max_iters: int = 100,
                 logger.info("reseeding empty cell %d at sample %d", j, idx)
                 gens[j] = pts[idx]
                 near = np.minimum(near, loss_values(L2, pts, gens[j]))
-            iterations += 1
             continue
         means = _cell_sums(assignments, pts, m)
         means /= counts[:, None]
@@ -232,8 +223,7 @@ def lloyd(samples, m: int, *, init_generators=None, max_iters: int = 100,
             converged = True
             break
         gens = means
-        iterations += 1
-    return LloydResult(gens, iterations, converged, quantization_error(gens, L2, pts))
+    return LloydResult(gens, iterations, converged, _mean_loss(near))
 
 
 def lloyd_best_of(samples, m: int, restarts: int, rng: np.random.Generator,

@@ -233,14 +233,12 @@ def test_criterion_4_centroidal_fixed_point(temporal_runs):
         generators = forward(model, np.array([0.0]))
         _, samples = sample_temporal2d(0.0, 100_000, np.random.default_rng(901))
 
-        tess, stats = tessellate(generators, L2, samples)
-        _, worst = centroidal_residual(tess, stats)
+        _, worst = centroidal_residual(tessellate(generators, L2, samples))
         assert worst < 0.15, f"max centroidal residual {worst:.3f}"
 
         oracle = lloyd_best_of(samples, 4, restarts=5,
                                rng=np.random.default_rng(902), tol=1e-3)
-        otess, ostats = tessellate(oracle.generators, L2, samples)
-        _, oracle_worst = centroidal_residual(otess, ostats)
+        _, oracle_worst = centroidal_residual(tessellate(oracle.generators, L2, samples))
         assert oracle_worst < 0.02, f"oracle residual {oracle_worst:.4f}"
 
         q_model = quantization_error(generators, L2, samples)
@@ -295,8 +293,7 @@ def test_trained_10mhp_cells_are_not_collapsed(temporal_runs):
     model = runs[10][SEEDS[0]][0]
     generators = forward(model, np.array([0.5]))
     _, samples = sample_temporal2d(0.5, 10_000, np.random.default_rng(906))
-    tess, _ = tessellate(generators, L2, samples)
-    masses = tess.cell_counts / len(samples)
+    masses = tessellate(generators, L2, samples).cell_counts / len(samples)
     assert (masses >= 0.02).all() and (masses <= 0.3).all(), masses
 
 

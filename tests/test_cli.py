@@ -331,13 +331,14 @@ class TestLloyd:
         assert main(["lloyd", "--data", str(data), "--m", "11",
                      "--out", str(tmp_path / "l")]) == 2
 
-    @pytest.mark.parametrize("tol", ["nan", "-1"])
-    def test_nan_or_negative_tol_is_usage_error(self, tmp_path, capsys, tol):
+    @pytest.mark.parametrize("flag, value", [("tol", "nan"), ("tol", "-1"), ("max_iters", "-1")],
+                             ids=["nan", "-1", "max_iters_-1"])
+    def test_nan_or_negative_tol_is_usage_error(self, tmp_path, capsys, flag, value):
         data = gen(tmp_path, "temporal2d", n=50)
         out = tmp_path / "l"
         capsys.readouterr()
-        usage_error(capsys, ["lloyd", "--data", str(data), "--m", "2", "--tol", tol,
-                             "--out", str(out)], "tol")
+        usage_error(capsys, ["lloyd", "--data", str(data), "--m", "2",
+                             "--" + flag.replace("_", "-"), value, "--out", str(out)], flag)
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, iterations, converged", [
@@ -353,6 +354,66 @@ class TestLloyd:
         assert doc["iterations"] == iterations
         if converged is not None:
             assert doc["converged"] is converged
+
+
+class TestOracleBytes:
+    """SHA-256 of seeded ``lloyd`` and ``tessellate`` outputs: a change to the oracle keeps
+    every byte of them."""
+
+    DATASETS = {
+        "square": ["--task", "temporal2d", "--n", "100000", "--t", "0.5", "--seed", "7"],
+        # more samples than one voronoi._CHUNK
+        "variable_t": ["--task", "temporal2d", "--n", "150000", "--seed", "8"],
+        "grid": ["--task", "gridframe", "--terminals", "12", "--n", "3000", "--seed", "9"],
+        "gmm": ["--task", "gmm", "--n", "5000", "--seed", "10"],
+    }
+
+    @pytest.fixture(scope="class")
+    def dataset(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("oracle")
+
+        def made(name):
+            if not (root / name).exists():
+                assert main(["gen", *self.DATASETS[name], "--out", str(root / name)]) == 0
+            return root / name
+        return made
+
+    @pytest.mark.parametrize("name, flags, iterations, sha", [
+        ("square", ["--m", "4"], 18,
+         "42ca17b775ab1d8911648143b5a948876afb5e5eed7f45fd0e933be6a12f58ca"),
+        ("square", ["--m", "4", "--max-iters", "5"], 5,
+         "dc8480e2eeec6e2d7714c51bc08f5bd767575584985308b9c03f986cef5ef240"),
+        ("square", ["--m", "4", "--max-iters", "0"], 0,
+         "33f2719e2775ad91c613d915932262d85efa3ef9dc30477c7720082778b0f053"),
+        ("variable_t", ["--m", "4", "--restarts", "2"], 15,
+         "491589ebd12a55590e942307d54c5c67c66d793b24c213ac840a409ef49df620"),
+        ("grid", ["--m", "10"], 1,
+         "b788b1797f940744f70614a9e3488b8a5e7a1edb404d89021cfea8aac737c568"),
+        ("grid", ["--m", "12"], 0,
+         "1d411ac7a7dd412591bf3068b7b272f950a2f6f6dfbc50ea633b5b84e39be032"),
+        ("gmm", ["--m", "3"], 11,
+         "84120fa6709b70f4038b5dd9e589b51a394fb3d738c72a4f0b7f419dad343457"),
+    ], ids=["square", "square_max_iters_5", "square_max_iters_0", "variable_t_two_chunks",
+            "grid_m10", "grid_m12", "gmm"])
+    def test_lloyd_bytes_are_pinned(self, dataset, tmp_path, name, flags, iterations, sha):
+        out = tmp_path / "l"
+        assert main(["lloyd", "--data", str(dataset(name)), *flags, "--seed", "3",
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "lloyd.json").read_text())["iterations"] == iterations
+        assert hashlib.sha256((out / "lloyd.json").read_bytes()).hexdigest() == sha
+
+    def test_tessellate_bytes_are_pinned(self, tmp_path):
+        gens = tmp_path / "generators.json"
+        gens.write_text(json.dumps({"generators": [[0.5, 0.5], [-0.5, 0.5], [0.5, -0.5],
+                                                   [-0.4, -0.6], [0.1, 0.0]], "loss": "l2"}))
+        out = tmp_path / "tess"
+        assert main(["tessellate", "--generators", str(gens), "--t", "0.3", "--samples", "5000",
+                     "--seed", "4", "--out", str(out)]) == 0
+        digest = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                  for name in ("cells.csv", "generators.json")}
+        assert digest == {
+            "cells.csv": "5b969e7a00a1f274190d2ca48ad0ccd4f22fd2a223c988c6a1880a0d0e864086",
+            "generators.json": "1feaa950bc438ee404dd92ee40ba5521937f40b1cf3e8a0ea12a2ef021faf6f8"}
 
 
 class TestTessellate:
@@ -568,6 +629,27 @@ class TestNonFiniteData:
         capsys.readouterr()
         usage_error(capsys, argv, "data.csv")
         assert not (tmp_path / "out").exists()
+
+
+class TestCsvHeader:
+    @pytest.mark.parametrize("command", ["train", "eval", "lloyd"])
+    def test_columns_other_than_the_sidecars_are_usage_error(self, command, tmp_path, capsys):
+        # t and y1 swap places, header included: every row still parses
+        data = gen(tmp_path, "temporal2d", n=50)
+        rows = [line.split(",") for line in (data / "data.csv").read_text().splitlines()]
+        (data / "data.csv").write_text("".join(f"{y1},{t},{y2}\n" for t, y1, y2 in rows))
+        cfg = write_cfg(tmp_path, epochs=1)
+        out = tmp_path / "out"
+        if command == "eval":
+            assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        argv = {"lloyd": ["lloyd", "--data", str(data), "--m", "2", "--out", str(out)],
+                "train": ["train", "--config", str(cfg), "--data", str(data), "--out", str(out)],
+                "eval": ["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
+                         "--data", str(data), "--out", str(out)]}[command]
+        capsys.readouterr()
+        usage_error(capsys, argv, f"error: {data / 'data.csv'}: ", "'y1,t,y2'", "'t,y1,y2'",
+                    str(data / "data.json"))
+        assert not out.exists()
 
 
 class TestMalformedCsv:
@@ -859,6 +941,21 @@ class TestMalformedConfig:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         usage_error(capsys, ["train", "--config", str(path), "--out", str(tmp_path / "run")], field)
+
+    @pytest.mark.parametrize("dataset, source, unused", [
+        ({"task": "temporal2d", "n": 64, "tt": 0.5}, "'temporal2d'", "['tt']"),
+        ({"task": "gridframe", "num_classes": 3}, "'gridframe'", "['num_classes']"),
+        ({"task": "multilabel", "t": 0.5, "width": 4}, "'multilabel'", "['t', 'width']"),
+        ({"path": "d", "task": "gridframe", "n": 7}, "'path'", "['n', 'task']"),
+    ], ids=["temporal2d_tt", "gridframe_num_classes", "multilabel_t_width", "path_task_n"])
+    def test_dataset_key_its_source_does_not_read_is_usage_error(self, tmp_path, capsys,
+                                                                   dataset, source, unused):
+        if "path" in dataset:
+            dataset = {**dataset, "path": str(gen(tmp_path, "gridframe", n=50))}
+        capsys.readouterr()
+        usage_error(capsys, ["train", "--config", str(write_cfg(tmp_path, dataset=dataset)),
+                             "--out", str(tmp_path / "run")], "'dataset'", source, unused)
+        assert not (tmp_path / "run").exists()
 
     def test_non_integer_mhp_seed_names_the_variable(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MHP_SEED", "x")

@@ -6,6 +6,7 @@ import logging
 import numpy as np
 import pytest
 
+from mhp import voronoi
 from mhp.losses import CROSS_ENTROPY, L2, LossKind, hypothesis_targets, loss_values
 from mhp.voronoi import (_CHUNK, _cell_sums, _nearest, centroidal_residual, lloyd,
                          lloyd_best_of, membership, quantization_error, tessellate)
@@ -20,34 +21,33 @@ def uniform_square(n, seed=0):
 class TestTessellate:
     def test_strictly_closer_sample(self):
         gens = np.array([[0.0, 0.0], [2.0, 0.0]])
-        tess, _ = tessellate(gens, L2, np.array([[0.9, 0.0]]))
+        tess = tessellate(gens, L2, np.array([[0.9, 0.0]]))
         assert tess.assignments[0] == 0
 
     def test_single_generator_collects_everything(self):
         pts = uniform_square(500)
         gens = np.array([[3.0, -2.0]])
-        tess, stats = tessellate(gens, L2, pts)
+        tess = tessellate(gens, L2, pts)
         assert tess.cell_counts[0] == 500
-        np.testing.assert_allclose(stats.means[0], pts.mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(tess.means[0], pts.mean(axis=0), atol=1e-12)
 
     def test_equidistant_tie_goes_low(self):
         gens = np.array([[0.0, 0.0], [1.0, 0.0]])
-        tess, _ = tessellate(gens, L2, np.array([[0.5, 0.3]]))
+        tess = tessellate(gens, L2, np.array([[0.5, 0.3]]))
         assert tess.assignments[0] == 0
 
     def test_counts_sum_to_samples(self):
         pts = uniform_square(1000, seed=3)
-        tess, stats = tessellate(QUADRANT_CENTERS, L2, pts)
+        tess = tessellate(QUADRANT_CENTERS, L2, pts)
         assert tess.cell_counts.sum() == 1000
-        assert np.array_equal(stats.counts, tess.cell_counts)
 
     def test_empty_cell_flagged_nan(self):
         gens = np.array([[0.0, 0.0], [50.0, 50.0]])
         pts = uniform_square(100, seed=4)
-        _, stats = tessellate(gens, L2, pts)
-        assert stats.counts[1] == 0
-        assert np.isnan(stats.means[1]).all()
-        assert np.isnan(stats.mean_losses[1])
+        tess = tessellate(gens, L2, pts)
+        assert tess.cell_counts[1] == 0
+        assert np.isnan(tess.means[1]).all()
+        assert np.isnan(tess.mean_losses[1])
 
     def test_assignment_invariant_to_loss_rescaling(self):
         pts = uniform_square(2000, seed=5)
@@ -72,36 +72,32 @@ class TestCentroidalResidual:
     def test_fixed_point_has_zero_residual(self):
         pts = np.array([[0.0, 0.0], [2.0, 0.0], [10.0, 0.0], [12.0, 0.0]])
         gens = np.array([[1.0, 0.0], [11.0, 0.0]])
-        tess, stats = tessellate(gens, L2, pts)
-        residuals, worst = centroidal_residual(tess, stats)
+        residuals, worst = centroidal_residual(tessellate(gens, L2, pts))
         assert worst == 0.0
         np.testing.assert_array_equal(residuals, [0.0, 0.0])
 
     def test_quadrant_centers_are_centroidal_for_uniform_square(self):
         pts = uniform_square(100_000, seed=7)
-        tess, stats = tessellate(QUADRANT_CENTERS, L2, pts)
-        _, worst = centroidal_residual(tess, stats)
+        _, worst = centroidal_residual(tessellate(QUADRANT_CENTERS, L2, pts))
         assert worst < 0.02
 
     def test_single_generator_residual_is_distance_to_mean(self):
         pts = uniform_square(50_000, seed=8)
         g = np.array([[0.4, -0.3]])
-        tess, stats = tessellate(g, L2, pts)
-        _, worst = centroidal_residual(tess, stats)
+        _, worst = centroidal_residual(tessellate(g, L2, pts))
         assert worst == pytest.approx(np.linalg.norm(g[0] - pts.mean(axis=0)), rel=1e-12)
 
     def test_empty_cells_excluded_from_max(self):
         gens = np.array([[0.0, 0.0], [99.0, 99.0]])
-        tess, stats = tessellate(gens, L2, uniform_square(100, seed=9))
-        residuals, worst = centroidal_residual(tess, stats)
+        residuals, worst = centroidal_residual(tessellate(gens, L2, uniform_square(100, seed=9)))
         assert np.isnan(residuals[1])
         assert np.isfinite(worst)
 
     def test_l2_only(self):
         pts = uniform_square(10, seed=10)
-        tess, stats = tessellate(QUADRANT_CENTERS, LossKind("tukey"), pts)
+        tess = tessellate(QUADRANT_CENTERS, LossKind("tukey"), pts)
         with pytest.raises(ValueError):
-            centroidal_residual(tess, stats)
+            centroidal_residual(tess)
 
 
 class TestQuantizationError:
@@ -180,8 +176,7 @@ class TestLloyd:
         tol = 1e-3
         result = lloyd(pts, 5, rng=np.random.default_rng(22), tol=tol)
         assert result.converged
-        tess, stats = tessellate(result.generators, L2, pts)
-        _, worst = centroidal_residual(tess, stats)
+        _, worst = centroidal_residual(tessellate(result.generators, L2, pts))
         assert worst <= tol
 
     def test_empty_cell_reseeded(self, caplog):
@@ -191,8 +186,30 @@ class TestLloyd:
             result = lloyd(pts, 2, init_generators=init, tol=1e-6)
         assert any("reseed" in rec.message for rec in caplog.records)
         assert result.converged
-        tess, _ = tessellate(result.generators, L2, pts)
-        assert (tess.cell_counts > 0).all()
+        assert (tessellate(result.generators, L2, pts).cell_counts > 0).all()
+
+    @pytest.mark.parametrize("kwargs, iterations, converged", [
+        ({"tol": 1e-3}, 47, True),
+        ({"tol": 1e-3, "max_iters": 4}, 4, False),
+        ({"max_iters": 0}, 0, False),
+        ({"init_generators": [[0.0, 0.0], [500.0, 500.0], [0.5, 0.5]]}, 32, True),
+    ], ids=["converged", "capped", "max_iters_0", "reseeded"])
+    def test_reported_error_is_the_returned_generators(self, monkeypatch, kwargs,
+                                                        iterations, converged):
+        # the loop's last search, and no other, gives the reported error
+        pts = uniform_square(20_000, seed=26)
+        searches = []
+
+        def counted(*args):
+            searches.append(args[0].copy())
+            return _nearest(*args)
+        monkeypatch.setattr(voronoi, "_nearest", counted)
+        result = lloyd(pts, 3, rng=np.random.default_rng(27), **kwargs)
+        monkeypatch.undo()
+        assert (result.iterations, result.converged) == (iterations, converged)
+        assert len(searches) == result.iterations + 1
+        assert searches[-1].tobytes() == result.generators.tobytes()
+        assert result.quantization_error == quantization_error(result.generators, L2, pts)
 
     def test_restarts_pick_best(self):
         pts = uniform_square(5000, seed=24)
