@@ -99,16 +99,9 @@ def write_text_atomic(path, text: str) -> Path:
 
 
 def write_json_atomic(path, obj, *, indent: int | None = 2) -> Path:
-    """Serialize ``obj`` to ``path`` atomically, with a trailing newline.
-
-    The encoding is streamed into the file: building a checkpoint's text as
-    one string first costs several times its size in peak memory.
-    """
-    path = Path(path)
-    with _replacing(path) as fh:
-        json.dump(obj, fh, indent=indent)
-        fh.write("\n")
-    return path
+    """Serialize ``obj`` to ``path`` atomically, with a trailing newline. The whole text is
+    encoded before the temp file is opened, so a document that does not encode writes nothing."""
+    return write_text_atomic(path, json.dumps(obj, indent=indent) + "\n")
 
 
 def _column_text(column: np.ndarray) -> list[str]:

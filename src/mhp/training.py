@@ -97,7 +97,7 @@ def _train_epochs(model: MlpModel, data, config: MetaLossConfig,
                     hyps, acts = forward_batch(model, xb, return_activations=True)
                     weights, losses, _, _ = assign_batch(config, hyps, yb, rng=dropout_rng)
                     if not np.isfinite(losses).all():
-                        raise TrainingDivergedError(f"non-finite loss at epoch {epoch}, batch {b}")
+                        raise TrainingDivergedError("non-finite loss")
                     meta_sum += float((weights * losses).sum())
                     oracle_sum += float(losses.min(axis=1).sum())
                     tb = hypothesis_targets(config.base_loss, yb, len(xb), model.output_dim)
@@ -107,6 +107,7 @@ def _train_epochs(model: MlpModel, data, config: MetaLossConfig,
                     step(optimizer, model, backward_batch(model, upstream, acts))
             except TrainingDivergedError as err:
                 err.epoch, err.batch_index = epoch, b
+                err.args = (f"{err} at epoch {epoch}, batch {b}",)
                 raise
         history.append(EpochMetrics(
             epoch=epoch,

@@ -179,7 +179,8 @@ def lloyd(samples, m: int, *, init_generators=None, max_iters: int = 100,
     the returned configuration's own centroidal residual is below ``tol``.
     Generators whose cell empties are reseeded at the sample farthest from
     its nearest generator. Without ``init_generators`` the start is a
-    distance-weighted draw from the samples (requires ``rng``).
+    distance-weighted draw from the samples (requires ``rng``). Samples whose
+    squared distances, or a sum of them, overflow float64 raise ValueError.
     """
     # sample-major once, so that no _nearest call below copies the points
     pts = np.asfortranarray(_as_points(samples, "samples"))
@@ -193,14 +194,23 @@ def lloyd(samples, m: int, *, init_generators=None, max_iters: int = 100,
     if m > distinct:
         raise ValueError(f"m={m} exceeds the {distinct} distinct samples")
     if init_generators is not None:
-        gens = _as_points(init_generators, "init_generators").copy()
-        if gens.shape != (m, pts.shape[1]):
+        start = _as_points(init_generators, "init_generators").copy()
+        if start.shape != (m, pts.shape[1]):
             raise ValueError("init_generators shape mismatch")
-    else:
-        if rng is None:
-            raise ValueError("rng required for seeded initialization")
-        gens = _kmeanspp_init(pts, m, rng)
+    elif rng is None:
+        raise ValueError("rng required for seeded initialization")
+    # finite samples can still lie too far apart to square; every overflow refuses them
+    try:
+        with np.errstate(over="raise"):
+            gens = _kmeanspp_init(pts, m, rng) if init_generators is None else start
+            return _lloyd_passes(pts, gens, max_iters, tol)
+    except FloatingPointError:
+        raise ValueError("samples too far apart: squared distances overflow float64") from None
 
+
+def _lloyd_passes(pts: np.ndarray, gens: np.ndarray, max_iters: int, tol: float) -> LloydResult:
+    """The iterations of ``lloyd`` from ``gens``, which they update in place."""
+    m = len(gens)
     converged = False
     for iterations in range(max_iters + 1):
         # the last pass searches the returned generators; that search gives their error

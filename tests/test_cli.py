@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mhp.cli import main
-from mhp.datagen import load_dataset
+from mhp.datagen import load_dataset, write_dataset
 from mhp.losses import L2, LossKind
 from mhp.metrics import oracle_min_loss
 from mhp.network import load_checkpoint
@@ -117,6 +117,16 @@ class TestGen:
         assert hashlib.sha256((out / "data.csv").read_bytes()).hexdigest() == csv_sha
         assert hashlib.sha256((out / "data.json").read_bytes()).hexdigest() == json_sha
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--task", "multilabel", "--classes", "1", "--set-size", "1"], "at least 2 classes"),
+        (["--task", "multilabel", "--set-size", "0"], "set_size must lie in [1, num_classes]"),
+        (["--task", "gridframe", "--terminals", "13"], "num_terminals must lie in [1, 12]"),
+        (["--task", "gridframe", "--grid-size", "2"], "at least 3x3"),
+    ], ids=["classes_1", "set_size_0", "terminals_13", "grid_size_2"])
+    def test_spec_its_task_refuses_is_usage_error(self, tmp_path, capsys, flags, message):
+        usage_error(capsys, ["gen", *flags, "--n", "10", "--out", str(tmp_path / "d")], message)
+        assert not (tmp_path / "d").exists()
+
     def test_fixed_t_flag(self, tmp_path):
         out = tmp_path / "d"
         assert main(["gen", "--task", "temporal2d", "--n", "400", "--seed", "5",
@@ -164,6 +174,28 @@ class TestTrain:
         cfg = write_cfg(tmp_path, learning_rate=1e12, epochs=4)
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 4
         assert "diverged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, cause", [
+        ({"learning_rate": 1e12, "epochs": 4}, "non-finite loss at epoch 0, batch 7"),
+        ({"optimizer": "rmsprop", "learning_rate": 1e308, "epochs": 1,
+          "dataset": {"task": "temporal2d", "n": 64}},
+         "non-finite update in layer 0 at epoch 0, batch 0"),
+    ], ids=["loss", "step"])
+    def test_divergence_names_its_epoch_and_batch(self, tmp_path, capsys, overrides, cause):
+        cfg = write_cfg(tmp_path, **overrides)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 4
+        assert capsys.readouterr().err == f"error: training diverged: {cause}\n"
+
+    def test_decay_is_the_momentum_field(self, tmp_path):
+        for key in ("decay", "momentum"):
+            cfg = {**TRAIN_CFG, "optimizer": "rmsprop", "epochs": 1}
+            del cfg["momentum"]
+            cfg[key] = 0.8
+            (tmp_path / f"{key}.json").write_text(json.dumps(cfg))
+            assert main(["train", "--config", str(tmp_path / f"{key}.json"),
+                         "--out", str(tmp_path / key)]) == 0
+        assert ((tmp_path / "decay/checkpoint.json").read_bytes()
+                == (tmp_path / "momentum/checkpoint.json").read_bytes())
 
     def test_overflow_in_forward_and_backward_exits_4(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, M=4, learning_rate=1e50, hidden_layers=[50, 50],
@@ -331,8 +363,9 @@ class TestLloyd:
         assert main(["lloyd", "--data", str(data), "--m", "11",
                      "--out", str(tmp_path / "l")]) == 2
 
-    @pytest.mark.parametrize("flag, value", [("tol", "nan"), ("tol", "-1"), ("max_iters", "-1")],
-                             ids=["nan", "-1", "max_iters_-1"])
+    @pytest.mark.parametrize("flag, value", [("tol", "nan"), ("tol", "-1"), ("max_iters", "-1"),
+                                             ("m", "0"), ("restarts", "0")],
+                             ids=["nan", "-1", "max_iters_-1", "m_0", "restarts_0"])
     def test_nan_or_negative_tol_is_usage_error(self, tmp_path, capsys, flag, value):
         data = gen(tmp_path, "temporal2d", n=50)
         out = tmp_path / "l"
@@ -340,6 +373,24 @@ class TestLloyd:
         usage_error(capsys, ["lloyd", "--data", str(data), "--m", "2",
                              "--" + flag.replace("_", "-"), value, "--out", str(out)], flag)
         assert not out.exists()
+
+    # a 200-row gmm-style dataset scaled by 1e150 converges; by 1e160 its squared distances
+    # overflow float64 and lloyd is refused, with no warning
+    @pytest.mark.parametrize("scale, sha", [
+        (1e150, "c29bcf46bac28843da51db649d77a0c7f87f035df716f6e40426e0d709e904e6"),
+        (1e160, None)], ids=["1e150", "1e160"])
+    def test_samples_whose_squared_distances_overflow(self, tmp_path, capsys, scale, sha):
+        Y = np.random.default_rng(0).normal(size=(200, 2)) * scale
+        write_dataset(tmp_path / "d", np.zeros((200, 0)), Y, task="gmm", spec=None, seed=0,
+                      input_names=[], target_names=["y1", "y2"])
+        argv = ["lloyd", "--data", str(tmp_path / "d"), "--m", "3", "--seed", "3",
+                "--out", str(tmp_path / "l")]
+        if sha is None:
+            usage_error(capsys, argv, "samples too far apart", "overflow float64")
+            assert not (tmp_path / "l").exists()
+        else:
+            assert main(argv) == 0
+            assert hashlib.sha256((tmp_path / "l" / "lloyd.json").read_bytes()).hexdigest() == sha
 
     @pytest.mark.parametrize("flags, iterations, converged", [
         (["--max-iters", "0"], 0, False),
@@ -416,6 +467,75 @@ class TestOracleBytes:
             "generators.json": "1feaa950bc438ee404dd92ee40ba5521937f40b1cf3e8a0ea12a2ef021faf6f8"}
 
 
+class TestRunBytes:
+    """SHA-256 of seeded ``train`` outputs and of ``eval --out`` files: a change to how they
+    are computed or written keeps every byte of them. The digests were taken before JSON
+    documents were encoded in one ``json.dumps`` call."""
+
+    RUNS = {
+        "temporal2d": {"M": 4, "epochs": 2, "dataset": {"task": "temporal2d", "n": 1000}},
+        # the acceptance grid net: 64 inputs, two hidden layers of 50, a 640-wide head
+        # (38,440 parameters), for one short epoch
+        "gridframe": {"M": 10, "epochs": 1, "hidden_layers": [50, 50],
+                      "dataset": {"task": "gridframe", "terminals": 12, "n": 256}},
+        "multilabel": {"M": 3, "base_loss": "cross_entropy", "optimizer": "rmsprop",
+                       "learning_rate": 0.01, "dataset": {"task": "multilabel", "n": 500}},
+    }
+    EVALS = {
+        "temporal2d": (["--task", "temporal2d"], "oracle_min,hypothesis_variance"),
+        "gridframe": (["--task", "gridframe", "--terminals", "12"],
+                      "oracle_min,hypothesis_variance,sharpness"),
+    }
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("runs")
+
+        def trained(name):
+            out = root / name
+            if not out.exists():
+                cfg = write_cfg(root, **self.RUNS[name])
+                assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+            return out
+        return trained
+
+    @staticmethod
+    def digests(out, names):
+        return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+
+    @pytest.mark.parametrize("name, checkpoint_sha, metrics_sha", [
+        ("temporal2d", "e434f50fb9b02dd6d78228e6cbbd08fdc179c1224036c2de2a7ead527d523d8e",
+         "797843d412053a69a889ca2347ff9f0bfa30fe166c8f2148a918d6b643d54f4d"),
+        ("gridframe", "e8995235afdf5f22d5fe7af2626248db24b8b8b3c4a8db374730a8369d00a71c",
+         "8b04b9c7e4a9f4abd9d36c9145613748ad1d8ed4a78b61277051d846c25a7688"),
+        ("multilabel", "c2eb559841315a13f70becd1fd3a87a71c6e2096e77e7f65e6a33c84a3744473",
+         "fe56fe3f6d9d262feffa1bbf0bbe02988819a14a2221b023f44a34fae4614bd3"),
+    ])
+    def test_train_bytes_are_pinned(self, run, name, checkpoint_sha, metrics_sha):
+        assert self.digests(run(name), ["checkpoint.json", "metrics.jsonl"]) == {
+            "checkpoint.json": checkpoint_sha, "metrics.jsonl": metrics_sha}
+
+    @pytest.mark.parametrize("name, shas", [
+        ("temporal2d", {
+            "report.json": "6f8100e8e1c0d37c51e624b227bd556dfabdd34ca61f192d99a4b21be025be84",
+            "hypotheses.csv": "d7446f6ef1fadea99e1ab40c6bbf076262c6cb090bb2f6e3619b610c80cc4ecd"}),
+        ("gridframe", {
+            "report.json": "f6badd31b60032bc603b9849e2f67bdf32aef7810dfe2198cfcf6e07a615332a",
+            "hypotheses.csv": "c02189d38ba1d60091e332fd3c094e73f9df16a9d978debb072d31629c8b68d7",
+            "variance_map.csv":
+                "e8c8538c2f17b12563c57feb57a9f00157d39da50bc69629973eb80a707f5d7f"}),
+    ])
+    def test_eval_bytes_are_pinned(self, run, tmp_path, capsys, name, shas):
+        flags, metrics = self.EVALS[name]
+        data = tmp_path / "d"
+        assert main(["gen", *flags, "--n", "300", "--seed", "5", "--out", str(data)]) == 0
+        out = tmp_path / "e"
+        assert main(["eval", "--checkpoint", str(run(name) / "checkpoint.json"),
+                     "--data", str(data), "--metrics", metrics, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert self.digests(out, shas) == shas
+
+
 class TestTessellate:
     @pytest.fixture()
     def checkpoint(self, tmp_path):
@@ -478,8 +598,11 @@ class TestCorruptCheckpoint:
     def extras_not_an_object(doc):
         doc["extras"] = [1]
 
+    def future_schema(doc):
+        doc["schema_version"] = 2
+
     @pytest.mark.parametrize("corrupt", [corrupt_kind, truncate_buffers, drop_output_dim,
-                                         extras_not_an_object])
+                                         extras_not_an_object, future_schema])
     @pytest.mark.parametrize("command", ["eval", "tessellate"])
     def test_usage_error_without_traceback(self, good, corrupt, command, tmp_path, capsys):
         doc = json.loads(json.dumps(good))
@@ -657,7 +780,8 @@ class TestMalformedCsv:
         ("cut", ["7 rows", "n = 20"]),
         ("header_only", ["no rows"]),
         ("bad_cell", ["could not convert string 'abc'"]),
-        ("short_row", ["number of columns changed"])])
+        ("short_row", ["number of columns changed"]),
+        ("extra_column", ["expected 3 columns, found 4"])])
     def test_refused_with_the_csv_path(self, damage, names, tmp_path, capsys):
         data = gen(tmp_path, "temporal2d", n=20)
         lines = (data / "data.csv").read_text().splitlines()
@@ -665,6 +789,8 @@ class TestMalformedCsv:
             lines[1] = "abc," + lines[1].split(",", 1)[1]
         elif damage == "short_row":
             lines[4] = lines[4].rsplit(",", 1)[0]
+        elif damage == "extra_column":  # under the sidecar's three-column header
+            lines[1:] = [line + ",0.5" for line in lines[1:]]
         lines = {"cut": lines[:8], "header_only": lines[:1]}.get(damage, lines)
         (data / "data.csv").write_text("\n".join(lines) + "\n")
         argv = ["train", "--config", str(write_cfg(tmp_path, epochs=1)), "--data", str(data),
@@ -672,6 +798,27 @@ class TestMalformedCsv:
         capsys.readouterr()
         usage_error(capsys, argv, f"error: {data / 'data.csv'}: ", *names)
         assert not (tmp_path / "out").exists()
+
+
+class TestCsvPath:
+    @pytest.mark.parametrize("command", ["train", "eval", "lloyd"])
+    def test_data_csv_path_reads_as_its_directory(self, command, tmp_path, capsys):
+        data = gen(tmp_path, "temporal2d", n=100)
+        cfg = write_cfg(tmp_path, epochs=1)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        results = []
+        for name, path in (("dir", data), ("csv", data / "data.csv")):
+            out = tmp_path / name
+            argv = {"train": ["train", "--config", str(cfg), "--data", str(path),
+                              "--out", str(out)],
+                    "eval": ["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
+                             "--data", str(path), "--out", str(out)],
+                    "lloyd": ["lloyd", "--data", str(path), "--m", "2", "--out", str(out)]}
+            assert main(argv[command]) == 0
+            results.append({p.name: p.read_bytes() for p in out.iterdir()
+                            if p.name != "manifest.json"})
+        capsys.readouterr()
+        assert results[0] == results[1]
 
 
 class TestMalformedJson:

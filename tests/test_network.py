@@ -305,6 +305,17 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "b.json", model)
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_document_that_does_not_encode_writes_nothing(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, reference_model())
+        before = path.read_bytes()
+        model = init_mlp(1, [50, 50], 2, 4, np.random.default_rng(42), seed=42,
+                         extras={"scale": np.float32(0.5)})
+        with pytest.raises(TypeError, match="float32"):
+            save_checkpoint(path, model)
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
+        assert path.read_bytes() == before
+
 
 class TestStepAtomicity:
     @pytest.mark.parametrize("kind", ["sgd_momentum", "rmsprop"])

@@ -164,6 +164,20 @@ class TestLloyd:
         pts = np.vstack([np.zeros((300, 2)), uniform_square(3, seed=2)])
         assert lloyd(pts, 4, rng=np.random.default_rng(0)).generators.shape == (4, 2)
 
+    @pytest.mark.parametrize("start", ["kmeanspp", "init_generators"])
+    def test_samples_whose_squared_distances_overflow_rejected(self, start):
+        # at 1e150 the squares stay below 1e308; at 1e160 they overflow, which must be
+        # refused by name, with no warning (the suite turns warnings into errors)
+        def run(scale):
+            pts = np.random.default_rng(0).normal(size=(200, 2)) * scale
+            if start == "init_generators":
+                return lloyd(pts, 3, init_generators=pts[:3])
+            return lloyd(pts, 3, rng=np.random.default_rng(1))
+        assert run(1e150).converged
+        with pytest.raises(ValueError, match="^samples too far apart: squared distances "
+                                             "overflow float64$"):
+            run(1e160)
+
     def test_more_cells_never_increase_error(self):
         pts = uniform_square(20_000, seed=19)
         rng = np.random.default_rng(20)
