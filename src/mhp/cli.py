@@ -2,8 +2,9 @@
 quantizer oracles and tessellation exports, each as one self-describing run.
 
 Exit codes: 0 success, 2 usage or validation, 3 I/O failure, 4 numerical
-divergence. Every run directory receives a manifest naming its outputs; the
-environment variable MHP_SEED overrides the training config seed.
+divergence. Every run directory receives a manifest naming its outputs in the
+order they were written; the environment variable MHP_SEED overrides the
+training config seed.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from . import __version__
 from .datagen import (default_gridframe_spec, encode_spec, load_dataset, make_multilabel_spec,
                       sample_gaussian_mixture, sample_gridframe, sample_multilabel,
                       sample_temporal2d, temporal2d_dataset, write_dataset)
-from .io_utils import (read_field, read_int, read_json, read_list, read_number, read_str,
-                       write_csv_atomic, write_json_atomic, write_text_atomic)
+from .io_utils import (read_field, read_int, read_json, read_list, read_number, read_seed,
+                       read_str, write_csv_atomic, write_json_atomic, write_text_atomic)
 from .losses import LossKind
 from .meta_loss import MetaLossConfig
 from .metrics import (dataset_hypothesis_variance, dataset_sharpness,
@@ -43,21 +44,21 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _write_manifest(outdir: Path, command: str, config: dict, seed,
-                    outputs: list[str], started: str) -> Path:
-    manifest = {
-        "command": command,
-        "config": config,
-        "seed": seed,
-        "code_version": __version__,
-        "started_at": started,
-        "finished_at": _utcnow(),
-        "outputs": outputs,
-    }
-    for name in outputs:
-        if not (outdir / name).exists():
-            raise OSError(f"manifest names missing output {name}")
-    return write_json_atomic(outdir / "manifest.json", manifest)
+class _Run:
+    """One command's run record, made on its first line: it notes each output path as the
+    output's writer returns it, then lists them, in that order, in a manifest beside them."""
+
+    def __init__(self, command: str):
+        self.command, self.started_at, self.outputs = command, _utcnow(), []
+
+    def wrote(self, *paths: Path) -> None:
+        self.outputs.extend(paths)
+
+    def finish(self, config: dict, seed) -> None:
+        write_json_atomic(self.outputs[0].parent / "manifest.json", {
+            "command": self.command, "config": config, "seed": seed, "code_version": __version__,
+            "started_at": self.started_at, "finished_at": _utcnow(),
+            "outputs": [path.name for path in self.outputs]})
 
 
 def _outdir(path: str) -> Path:
@@ -101,22 +102,28 @@ def _int_field(fields, name: str, *default) -> int:
     return read_field(fields, name, read_int, *default, where="dataset")
 
 
+def _seed_flag(text: str) -> int:
+    """The argparse type of a --seed flag; argparse names the flag before a refusal."""
+    try:
+        return read_seed(int(text))
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
 # ---------------------------------------------------------------------------
 # gen
 
-def cmd_gen(args) -> int:
-    started = _utcnow()
+def cmd_gen(args) -> None:
+    run = _Run("gen")
     rng = np.random.default_rng(args.seed)
     sampler, spec, inputs, targets = _task(
         {"task": args.task, "t": args.t, "num_classes": args.classes,
          "set_size": args.set_size, "terminals": args.terminals,
          "width": args.grid_size, "height": args.grid_size}, rng)
     X, Y = sampler(rng, args.n)  # each sampler rejects n < 1
-    write_dataset(args.out, X, Y, task=args.task, spec=spec, seed=args.seed,
-                  input_names=inputs, target_names=targets)
-    _write_manifest(Path(args.out), "gen", dict(task=args.task, n=args.n, spec=encode_spec(spec)),
-                    args.seed, ["data.csv", "data.json"], started)
-    return EXIT_OK
+    run.wrote(*write_dataset(args.out, X, Y, task=args.task, spec=spec, seed=args.seed,
+                             input_names=inputs, target_names=targets))
+    run.finish(dict(task=args.task, n=args.n, spec=encode_spec(spec)), args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +140,7 @@ _TRAIN_FIELDS = {
     "optimizer": ("sgd_momentum", read_str),
     "learning_rate": (0.05, read_number),
     "momentum": (0.9, read_number),
-    "seed": (0, read_int),
+    "seed": (0, read_seed),
     "hidden_layers": ([50, 50], read_list(read_int)),
 }
 
@@ -156,7 +163,8 @@ def _load_config(path: str) -> tuple[dict, dict]:
     if "decay" in merged:
         merged["momentum"] = merged.pop("decay")
     if "MHP_SEED" in os.environ:  # a string, so int() parses it
-        merged["seed"] = read_field(dict(os.environ), "MHP_SEED", int, where="environment")
+        merged["seed"] = read_field(dict(os.environ), "MHP_SEED", lambda v: read_seed(int(v)),
+                                    where="environment")
     if not isinstance(merged.get("dataset") or {}, dict):
         raise ValueError("config field 'dataset' must be a JSON object")
     return merged, {key: read_field(merged, key, read, where=path)
@@ -192,7 +200,7 @@ def _resolve_dataset(cfg: dict, data_flag: str | None):
         ds["n"] = _int_field(ds, "n", 10_000)
         item_rng = None
         if task == "multilabel":
-            ds["item_seed"] = _int_field(ds, "item_seed", cfg["seed"])
+            ds["item_seed"] = read_field(ds, "item_seed", read_seed, cfg["seed"], where="dataset")
             item_rng = np.random.default_rng(ds["item_seed"])
         data, spec, inputs, targets = _task(ds, item_rng)
         in_dim, out_dim = len(inputs), len(targets)
@@ -204,8 +212,8 @@ def _resolve_dataset(cfg: dict, data_flag: str | None):
     return data, in_dim, out_dim, extras, ds
 
 
-def cmd_train(args) -> int:
-    started = _utcnow()
+def cmd_train(args) -> None:
+    run = _Run("train")
     cfg, c = _load_config(args.config)
     data, in_dim, out_dim, extras, ds_cfg = _resolve_dataset(cfg, args.data)
     cfg["dataset"] = ds_cfg
@@ -220,14 +228,13 @@ def cmd_train(args) -> int:
     history = train(model, data, meta_cfg, optimizer, schedule)
 
     out = _outdir(args.out)
-    save_checkpoint(out / "checkpoint.json", model, optimizer)
+    run.wrote(save_checkpoint(out / "checkpoint.json", model, optimizer))
     lines = [json.dumps({"epoch": h.epoch,
                          "mean_meta_loss": h.mean_meta_loss,
                          "oracle_min_loss": h.oracle_min_loss})
              for h in history]
-    write_text_atomic(out / "metrics.jsonl", "\n".join(lines) + "\n")
-    _write_manifest(out, "train", cfg, seed, ["checkpoint.json", "metrics.jsonl"], started)
-    return EXIT_OK
+    run.wrote(write_text_atomic(out / "metrics.jsonl", "\n".join(lines) + "\n"))
+    run.finish(cfg, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +257,8 @@ def _read_extras(model, checkpoint, grid=None) -> tuple[str, LossKind, list[int]
             get("output_shape", read_shape, None))
 
 
-def cmd_eval(args) -> int:
-    started = _utcnow()
+def cmd_eval(args) -> None:
+    run = _Run("eval")
     model, _ = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
     wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
@@ -292,29 +299,24 @@ def cmd_eval(args) -> int:
     print(json.dumps(report, indent=2))
     if args.out:
         out = _outdir(args.out)
-        write_json_atomic(out / "report.json", report)
-        outputs = ["report.json"]
+        run.wrote(write_json_atomic(out / "report.json", report))
         for name, matrix in exports.items():
-            write_csv_atomic(out / name, None, matrix)
-            outputs.append(name)
-        _write_manifest(out, "eval",
-                        {"checkpoint": args.checkpoint, "data": args.data,
-                         "metrics": wanted}, None, outputs, started)
-    return EXIT_OK
+            run.wrote(write_csv_atomic(out / name, None, matrix))
+        run.finish({"checkpoint": args.checkpoint, "data": args.data, "metrics": wanted}, None)
 
 
 # ---------------------------------------------------------------------------
 # lloyd
 
-def cmd_lloyd(args) -> int:
-    started = _utcnow()
+def cmd_lloyd(args) -> None:
+    run = _Run("lloyd")
     dataset = load_dataset(args.data)
     samples = np.asarray(dataset.Y, dtype=np.float64).reshape(len(dataset.Y), -1)
     rng = np.random.default_rng(args.seed)
     result = lloyd_best_of(samples, args.m, args.restarts, rng,
                            tol=args.tol, max_iters=args.max_iters)
     out = _outdir(args.out)
-    write_json_atomic(out / "lloyd.json", {
+    run.wrote(write_json_atomic(out / "lloyd.json", {
         "generators": result.generators.tolist(),
         "iterations": result.iterations,
         "converged": result.converged,
@@ -322,18 +324,16 @@ def cmd_lloyd(args) -> int:
         "m": args.m,
         "restarts": args.restarts,
         "tol": args.tol,
-    })
-    _write_manifest(out, "lloyd",
-                    {"data": args.data, "m": args.m, "restarts": args.restarts,
-                     "tol": args.tol}, args.seed, ["lloyd.json"], started)
-    return EXIT_OK
+    }))
+    run.finish({"data": args.data, "m": args.m, "restarts": args.restarts, "tol": args.tol},
+               args.seed)
 
 
 # ---------------------------------------------------------------------------
 # tessellate
 
-def cmd_tessellate(args) -> int:
-    started = _utcnow()
+def cmd_tessellate(args) -> None:
+    run = _Run("tessellate")
     if bool(args.checkpoint) == bool(args.generators):
         raise ValueError("provide exactly one of --checkpoint and --generators")
     if args.generators:
@@ -353,19 +353,16 @@ def cmd_tessellate(args) -> int:
     cells = membership(generators, base, samples)
 
     out = _outdir(args.out)
-    write_csv_atomic(out / "cells.csv", ["y1", "y2", "cell_index"], samples, cells)
-    write_json_atomic(out / "generators.json", {
+    run.wrote(write_csv_atomic(out / "cells.csv", ["y1", "y2", "cell_index"], samples, cells))
+    run.wrote(write_json_atomic(out / "generators.json", {
         "generators": generators.tolist(),
         "loss": base.spec(),
         "t": args.t,
         "samples": args.samples,
         "cell_counts": np.bincount(cells, minlength=len(generators)).tolist(),
-    })
-    _write_manifest(out, "tessellate",
-                    {"t": args.t, "samples": args.samples,
-                     "checkpoint": args.checkpoint, "generators": args.generators},
-                    args.seed, ["cells.csv", "generators.json"], started)
-    return EXIT_OK
+    }))
+    run.finish({"t": args.t, "samples": args.samples, "checkpoint": args.checkpoint,
+                "generators": args.generators}, args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True,
                    choices=["temporal2d", "multilabel", "gridframe", "gmm"])
     p.add_argument("--n", type=int, required=True, help="number of samples")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_flag, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--t", type=float, default=None,
                    help="fix the temporal2d time input (default: uniform per sample)")
@@ -413,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=5)
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_flag, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_lloyd)
 
@@ -423,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON of generators from a previous run")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_flag, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_tessellate)
     return parser
@@ -436,7 +433,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        args.func(args)
     except TrainingDivergedError as err:
         print(f"error: training diverged: {err}", file=sys.stderr)
         return EXIT_DIVERGED
@@ -446,6 +443,7 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -28,6 +28,15 @@ def read_int(value) -> int:
     raise ValueError(f"expected an integer, got {_shown(value)}")
 
 
+def read_seed(value) -> int:
+    """A seed: an integer as ``read_int`` reads it, and not negative (numpy refuses a negative
+    seed with a message that names no field)."""
+    seed = read_int(value)
+    if seed < 0:
+        raise ValueError(f"expected a non-negative integer, got {_shown(value)}")
+    return seed
+
+
 def read_number(value) -> float:
     """An int or a float as a float; a bool or a string is refused."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):

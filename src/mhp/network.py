@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .io_utils import (read_field, read_int, read_json, read_list, read_number, read_str,
-                       write_json_atomic)
+from .io_utils import (read_field, read_int, read_json, read_list, read_number, read_seed,
+                       read_str, write_json_atomic)
 
 ACTIVATIONS = ("relu", "identity")
 HEAD_INIT_STD = 0.01
@@ -297,11 +297,12 @@ def _write_pairs(shapes, flat: np.ndarray) -> list[dict]:
 
 
 def _read_pairs(shapes, pairs) -> np.ndarray:
-    flat = np.empty(sum(out * (ind + 1) for out, ind in shapes))
-    for k, (pair, (w, b)) in enumerate(zip(pairs, param_views(shapes, flat), strict=True)):
-        get = functools.partial(read_field, pair, read=read_list(read_number), where=f"entry {k}")
-        w[...], b[...] = np.reshape(get("weights"), w.shape), np.reshape(get("biases"), b.shape)
-    return flat
+    """The flat vector of one stored weights/biases entry per (out, in) shape. Each list is read
+    at its shape's length, so the vector holds only what the file stores."""
+    return np.concatenate([
+        read_field(pair, name, read_list(read_number, size), where=f"entry {k}")
+        for k, (pair, (out, ind)) in enumerate(zip(pairs, shapes, strict=True))
+        for name, size in (("weights", out * ind), ("biases", out))])
 
 
 def save_checkpoint(path, model: MlpModel, optimizer: OptimizerState | None = None):
@@ -336,7 +337,7 @@ def load_checkpoint(path) -> tuple[MlpModel, OptimizerState | None]:
     layers = get(doc, "activations", lambda acts: [Layer(w, b, act) for (w, b), act in zip(
         param_views(shapes, params), read_list(read_str)(acts), strict=True)])
     model = MlpModel(layers, get(doc, "output_dim", read_int), get(doc, "M", read_int),
-                     seed=get(doc, "seed", lambda v: v if v is None else read_int(v), None),
+                     seed=get(doc, "seed", lambda v: v if v is None else read_seed(v), None),
                      extras=get(doc, "extras", lambda v: v, {}))
     o = get(doc, "optimizer", lambda v: v, None)
     opt_get = functools.partial(read_field, o, where=f"{path}: optimizer")

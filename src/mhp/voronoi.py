@@ -162,10 +162,18 @@ class LloydResult:
     quantization_error: float
 
 
+def _refuse_underflow(near: np.ndarray) -> None:
+    """``lloyd`` holds at least as many distinct samples as generators, so when a draw or a
+    reseed finds every sample at loss 0 from its nearest generator, squares underflowed."""
+    if not near.any():
+        raise ValueError("samples too close together: squared distances underflow to 0")
+
+
 def _kmeanspp_init(samples: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
     gens = [samples[rng.integers(len(samples))]]
     d2 = loss_values(L2, samples, gens[0])
     for _ in range(m - 1):
+        _refuse_underflow(d2)
         gens.append(samples[rng.choice(len(samples), p=d2 / d2.sum())])
         d2 = np.minimum(d2, loss_values(L2, samples, gens[-1]))
     return np.array(gens)
@@ -180,7 +188,9 @@ def lloyd(samples, m: int, *, init_generators=None, max_iters: int = 100,
     Generators whose cell empties are reseeded at the sample farthest from
     its nearest generator. Without ``init_generators`` the start is a
     distance-weighted draw from the samples (requires ``rng``). Samples whose
-    squared distances, or a sum of them, overflow float64 raise ValueError.
+    squared distances, or a sum of them, overflow float64 raise ValueError, and
+    so do samples whose squared distances underflow to 0 where a draw or a
+    reseed needs them.
     """
     # sample-major once, so that no _nearest call below copies the points
     pts = np.asfortranarray(_as_points(samples, "samples"))
@@ -221,6 +231,7 @@ def _lloyd_passes(pts: np.ndarray, gens: np.ndarray, max_iters: int, tol: float)
         empty = np.flatnonzero(counts == 0)
         if empty.size:
             for j in empty:
+                _refuse_underflow(near)
                 idx = int(near.argmax())
                 logger.info("reseeding empty cell %d at sample %d", j, idx)
                 gens[j] = pts[idx]

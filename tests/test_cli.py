@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -392,6 +393,15 @@ class TestLloyd:
             assert main(argv) == 0
             assert hashlib.sha256((tmp_path / "l" / "lloyd.json").read_bytes()).hexdigest() == sha
 
+    def test_samples_whose_squared_distances_underflow(self, tmp_path, capsys):
+        Y = np.random.default_rng(0).normal(size=(200, 2)) * 1e-170
+        write_dataset(tmp_path / "d", np.zeros((200, 0)), Y, task="gmm", spec=None, seed=0,
+                      input_names=[], target_names=["y1", "y2"])
+        usage_error(capsys, ["lloyd", "--data", str(tmp_path / "d"), "--m", "3",
+                             "--out", str(tmp_path / "l")],
+                    "samples too close together", "underflow to 0")
+        assert not (tmp_path / "l").exists()
+
     @pytest.mark.parametrize("flags, iterations, converged", [
         (["--max-iters", "0"], 0, False),
         (["--max-iters", "1"], 1, None),
@@ -536,6 +546,67 @@ class TestRunBytes:
         assert self.digests(out, shas) == shas
 
 
+class TestManifest:
+    """Each command's manifest lists exactly the files it wrote, in the order it wrote them,
+    and is written last; a command that fails writes no manifest and no run directory."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("inputs")
+        for task in ("temporal2d", "gridframe"):
+            data = gen(root, task, n=100, name=task)
+            cfg = write_cfg(root, epochs=1)
+            assert main(["train", "--config", str(cfg), "--data", str(data),
+                         "--out", str(root / f"{task}_run")]) == 0
+        write_cfg(root, epochs=1, dataset={"task": "temporal2d", "n": 64})
+        (root / "generators.json").write_text(json.dumps(GENERATORS_DOC))
+        (root / "diverges.json").write_text(json.dumps({
+            **TRAIN_CFG, "optimizer": "rmsprop", "learning_rate": 1e308, "epochs": 1,
+            "dataset": {"task": "temporal2d", "n": 64}}))
+        return root
+
+    @pytest.mark.parametrize("argv, outputs", [
+        (["gen", "--task", "temporal2d", "--n", "50"], ["data.csv", "data.json"]),
+        (["train", "--config", "{in}/config.json"], ["checkpoint.json", "metrics.jsonl"]),
+        (["eval", "--checkpoint", "{in}/gridframe_run/checkpoint.json", "--data", "{in}/gridframe",
+          "--metrics", "oracle_min,hypothesis_variance"],
+         ["report.json", "hypotheses.csv", "variance_map.csv"]),
+        (["lloyd", "--data", "{in}/temporal2d", "--m", "2", "--restarts", "1"], ["lloyd.json"]),
+        (["tessellate", "--checkpoint", "{in}/temporal2d_run/checkpoint.json", "--t", "0.5",
+          "--samples", "50"], ["cells.csv", "generators.json"]),
+        (["tessellate", "--generators", "{in}/generators.json", "--t", "0.5",
+          "--samples", "50"], ["cells.csv", "generators.json"]),
+    ], ids=["gen", "train", "eval", "lloyd", "tessellate_checkpoint", "tessellate_generators"])
+    def test_outputs_are_the_files_written_in_order(self, inputs, tmp_path, capsys, monkeypatch,
+                                                    argv, outputs):
+        written, replace = [], os.replace
+        # every file a command writes lands with one os.replace of its temp sibling
+        monkeypatch.setattr(os, "replace", lambda src, dst: (written.append(Path(dst).name),
+                                                             replace(src, dst)))
+        out = tmp_path / "out"
+        assert main([a.format(**{"in": inputs}) for a in argv] + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest) == ["command", "config", "seed", "code_version",
+                                  "started_at", "finished_at", "outputs"]
+        assert manifest["command"] == argv[0]
+        assert manifest["started_at"] <= manifest["finished_at"]
+        assert manifest["outputs"] == outputs
+        assert written == [*outputs, "manifest.json"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(written)
+
+    @pytest.mark.parametrize("argv, code", [
+        (["train", "--config", "{in}/diverges.json"], 4),
+        (["eval", "--checkpoint", "{in}/gridframe_run/checkpoint.json", "--data", "{in}/gridframe",
+          "--metrics", "oracle_min,psnr"], 2),
+    ], ids=["train_diverges", "eval_unknown_metric"])
+    def test_failed_command_writes_no_run_directory(self, inputs, tmp_path, capsys, argv, code):
+        out = tmp_path / "out"
+        assert main([a.format(**{"in": inputs}) for a in argv] + ["--out", str(out)]) == code
+        capsys.readouterr()
+        assert not out.exists()
+
+
 class TestTessellate:
     @pytest.fixture()
     def checkpoint(self, tmp_path):
@@ -601,8 +672,13 @@ class TestCorruptCheckpoint:
     def future_schema(doc):
         doc["schema_version"] = 2
 
+    def oversized_layer_dims(doc):
+        # claims about 4e10 parameters (298 GiB) that the file does not store
+        doc["layer_dims"] = [[1, 200000], [200000, 200000], [200000, doc["layer_dims"][-1][1]]]
+
     @pytest.mark.parametrize("corrupt", [corrupt_kind, truncate_buffers, drop_output_dim,
-                                         extras_not_an_object, future_schema])
+                                         extras_not_an_object, future_schema,
+                                         oversized_layer_dims])
     @pytest.mark.parametrize("command", ["eval", "tessellate"])
     def test_usage_error_without_traceback(self, good, corrupt, command, tmp_path, capsys):
         doc = json.loads(json.dumps(good))
@@ -1078,12 +1154,16 @@ class TestMalformedConfig:
         ({**TRAIN_CFG, "momentum": False}, "'momentum'"),
         ({**TRAIN_CFG, "epsilon": "0.05"}, "'epsilon'"),
         ({**TRAIN_CFG, "dataset": {"path": 5}}, "'path'"),
+        ({**TRAIN_CFG, "seed": -3}, "'seed'"),
+        ({**TRAIN_CFG, "dataset": {"task": "multilabel", "n": 64, "item_seed": -1}},
+         "'item_seed'"),
     ], ids=["list", "M", "epochs", "base_loss", "hidden_layers", "dataset", "dataset_width",
             "dataset_t", "hidden_width_0", "epochs_inf", "batch_size_-inf", "M_inf",
             "seed_-inf", "hidden_width_inf", "dataset_n_inf", "dataset_width_-inf",
             "unknown_key", "decay_and_momentum", "learning_rate_inf", "tukey_cutoff_inf",
             "epochs_2.5", "M_2.5", "hidden_width_8.5", "dataset_n_200.7", "epochs_true",
-            "learning_rate_str", "momentum_false", "epsilon_str", "dataset_path_5"])
+            "learning_rate_str", "momentum_false", "epsilon_str", "dataset_path_5", "seed_-3",
+            "dataset_item_seed_-1"])
     def test_usage_error_names_the_field(self, tmp_path, capsys, config, field):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
@@ -1105,9 +1185,23 @@ class TestMalformedConfig:
         assert not (tmp_path / "run").exists()
 
     def test_non_integer_mhp_seed_names_the_variable(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("MHP_SEED", "x")
-        usage_error(capsys, ["train", "--config", str(write_cfg(tmp_path, epochs=1)),
-                             "--out", str(tmp_path / "run")], "MHP_SEED")
+        for value in ("x", "-5"):
+            monkeypatch.setenv("MHP_SEED", value)
+            usage_error(capsys, ["train", "--config", str(write_cfg(tmp_path, epochs=1)),
+                                 "--out", str(tmp_path / "run")], "MHP_SEED")
+
+
+class TestSeedFlag:
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--task", "temporal2d", "--n", "10"],
+        ["lloyd", "--data", "d", "--m", "2"],
+        ["tessellate", "--generators", "generators.json", "--t", "0.5"],
+    ], ids=["gen", "lloyd", "tessellate"])
+    def test_negative_seed_names_the_flag(self, tmp_path, capsys, argv):
+        assert main([*argv, "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: expected a non-negative integer, got -1" in err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
 # One drawn value for one field. Counts stay small: integers and floats lie in

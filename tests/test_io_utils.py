@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from mhp import io_utils
-from mhp.io_utils import (read_bool, read_field, read_int, read_list, read_number, read_str,
-                          write_csv_atomic, write_json_atomic, write_text_atomic)
+from mhp.io_utils import (read_bool, read_field, read_int, read_list, read_number, read_seed,
+                          read_str, write_csv_atomic, write_json_atomic, write_text_atomic)
 
 
 def test_text_write_replaces_and_leaves_no_temp(tmp_path):
@@ -66,6 +66,7 @@ def test_csv_blocks_of_different_lengths_are_rejected(tmp_path):
      [False, "0.05", None, [1.0], {}]),
     (read_str, [("l2", "l2")], [5, None, ["l2"]]),
     (read_list(read_int), [([], []), ([1, 2.0], [1, 2])], [{}, "12", [1, "2"], [1.5]]),
+    (read_seed, [(0, 0), (7.0, 7), (2**40, 2**40)], [-1, -3.0, True, 2.5, "5", None]),
 ])
 def test_readers_take_their_type_and_refuse_the_rest(read, good, bad):
     for value, expected in good:

@@ -178,6 +178,19 @@ class TestLloyd:
                                              "overflow float64$"):
             run(1e160)
 
+    @pytest.mark.parametrize("start", ["kmeanspp", "init_generators"])
+    def test_samples_whose_squared_distances_underflow_rejected(self, start):
+        # distinct samples at 1e-170 square to 0: the seeded draw would divide by a zero sum
+        # and a reseed would find no farthest sample; both are refused by name, with no warning
+        pts = np.random.default_rng(0).normal(size=(200, 2)) * 1e-170
+        with pytest.raises(ValueError, match="^samples too close together: squared distances "
+                                             "underflow to 0$"):
+            if start == "init_generators":
+                lloyd(pts, 3, init_generators=pts[:3])
+            else:
+                lloyd(pts, 3, rng=np.random.default_rng(0))
+        assert lloyd(pts * 1e10, 3, rng=np.random.default_rng(0)).converged
+
     def test_more_cells_never_increase_error(self):
         pts = uniform_square(20_000, seed=19)
         rng = np.random.default_rng(20)
