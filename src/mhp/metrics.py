@@ -7,18 +7,36 @@ from __future__ import annotations
 import numpy as np
 
 from .losses import LossKind, hypothesis_targets, loss_values
-from .network import MlpModel, forward_batch
+from .network import MlpModel, _check_batch_input, _row_tiles, forward_batch
+
+
+def _per_row(model: MlpModel, X, per_tile) -> list[np.ndarray]:
+    """The (n, ...) arrays of per-row values that ``per_tile(rows, hyps)`` returns for each
+    row tile of ``X``, given the tile's hypothesis sets ``hyps``.
+
+    Only one tile's activations are alive at a time. Each row's values equal those of one
+    whole-dataset ``forward_batch``, so reductions over the arrays add as they did then.
+    """
+    X = _check_batch_input(model, X)
+    if len(X) == 0:
+        raise ValueError("empty dataset")
+    whole: list[np.ndarray] = []
+    for rows in _row_tiles(len(X)):
+        parts = per_tile(rows, forward_batch(model, X[rows]))
+        whole = whole or [np.empty((len(X), *part.shape[1:])) for part in parts]
+        for array, part in zip(whole, parts):
+            array[rows] = part
+    return whole
 
 
 def _per_hypothesis_losses(model: MlpModel, X, Y, kind: LossKind) -> np.ndarray:
-    hyps = forward_batch(model, X)
-    return loss_values(kind, hyps, hypothesis_targets(kind, Y, len(hyps), model.output_dim))
+    """(n, M) base loss of each hypothesis against its sample's target."""
+    targets = hypothesis_targets(kind, Y, len(X), model.output_dim)
+    return _per_row(model, X, lambda rows, hyps: [loss_values(kind, hyps, targets[rows])])[0]
 
 
 def oracle_min_loss(model: MlpModel, X, Y, kind: LossKind) -> float:
     """Mean over samples of the best hypothesis's base loss."""
-    if len(np.asarray(X)) == 0:
-        raise ValueError("empty dataset")
     return float(_per_hypothesis_losses(model, X, Y, kind).min(axis=1).mean())
 
 
@@ -57,7 +75,7 @@ def per_dimension_variance(hypotheses) -> np.ndarray:
 
 def dataset_hypothesis_variance(model: MlpModel, X) -> tuple[float, np.ndarray]:
     """Mean hypothesis spread over a dataset plus the mean per-dim variance."""
-    dist, var = _spread(forward_batch(model, X))
+    dist, var = _per_row(model, X, lambda rows, hyps: _spread(hyps))
     return float(dist.mean()), var.mean(axis=0)
 
 
@@ -92,8 +110,8 @@ def sharpness(hypotheses, width: int, height: int, channels: int = 1) -> float:
 def dataset_sharpness(model: MlpModel, X, width: int, height: int,
                       channels: int = 1) -> float:
     """Mean sharpness of the model's hypothesis sets over a dataset."""
-    hyps = forward_batch(model, X)
-    totals = _gradient_energy(hyps, width, height, channels)
+    totals = _per_row(model, X, lambda rows, hyps: [
+        _gradient_energy(hyps, width, height, channels)])[0]
     return float(np.mean(totals / (channels * width * height * model.num_hypotheses)))
 
 

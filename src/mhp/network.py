@@ -174,6 +174,16 @@ def forward_batch(model: MlpModel, X, *, return_activations: bool = False):
     return (hyps, acts) if return_activations else hyps
 
 
+_ROW_TILE = 2048
+
+
+def _row_tiles(n: int) -> list[slice]:
+    """Consecutive slices covering ``range(n)``, each of at least ``_ROW_TILE`` rows: the
+    remainder joins the last slice, so fewer than ``2 * _ROW_TILE`` rows make one slice."""
+    ends = [k * _ROW_TILE for k in range(1, n // _ROW_TILE)] + [n]
+    return [slice(start, end) for start, end in zip([0] + ends, ends)]
+
+
 def _one_input(x) -> np.ndarray:
     """One 1-d input vector as a one-row batch."""
     x = np.asarray(x, dtype=np.float64)

@@ -545,6 +545,28 @@ class TestRunBytes:
         capsys.readouterr()
         assert self.digests(out, shas) == shas
 
+    @pytest.mark.parametrize("name, shas", [
+        ("temporal2d", {
+            "report.json": "20ef3ed1281862994fdaa5cb817e6e8ba1311d1992a830807b86670a070674e1",
+            "hypotheses.csv": "d7446f6ef1fadea99e1ab40c6bbf076262c6cb090bb2f6e3619b610c80cc4ecd"}),
+        ("gridframe", {
+            "report.json": "632172a8f3613b51465b6e6106de8716899b9d2d00ec764ad19f003261921b22",
+            "hypotheses.csv": "c02189d38ba1d60091e332fd3c094e73f9df16a9d978debb072d31629c8b68d7",
+            "variance_map.csv":
+                "41b1354d120e6e21e28fa7d762df6f56220049ebfc3ff0b866f06e3dc503e8df"}),
+    ])
+    def test_tiled_eval_bytes_are_pinned(self, run, tmp_path, capsys, name, shas):
+        """10,000 rows: more than two row tiles, so each metric runs tile by tile. The
+        digests were taken when every metric ran one whole-dataset forward pass."""
+        flags, metrics = self.EVALS[name]
+        data = tmp_path / "d"
+        assert main(["gen", *flags, "--n", "10000", "--seed", "5", "--out", str(data)]) == 0
+        out = tmp_path / "e"
+        assert main(["eval", "--checkpoint", str(run(name) / "checkpoint.json"),
+                     "--data", str(data), "--metrics", metrics, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert self.digests(out, shas) == shas
+
 
 class TestManifest:
     """Each command's manifest lists exactly the files it wrote, in the order it wrote them,

@@ -1,17 +1,21 @@
 """Oracle-min loss, hypothesis spread, sharpness, multi-label coverage."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
 import mhp
+from mhp import metrics, network
 from mhp.datagen import default_gridframe_spec, render_frame, sample_gridframe
-from mhp.losses import L2
+from mhp.losses import CROSS_ENTROPY, L2, hypothesis_targets, loss_values
 from mhp.meta_loss import MetaLossConfig
-from mhp.metrics import (dataset_hypothesis_variance, hypothesis_variance,
+from mhp.metrics import (dataset_hypothesis_variance, dataset_sharpness, hypothesis_variance,
                          multilabel_scores, oracle_min_loss,
                          oracle_min_loss_nested, per_dimension_variance,
                          sharpness)
-from mhp.network import Layer, MlpModel
+from mhp.network import Layer, MlpModel, forward_batch
 from mhp.training import TrainSchedule, train
 
 
@@ -219,3 +223,94 @@ class TestSpreadIsBatchRow:
     def test_not_a_set_rejected(self, fn):
         with pytest.raises(ValueError, match="at least 2 hypotheses"):
             fn(np.zeros(3))
+
+
+T = network._ROW_TILE
+TILE_EDGES = [T - 1, T, T + 1, 2 * T - 1, 2 * T, 2 * T + 1]
+# the acceptance nets: input dim, hidden widths, output dim, M, base loss
+ACCEPTANCE_NETS = {
+    "temporal_m1": (1, [50, 50], 2, 1, L2),
+    "temporal_m4": (1, [50, 50], 2, 4, L2),
+    "temporal_m10": (1, [50, 50], 2, 10, L2),
+    "grid_m10": (64, [50, 50], 64, 10, L2),
+    "multilabel_m3": (2, [32, 32], 6, 3, CROSS_ENTROPY),
+}
+
+
+def same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestRowTiles:
+    @pytest.mark.parametrize("n", [0, 1, *TILE_EDGES, 5 * T + 7])
+    def test_tiles_cover_the_rows_in_order(self, n):
+        tiles = network._row_tiles(n)
+        assert len(tiles) == max(n // T, 1)
+        assert tiles[0].start == 0 and tiles[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(tiles, tiles[1:]))
+        assert len(tiles) == 1 or all(t.stop - t.start >= T for t in tiles)
+
+    @pytest.mark.parametrize("n", TILE_EDGES)
+    @pytest.mark.parametrize("net", ACCEPTANCE_NETS)
+    def test_per_sample_values_equal_an_untiled_pass(self, net, n):
+        in_dim, hidden, d, m, kind = ACCEPTANCE_NETS[net]
+        rng = np.random.default_rng(n)
+        model = mhp.init_mlp(in_dim, hidden, d, m, rng)
+        X = rng.random((n, in_dim))
+        Y = rng.integers(0, d, n) if kind == CROSS_ENTROPY else rng.normal(size=(n, d))
+        hyps = forward_batch(model, X)
+        losses = loss_values(kind, hyps, hypothesis_targets(kind, Y, n, d))
+        assert same_bytes(metrics._per_hypothesis_losses(model, X, Y, kind), losses)
+        assert same_bytes(oracle_min_loss(model, X, Y, kind), float(losses.min(axis=1).mean()))
+        assert same_bytes(oracle_min_loss_nested(model, X, Y, kind),
+                          np.minimum.accumulate(losses, axis=1).mean(axis=0))
+        if m > 1:
+            dist, var = metrics._spread(hyps)
+            tiled = metrics._per_row(model, X, lambda rows, h: metrics._spread(h))
+            assert same_bytes(tiled[0], dist) and same_bytes(tiled[1], var)
+            spread, per_dim = dataset_hypothesis_variance(model, X)
+            assert same_bytes(spread, float(dist.mean()))
+            assert same_bytes(per_dim, var.mean(axis=0))
+        if net == "grid_m10":
+            energy = metrics._gradient_energy(hyps, 8, 8, 1)
+            tiled = metrics._per_row(model, X,
+                                     lambda rows, h: [metrics._gradient_energy(h, 8, 8, 1)])
+            assert same_bytes(tiled[0], energy)
+            assert same_bytes(dataset_sharpness(model, X, 8, 8),
+                              float(np.mean(energy / (64 * m))))
+
+
+class TestEmptyDataset:
+    @pytest.mark.parametrize("metric", [
+        lambda model, X, Y: oracle_min_loss(model, X, Y, L2),
+        lambda model, X, Y: oracle_min_loss_nested(model, X, Y, L2),
+        lambda model, X, Y: dataset_hypothesis_variance(model, X),
+        lambda model, X, Y: dataset_sharpness(model, X, 2, 2),
+    ], ids=["oracle_min_loss", "oracle_min_loss_nested", "dataset_hypothesis_variance",
+            "dataset_sharpness"])
+    def test_rejected_without_a_warning(self, metric):
+        model = constant_model(np.zeros((2, 4)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="empty dataset"):
+                metric(model, np.zeros((0, 1)), np.zeros((0, 4)))
+
+
+def test_dataset_passes_hold_one_tile_of_activations():
+    """Oracle-min loss and hypothesis spread of the benchmark's 1-50-50-8 net on 100k rows.
+    One whole-dataset pass per metric peaked at 86.5 MB of traced allocations; the bound is
+    under a quarter of that."""
+    rng = np.random.default_rng(0)
+    model = mhp.init_mlp(1, [50, 50], 2, 4, rng)
+    X, Y = rng.random((100_000, 1)), rng.normal(size=(100_000, 2))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        oracle_min_loss(model, X, Y, L2)
+        dataset_hypothesis_variance(model, X)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
