@@ -92,11 +92,17 @@ def read_field(doc, key: str, read, default=..., *, where: str | None):
 
 @contextmanager
 def _replacing(path: Path):
-    """Text handle on a temp sibling of ``path``, renamed over it on success."""
+    """Text handle on a temp sibling of ``path``, renamed over it on success and removed
+    on failure, so that ``path`` keeps its old bytes and nothing else is left."""
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        yield fh
-    os.replace(tmp, path)
+    fh = open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_text_atomic(path, text: str) -> Path:

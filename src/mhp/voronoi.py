@@ -12,6 +12,9 @@ trained hypothesis heads are compared against.
 from __future__ import annotations
 
 import logging
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +23,8 @@ from .losses import L2, LossKind, hypothesis_targets, loss_values
 
 logger = logging.getLogger(__name__)
 
-_CHUNK = 1 << 17
+_CHUNK = 1 << 17  # the summation block of _mean_loss
+_SEARCH_TILE = 1 << 14  # the rows of one _nearest step
 
 
 @dataclass
@@ -49,26 +53,29 @@ def _as_samples(loss: LossKind, samples) -> np.ndarray:
     return np.asarray(samples) if loss.name == "cross_entropy" else _as_points(samples, "samples")
 
 
-def _nearest(gens: np.ndarray, loss: LossKind, samples) -> tuple[np.ndarray, np.ndarray]:
+def _nearest(gens: np.ndarray, loss: LossKind, samples,
+             out: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Index of and loss against the loss-minimizing generator per sample.
 
-    Works sample-major, one generator at a time: each chunk's targets are
-    laid out with the sample axis contiguous, and each generator's row of
-    losses is folded into a running minimum. The elementwise work, and for
-    regression losses the sum over the d target dimensions, then run along
-    the long sample axis instead of over short per-sample rows of d or M
-    values, and the temporaries stay O(chunk * d). That sum adds the
-    dimensions in sequence; from d = 8 numpy would sum a contiguous row
-    pairwise, so there the last bit can differ from a row-major sum. The
-    strict ``<`` keeps ties on the lowest index, as ``argmin`` does.
+    Works sample-major, one generator at a time: each tile of
+    ``_SEARCH_TILE`` samples has its targets laid out with the sample axis
+    contiguous, and each generator's row of losses is folded into a running
+    minimum. The elementwise work, and for regression losses the sum over
+    the d target dimensions, then run along the sample axis instead of over
+    short per-sample rows of d or M values, and the temporaries stay
+    O(tile * d). That sum adds the dimensions in sequence; from d = 8 numpy
+    would sum a contiguous row pairwise, so there the last bit can differ
+    from a row-major sum. The strict ``<`` keeps ties on the lowest index,
+    as ``argmin`` does. ``out``, an (index, loss) pair of (n,) int64 and
+    float64 arrays, receives the result instead of fresh arrays.
     """
     n = len(samples)
-    index = np.zeros(n, dtype=np.int64)
-    best = np.empty(n)
-    for lo in range(0, n, _CHUNK):
-        block = samples[lo:lo + _CHUNK]
+    index, best = (np.empty(n, dtype=np.int64), np.empty(n)) if out is None else out
+    for lo in range(0, n, _SEARCH_TILE):
+        block = samples[lo:lo + _SEARCH_TILE]
         t = np.asfortranarray(hypothesis_targets(loss, block, len(block), gens.shape[1])[:, 0])
-        idx, low = index[lo:lo + _CHUNK], best[lo:lo + _CHUNK]
+        idx, low = index[lo:lo + _SEARCH_TILE], best[lo:lo + _SEARCH_TILE]
+        idx.fill(0)
         low[:] = loss_values(loss, gens[0], t)
         for j in range(1, len(gens)):
             values = loss_values(loss, gens[j], t)
@@ -179,6 +186,36 @@ def _kmeanspp_init(samples: np.ndarray, m: int, rng: np.random.Generator) -> np.
     return np.array(gens)
 
 
+@contextmanager
+def _squares_checked():
+    """``np.errstate(over="raise")``, whose overflow ends as a ValueError naming it.
+
+    numpy keeps the error state per thread, so every thread that squares
+    samples enters this itself."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise ValueError("samples too far apart: squared distances overflow float64") from None
+
+
+def _lloyd_samples(samples, m: int, max_iters: int, tol: float) -> np.ndarray:
+    """The checked arguments of a Lloyd run; its samples as a sample-major array, so that the
+    cell sums read contiguous columns and every squared distance adds its dimensions in
+    sequence, as ``_nearest`` does."""
+    pts = np.asfortranarray(_as_points(samples, "samples"))
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if not tol >= 0:  # also refuses NaN, which would never stop the loop
+        raise ValueError(f"tol must be a nonnegative number, got {tol}")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+    distinct = _distinct_rows(pts, m)
+    if m > distinct:
+        raise ValueError(f"m={m} exceeds the {distinct} distinct samples")
+    return pts
+
+
 def lloyd(samples, m: int, *, init_generators=None, max_iters: int = 100,
           tol: float = 1e-4, rng: np.random.Generator | None = None) -> LloydResult:
     """Alternate assignment and mean moves under the squared-error loss.
@@ -192,17 +229,7 @@ def lloyd(samples, m: int, *, init_generators=None, max_iters: int = 100,
     so do samples whose squared distances underflow to 0 where a draw or a
     reseed needs them.
     """
-    # sample-major once, so that no _nearest call below copies the points
-    pts = np.asfortranarray(_as_points(samples, "samples"))
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if not tol >= 0:  # also refuses NaN, which would never stop the loop
-        raise ValueError(f"tol must be a nonnegative number, got {tol}")
-    if max_iters < 0:
-        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
-    distinct = _distinct_rows(pts, m)
-    if m > distinct:
-        raise ValueError(f"m={m} exceeds the {distinct} distinct samples")
+    pts = _lloyd_samples(samples, m, max_iters, tol)
     if init_generators is not None:
         start = _as_points(init_generators, "init_generators").copy()
         if start.shape != (m, pts.shape[1]):
@@ -210,21 +237,21 @@ def lloyd(samples, m: int, *, init_generators=None, max_iters: int = 100,
     elif rng is None:
         raise ValueError("rng required for seeded initialization")
     # finite samples can still lie too far apart to square; every overflow refuses them
-    try:
-        with np.errstate(over="raise"):
-            gens = _kmeanspp_init(pts, m, rng) if init_generators is None else start
-            return _lloyd_passes(pts, gens, max_iters, tol)
-    except FloatingPointError:
-        raise ValueError("samples too far apart: squared distances overflow float64") from None
+    with _squares_checked():
+        gens = _kmeanspp_init(pts, m, rng) if init_generators is None else start
+        return _lloyd_passes(pts, gens, max_iters, tol)
 
 
 def _lloyd_passes(pts: np.ndarray, gens: np.ndarray, max_iters: int, tol: float) -> LloydResult:
     """The iterations of ``lloyd`` from ``gens``, which they update in place."""
     m = len(gens)
     converged = False
+    # every search writes into this one (index, loss) pair: allocated once per run, so a
+    # restart's thread does not page in fresh arrays each pass
+    found = np.empty(len(pts), dtype=np.int64), np.empty(len(pts))
     for iterations in range(max_iters + 1):
         # the last pass searches the returned generators; that search gives their error
-        assignments, near = _nearest(gens, L2, pts)
+        assignments, near = _nearest(gens, L2, pts, found)
         if iterations == max_iters:
             break
         counts = np.bincount(assignments, minlength=m)
@@ -235,7 +262,7 @@ def _lloyd_passes(pts: np.ndarray, gens: np.ndarray, max_iters: int, tol: float)
                 idx = int(near.argmax())
                 logger.info("reseeding empty cell %d at sample %d", j, idx)
                 gens[j] = pts[idx]
-                near = np.minimum(near, loss_values(L2, pts, gens[j]))
+                np.minimum(near, loss_values(L2, pts, gens[j]), out=near)
             continue
         means = _cell_sums(assignments, pts, m)
         means /= counts[:, None]
@@ -247,14 +274,66 @@ def _lloyd_passes(pts: np.ndarray, gens: np.ndarray, max_iters: int, tol: float)
     return LloydResult(gens, iterations, converged, _mean_loss(near))
 
 
-def lloyd_best_of(samples, m: int, restarts: int, rng: np.random.Generator,
-                  **kwargs) -> LloydResult:
-    """Best of several seeded runs by quantization error."""
+def _restart_threads(restarts: int) -> int:
+    """Threads for ``restarts`` independent runs: one per core this process may use, at most
+    one per run."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return min(restarts, cores)
+
+
+def lloyd_best_of(samples, m: int, restarts: int, rng: np.random.Generator, *,
+                  max_iters: int = 100, tol: float = 1e-4) -> LloydResult:
+    """Best of several seeded ``lloyd`` runs by quantization error, the first on ties.
+
+    The arguments are checked once, then every restart's seeded start is
+    drawn from ``rng`` in restart order; no Lloyd pass reads ``rng``, so these
+    are the starts that one ``lloyd(samples, m, rng=rng)`` call per restart
+    would draw. The restarts are then independent: each runs as ``lloyd``
+    from its start, on ``_restart_threads(restarts)`` threads, the calling
+    thread among them, and the result does not depend on how many. Once a
+    restart raises, no further restart starts; when every thread has
+    finished, the error of the first failed restart propagates.
+    """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    pts = _lloyd_samples(samples, m, max_iters, tol)
+    with _squares_checked():
+        starts = [_kmeanspp_init(pts, m, rng) for _ in range(restarts)]
+    outcomes: list = [None] * restarts
+    order = iter(range(restarts))
+    lock, stop = threading.Lock(), threading.Event()
+
+    def run_restarts() -> None:
+        while not stop.is_set():
+            with lock:
+                i = next(order, None)
+            if i is None:
+                return
+            try:
+                outcomes[i] = lloyd(pts, m, init_generators=starts[i], max_iters=max_iters,
+                                    tol=tol)
+            except BaseException as err:  # raised by the calling thread below
+                outcomes[i] = err
+                stop.set()
+
+    helpers = [threading.Thread(target=run_restarts)
+               for _ in range(_restart_threads(restarts) - 1)]
+    try:
+        for helper in helpers:
+            helper.start()
+        run_restarts()
+    finally:
+        stop.set()  # however this thread left, the helpers start no further restart
+        for helper in helpers:
+            if helper.is_alive():  # a helper that failed to start has nothing to join
+                helper.join()
     best: LloydResult | None = None
-    for _ in range(restarts):
-        result = lloyd(samples, m, rng=rng, **kwargs)
-        if best is None or result.quantization_error < best.quantization_error:
-            best = result
+    for outcome in outcomes:
+        if isinstance(outcome, BaseException):
+            raise outcome
+        if best is None or outcome.quantization_error < best.quantization_error:
+            best = outcome
     return best

@@ -54,6 +54,40 @@ def test_csv_bytes_match_the_row_loop(tmp_path, n):
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
 
+def _fail_on_third_column(monkeypatch):
+    calls, real = [], io_utils._column_text
+
+    def column_text(column):
+        calls.append(1)
+        if len(calls) == 3:
+            raise OSError(28, "No space left on device")
+        return real(column)
+    monkeypatch.setattr(io_utils, "_column_text", column_text)
+
+
+@pytest.mark.parametrize("failure, error", [
+    ("disk full", OSError),
+    # an object column converts a chunk at a time, so the first chunk is already written
+    ("bad cell in the second chunk", ValueError),
+], ids=["oserror", "object_column"])
+def test_failed_csv_write_keeps_the_old_file_and_leaves_no_temp(tmp_path, monkeypatch,
+                                                                 failure, error):
+    path = tmp_path / "out2.csv"
+    write_csv_atomic(path, ["a", "b"], np.arange(6.0).reshape(3, 2))
+    old = path.read_bytes()
+    n = 2 * io_utils._CSV_CHUNK_ROWS
+    if failure == "disk full":
+        _fail_on_third_column(monkeypatch)
+        block = np.ones((n, 2))
+    else:
+        block = np.ones((n, 2), dtype=object)
+        block[n - 1, 1] = "x"
+    with pytest.raises(error):
+        write_csv_atomic(path, ["a", "b"], block)
+    assert [p.name for p in tmp_path.iterdir()] == ["out2.csv"]
+    assert path.read_bytes() == old
+
+
 def test_csv_blocks_of_different_lengths_are_rejected(tmp_path):
     with pytest.raises(ValueError):
         write_csv_atomic(tmp_path / "t.csv", None, np.zeros((3, 1)), np.zeros((4, 1)))

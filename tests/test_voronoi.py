@@ -2,13 +2,15 @@
 
 import itertools
 import logging
+import re
+import threading
 
 import numpy as np
 import pytest
 
 from mhp import voronoi
 from mhp.losses import CROSS_ENTROPY, L2, LossKind, hypothesis_targets, loss_values
-from mhp.voronoi import (_CHUNK, _cell_sums, _nearest, centroidal_residual, lloyd,
+from mhp.voronoi import (_CHUNK, _SEARCH_TILE, _cell_sums, _nearest, centroidal_residual, lloyd,
                          lloyd_best_of, membership, quantization_error, tessellate)
 
 QUADRANT_CENTERS = np.array([[-0.5, -0.5], [-0.5, 0.5], [0.5, -0.5], [0.5, 0.5]])
@@ -246,6 +248,79 @@ class TestLloyd:
         assert best <= single + 1e-12
 
 
+class TestConcurrentRestarts:
+    """``lloyd_best_of`` runs its restarts on several threads; nothing it returns may show it."""
+
+    @staticmethod
+    def threads(monkeypatch, count):
+        monkeypatch.setattr(voronoi, "_restart_threads", lambda restarts: min(count, restarts))
+
+    @pytest.mark.parametrize("d, m", [(2, 4), (64, 3)])
+    def test_result_does_not_depend_on_the_thread_count(self, monkeypatch, d, m):
+        pts = np.random.default_rng(40).normal(size=(3000, d))
+        restarts = 5
+        # one plain lloyd call per restart, all drawing from one generator
+        rng = np.random.default_rng(41)
+        runs = [lloyd(pts, m, rng=rng, tol=1e-6) for _ in range(restarts)]
+        want = min(runs, key=lambda r: r.quantization_error)
+        for count in (1, 2, restarts):
+            self.threads(monkeypatch, count)
+            got = lloyd_best_of(pts, m, restarts, np.random.default_rng(41), tol=1e-6)
+            assert got.generators.tobytes() == want.generators.tobytes()
+            assert (got.iterations, got.converged) == (want.iterations, want.converged)
+            assert got.quantization_error == want.quantization_error
+
+    def test_every_thread_searches_with_overflow_raising(self, monkeypatch):
+        self.threads(monkeypatch, 2)
+        both_started = threading.Barrier(2, timeout=30)
+        seen = {}
+
+        def spy(*args):
+            me = threading.get_ident()
+            if me not in seen:
+                seen[me] = []
+                both_started.wait()  # two restarts at once, or a BrokenBarrierError
+            seen[me].append(np.geterr()["over"])
+            return _nearest(*args)
+        monkeypatch.setattr(voronoi, "_nearest", spy)
+        lloyd_best_of(uniform_square(5000, seed=42), 4, 4, np.random.default_rng(43))
+        assert len(seen) >= 2
+        assert all(state == "raise" for states in seen.values() for state in states)
+
+    def test_failed_restart_raises_after_every_thread_finished(self, monkeypatch):
+        self.threads(monkeypatch, 2)
+        caller, real_lloyd = threading.current_thread(), voronoi.lloyd
+        helper_failed = threading.Event()
+        raised = []
+
+        def fail_off_the_calling_thread(*args, **kwargs):
+            if threading.current_thread() is caller:
+                assert helper_failed.wait(30)
+                return real_lloyd(*args, **kwargs)
+            raised.append(ValueError("restart failed"))
+            helper_failed.set()
+            raise raised[-1]
+        monkeypatch.setattr(voronoi, "lloyd", fail_off_the_calling_thread)
+        running = threading.active_count()
+        with pytest.raises(ValueError, match="^restart failed$") as info:
+            lloyd_best_of(uniform_square(2000, seed=44), 3, 4, np.random.default_rng(45))
+        assert info.value is raised[0]
+        assert len(raised) == 1  # no restart started after the failure
+        assert threading.active_count() == running
+
+    def test_first_failed_restart_in_order_raises(self, monkeypatch):
+        # every restart fails; the first one's error is the one a sequential loop would raise
+        self.threads(monkeypatch, 2)
+
+        def fail(samples, m, *, init_generators, **kwargs):
+            raise ValueError(f"restart at {init_generators[0].tolist()}")
+        monkeypatch.setattr(voronoi, "lloyd", fail)
+        pts = uniform_square(2000, seed=46)
+        first = voronoi._kmeanspp_init(np.asfortranarray(pts), 3, np.random.default_rng(47))
+        with pytest.raises(ValueError, match=re.escape(f"restart at {first[0].tolist()}")):
+            lloyd_best_of(pts, 3, 4, np.random.default_rng(47))
+
+
 class TestCellSums:
     @pytest.mark.parametrize("shape", [(1000,), (1000, 1), (1000, 3)])
     def test_bitwise_equal_to_add_at_with_empty_cells(self, shape):
@@ -313,6 +388,22 @@ class TestNearest:
             index, best = _nearest(gens, L2, laid_out)
             assert index.tobytes() == ref_index.tobytes()
             assert best.tobytes() == ref_best.tobytes()
+
+    @pytest.mark.parametrize("loss", NEAREST_LOSSES, ids=lambda k: k.spec())
+    @pytest.mark.parametrize("n", [_SEARCH_TILE - 1, _SEARCH_TILE, _SEARCH_TILE + 1,
+                                   2 * _SEARCH_TILE + 1])
+    def test_bitwise_equal_across_search_tiles(self, loss, n):
+        gens, samples = nearest_case(loss, 3, 4, n=n, seed=2)
+        ref_index, ref_best = nearest_reference(gens, loss, samples)
+        index, best = _nearest(gens, loss, samples)
+        assert index.tobytes() == ref_index.tobytes()
+        assert best.tobytes() == ref_best.tobytes()
+        # written into a given pair, whatever it held before
+        out = np.full(n, 7, dtype=np.int64), np.full(n, np.nan)
+        index, best = _nearest(gens, loss, samples, out)
+        assert index is out[0] and best is out[1]
+        assert index.tobytes() == ref_index.tobytes()
+        assert best.tobytes() == ref_best.tobytes()
 
     @pytest.mark.parametrize("loss", NEAREST_LOSSES, ids=lambda k: k.spec())
     @pytest.mark.parametrize("d", [8, 64])
