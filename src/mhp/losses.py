@@ -80,12 +80,6 @@ def hypothesis_targets(kind: LossKind, targets, n: int, output_dim: int) -> np.n
     return t[:, None]
 
 
-def _one_row(kind: LossKind, hypotheses, target) -> tuple[np.ndarray, np.ndarray]:
-    """One sample's (M, d) hypotheses and its target as a one-row batch."""
-    h = np.asarray(hypotheses, dtype=np.float64)[None]
-    return h, hypothesis_targets(kind, np.asarray(target)[None], 1, h.shape[-1])
-
-
 def loss_values(kind: LossKind, predictions, targets) -> np.ndarray:
     """Loss of each prediction against its target, summed over the last axis.
 
@@ -134,20 +128,3 @@ def softmax(logits) -> np.ndarray:
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
 
-
-def _one_prediction(kind: LossKind, prediction, target):
-    """One prediction vector and its target as a one-row, one-hypothesis batch."""
-    p = np.asarray(prediction, dtype=np.float64)
-    if p.ndim != 1:
-        raise ValueError("prediction must be a vector")
-    return _one_row(kind, p[None], target)
-
-
-def loss(kind: LossKind, prediction, target) -> float:
-    """Scalar loss of one prediction against one target: one :func:`loss_values` row."""
-    return float(loss_values(kind, *_one_prediction(kind, prediction, target))[0, 0])
-
-
-def loss_grad(kind: LossKind, prediction, target) -> np.ndarray:
-    """Gradient of the scalar loss w.r.t. the prediction: one :func:`loss_grads` row."""
-    return loss_grads(kind, *_one_prediction(kind, prediction, target))[0, 0]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import L2, LossKind, _one_row, hypothesis_targets, loss_grads, loss_values
+from .losses import L2, LossKind, hypothesis_targets, loss_values
 
 
 @dataclass(frozen=True)
@@ -36,61 +36,14 @@ class MetaLossConfig:
             raise ValueError("dropout_prob must lie in [0, 1)")
 
 
-@dataclass(frozen=True)
-class AssignmentResult:
-    best_index: int
-    weights: np.ndarray              # (M,), active weights sum to 1
-    per_hypothesis_losses: np.ndarray  # (M,), computed before dropout
-    dropped_mask: np.ndarray         # (M,) bool
-
-
-def assign(config: MetaLossConfig, hypotheses, target,
-           rng: np.random.Generator | None = None,
-           dropped_mask=None) -> AssignmentResult:
-    """Per-hypothesis losses, dropout mask, winner and relaxed weights.
-
-    The winner is the active hypothesis with the lowest base loss (lowest
-    index on ties). Pass ``dropped_mask`` to fix the dropout draw; otherwise
-    it is sampled from ``rng`` when ``dropout_prob > 0``. A one-row
-    :func:`assign_batch`, consuming ``rng`` identically.
-    """
-    h = np.asarray(hypotheses, dtype=np.float64)
-    if h.ndim != 2 or h.shape[0] != config.num_hypotheses:
-        raise ValueError(f"expected ({config.num_hypotheses}, d) hypotheses, got {h.shape}")
-    if not np.isfinite(h).all():
-        raise ValueError("non-finite hypotheses")
-    masks = None if dropped_mask is None else np.asarray(dropped_mask, dtype=bool)[None]
-    weights, losses, best, masks = assign_batch(config, h[None], np.asarray(target)[None],
-                                                rng, masks)
-    return AssignmentResult(int(best[0]), weights[0], losses[0], masks[0])
-
-
-def meta_loss(config: MetaLossConfig, hypotheses, target,
-              assignment: AssignmentResult) -> float:
-    """Weighted sum of per-hypothesis base losses under a fixed assignment."""
-    losses = loss_values(config.base_loss, *_one_row(config.base_loss, hypotheses, target))
-    return float(assignment.weights @ losses[0])
-
-
-def meta_loss_upstream_grads(config: MetaLossConfig, hypotheses, target,
-                             assignment: AssignmentResult) -> np.ndarray:
-    """Per-hypothesis gradients weights[j] * dL/df_j, shape (M, d).
-
-    Dropped hypotheses get an exactly zero gradient vector.
-    """
-    g = loss_grads(config.base_loss, *_one_row(config.base_loss, hypotheses, target))
-    return assignment.weights[:, None] * g[0]
-
-
 def assign_batch(config: MetaLossConfig, hypotheses, targets,
                  rng: np.random.Generator | None = None, dropped_masks=None):
     """Vectorized assignment for a batch.
 
     ``hypotheses`` is (n, M, d); regression targets are (n, d), class targets
     (n,). Returns (weights (n, M), losses (n, M), best (n,), masks (n, M)).
-    Dropout draws consume ``rng`` in the same row-major order as n successive
-    single-sample draws, so the batch path matches the sequential one stream
-    for stream.
+    Dropout draws are one ``rng.random((n, M))``, so consecutive row chunks
+    draw the same stream.
     """
     h = np.asarray(hypotheses, dtype=np.float64)
     n, m = h.shape[0], h.shape[1]

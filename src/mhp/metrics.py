@@ -50,27 +50,13 @@ def oracle_min_loss_nested(model: MlpModel, X, Y, kind: LossKind) -> np.ndarray:
     return running.mean(axis=0)
 
 
-def _spread(hyps) -> tuple[np.ndarray, np.ndarray]:
+def _spread(hyps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For (n, M, d) hypothesis sets: each hypothesis's Euclidean distance to
     its set's mean, (n, M), and each set's per-dimension variance, (n, d)."""
-    h = np.asarray(hyps, dtype=np.float64)
-    if h.ndim != 3 or h.shape[1] < 2:
+    if hyps.shape[1] < 2:
         raise ValueError("hypothesis variance needs sets of at least 2 hypotheses")
-    center = h.mean(axis=1, keepdims=True)
-    return np.linalg.norm(h - center, axis=2), h.var(axis=1)
-
-
-def hypothesis_variance(hypotheses) -> float:
-    """Mean Euclidean distance of each hypothesis to the hypothesis mean."""
-    return float(_spread(np.asarray(hypotheses)[None])[0].mean())
-
-
-def per_dimension_variance(hypotheses) -> np.ndarray:
-    """Variance across hypotheses, per output dimension.
-
-    Reshaped to the frame geometry this is the per-pixel variance map.
-    """
-    return _spread(np.asarray(hypotheses)[None])[1][0]
+    center = hyps.mean(axis=1, keepdims=True)
+    return np.linalg.norm(hyps - center, axis=2), hyps.var(axis=1)
 
 
 def dataset_hypothesis_variance(model: MlpModel, X) -> tuple[float, np.ndarray]:
@@ -93,23 +79,15 @@ def _gradient_energy(hyps: np.ndarray, width: int, height: int, channels: int) -
     return (gx * gx + gy * gy).reshape(n, m * hyps.shape[2]).sum(axis=1)
 
 
-def sharpness(hypotheses, width: int, height: int, channels: int = 1) -> float:
-    """Mean squared forward-difference gradient magnitude over all outputs.
-
-    Differences run toward larger row/column indices and are zero at the far
-    boundary; the sum is averaged over channels, pixels and hypotheses.
-    Constant images score 0; scaling intensities by a scales the value a^2.
-    """
-    h = np.asarray(hypotheses, dtype=np.float64)
-    if h.ndim == 1:
-        h = h[None, :]
-    total = float(_gradient_energy(h[None], width, height, channels)[0])
-    return total / (channels * width * height * h.shape[0])
-
-
 def dataset_sharpness(model: MlpModel, X, width: int, height: int,
                       channels: int = 1) -> float:
-    """Mean sharpness of the model's hypothesis sets over a dataset."""
+    """Mean squared forward-difference gradient magnitude of the model's outputs, read as
+    ``height`` x ``width`` x ``channels`` images, over a dataset.
+
+    Differences run toward larger row/column indices and are zero at the far boundary; the
+    sum is averaged over channels, pixels, hypotheses and samples. Constant images score 0;
+    scaling intensities by a scales the value a^2.
+    """
     totals = _per_row(model, X, lambda rows, hyps: [
         _gradient_energy(hyps, width, height, channels)])[0]
     return float(np.mean(totals / (channels * width * height * model.num_hypotheses)))

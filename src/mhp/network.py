@@ -8,10 +8,10 @@ caller-supplied upstream vectors.
 
 The parameters are one float64 vector, ``MlpModel.params`` of length P, laid
 out by :func:`param_views` alone: per layer, W (out, in) row-major, then b.
-The layers' arrays are views into it. :func:`backward_batch` and :func:`backward`
-return (P,) gradients, :func:`step` takes one, and ``OptimizerState.buffer`` is
-(P,) too. Optimizers (SGD with momentum, RMSProp) update the model in place;
-the training loop owns the model exclusively between steps.
+The layers' arrays are views into it. :func:`backward_batch` returns a (P,)
+gradient, :func:`step` takes one, and ``OptimizerState.buffer`` is (P,) too.
+Optimizers (SGD with momentum, RMSProp) update the model in place; the
+training loop owns the model exclusively between steps.
 """
 
 from __future__ import annotations
@@ -98,6 +98,8 @@ class MlpModel:
             w, b = np.asarray(layer.weights), np.asarray(layer.biases)
             if w.ndim != 2 or b.ndim != 1 or b.shape[0] != w.shape[0]:
                 raise ValueError(f"layer {k}: weights (out,in) and biases (out,) required")
+            if 0 in w.shape:
+                raise ValueError(f"layer {k}: weights of shape {w.shape} have a zero dimension")
             if prev is not None and w.shape[1] != prev:
                 raise ValueError(f"layer {k}: in-dim {w.shape[1]} != previous out-dim {prev}")
             if layer.activation not in ACTIVATIONS:
@@ -227,12 +229,6 @@ def backward_batch(model: MlpModel, upstream_grads, activations: list[np.ndarray
                 # relu(z) > 0 exactly where z > 0, so the mask needs no z
                 delta *= activations[k] > 0.0
     return grad
-
-
-def backward(model: MlpModel, x, upstream_grads) -> np.ndarray:
-    """Single-input wrapper around :func:`backward_batch`."""
-    _, acts = forward_batch(model, _one_input(x), return_activations=True)
-    return backward_batch(model, np.asarray(upstream_grads)[None], acts)
 
 
 @dataclass

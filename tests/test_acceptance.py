@@ -18,11 +18,11 @@ from mhp.cli import main as cli_main
 from mhp.datagen import (default_gridframe_spec, make_multilabel_spec,
                          region_index, sample_gridframe, sample_multilabel,
                          sample_temporal2d, temporal2d_dataset)
-from mhp.losses import CROSS_ENTROPY, L2, LossKind, loss, loss_grad
-from mhp.meta_loss import MetaLossConfig, assign, meta_loss, meta_loss_upstream_grads
+from mhp.losses import CROSS_ENTROPY, L2, LossKind, hypothesis_targets, loss_grads, loss_values
+from mhp.meta_loss import MetaLossConfig, assign_batch
 from mhp.metrics import (dataset_sharpness, multilabel_scores, oracle_min_loss,
                          oracle_min_loss_nested)
-from mhp.network import backward, forward, init_mlp, make_optimizer
+from mhp.network import backward_batch, forward, forward_batch, init_mlp, make_optimizer
 from mhp.training import TrainSchedule, train
 from mhp.voronoi import (centroidal_residual, lloyd_best_of, quantization_error,
                          tessellate)
@@ -150,19 +150,23 @@ def test_criterion_1_gradient_suite():
             for _ in range(30):
                 u = rng.normal(size=5)
                 v = int(rng.integers(5)) if kind.name == "cross_entropy" else rng.normal(size=5)
-                numeric = central_differences(lambda: loss(kind, u, v), u, h)
-                assert fd_scale_error(loss_grad(kind, u, v), numeric) < 1e-5
+                numeric = central_differences(lambda: loss_values(kind, u, v), u, h)
+                assert fd_scale_error(loss_grads(kind, u, v), numeric) < 1e-5
 
         # meta-loss w.r.t. hypotheses, dropout masks included
         for kind in kinds:
             for _ in range(10):
                 m, d = 5, 3
-                hyp = rng.normal(size=(m, d))
+                hyp = rng.normal(size=(m, d))[None]
                 tgt = int(rng.integers(d)) if kind.name == "cross_entropy" else rng.normal(size=d)
+                tgt = np.asarray(tgt)[None]
                 cfg = MetaLossConfig(m, 0.05, 0.3, kind)
-                res = assign(cfg, hyp, tgt, dropped_mask=rng.random(m) < 0.3)
-                analytic = meta_loss_upstream_grads(cfg, hyp, tgt, res)
-                numeric = central_differences(lambda: meta_loss(cfg, hyp, tgt, res), hyp, h)
+                weights, _, _, _ = assign_batch(cfg, hyp, tgt,
+                                                dropped_masks=(rng.random(m) < 0.3)[None])
+                tb = hypothesis_targets(kind, tgt, 1, d)
+                analytic = weights[..., None] * loss_grads(kind, hyp, tb)
+                numeric = central_differences(
+                    lambda: (weights * loss_values(kind, hyp, tb)).sum(axis=1)[0], hyp, h)
                 assert fd_scale_error(analytic, numeric) < 1e-5
 
         # full MLP parameter gradients on a <=500-parameter model
@@ -170,7 +174,8 @@ def test_criterion_1_gradient_suite():
         assert model.params.size <= 500
         x = rng.normal(size=3)
         upstream = rng.normal(size=(2, 2))
-        analytic = backward(model, x, upstream)
+        _, acts = forward_batch(model, x[None], return_activations=True)
+        analytic = backward_batch(model, upstream[None], acts)
         numeric = central_differences(lambda: float((upstream * forward(model, x)).sum()),
                                       model.params, h)
         assert fd_scale_error(analytic, numeric) < 1e-5
@@ -184,14 +189,16 @@ def test_criterion_2_reduction_law():
                 hyp = rng.normal(size=(1, 4))
                 tgt = int(rng.integers(4)) if kind.name == "cross_entropy" else rng.normal(size=4)
                 cfg = MetaLossConfig(1, base_loss=kind, dropout_prob=0.0)
-                res = assign(cfg, hyp, tgt)
-                assert meta_loss(cfg, hyp, tgt, res) == loss(kind, hyp[0], tgt)
+                weights, losses, _, _ = assign_batch(cfg, hyp[None], np.asarray(tgt)[None])
+                # the meta-loss sum that ``train`` logs, against the base loss
+                assert float((weights * losses).sum()) == loss_values(kind, hyp[0], tgt)
         for m in range(2, 11):
             for eps in (0.01, 0.05, 0.3):
                 cfg = MetaLossConfig(m, epsilon=eps, dropout_prob=0.3)
                 for _ in range(20):
-                    res = assign(cfg, rng.normal(size=(m, 2)), rng.normal(size=2), rng=rng)
-                    assert abs(res.weights.sum() - 1.0) <= 1e-12
+                    weights, _, _, _ = assign_batch(cfg, rng.normal(size=(1, m, 2)),
+                                                    rng.normal(size=(1, 2)), rng=rng)
+                    assert abs(weights.sum() - 1.0) <= 1e-12
 
 
 def test_criterion_3_toy_reproduction(temporal_runs):

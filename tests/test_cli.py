@@ -779,6 +779,23 @@ class TestCorruptCheckpoint:
         assert err.startswith("error:") and "'weights'" in err
         assert len(err.splitlines()) == 1 and len(err) < 250
 
+    @pytest.mark.parametrize("layer_dims, parameters", [
+        ([[1, 0], [0, 4]], [{"weights": [], "biases": []},
+                            {"weights": [], "biases": [0.1, 0.2, 0.3, 0.4]}]),
+        ([[0, 4]], [{"weights": [], "biases": [0.1, 0.2, 0.3, 0.4]}]),
+    ], ids=["zero_width_hidden_layer", "zero_width_input"])
+    def test_zero_width_layer_is_refused(self, good, layer_dims, parameters, tmp_path, capsys):
+        doc = json.loads(json.dumps(good))
+        doc.update(layer_dims=layer_dims, parameters=parameters, optimizer=None,
+                   activations=["relu"] * (len(layer_dims) - 1) + ["identity"])
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="layer 0: .* zero dimension"):
+            load_checkpoint(path)
+        usage_error(capsys, ["tessellate", "--checkpoint", str(path), "--t", "0.0",
+                             "--samples", "50", "--out", str(tmp_path / "cells")], "layer 0")
+        assert not (tmp_path / "cells").exists()
+
     @pytest.fixture(scope="class")
     def grid_run(self, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("grid")

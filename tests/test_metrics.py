@@ -11,10 +11,8 @@ from mhp import metrics, network
 from mhp.datagen import default_gridframe_spec, render_frame, sample_gridframe
 from mhp.losses import CROSS_ENTROPY, L2, hypothesis_targets, loss_values
 from mhp.meta_loss import MetaLossConfig
-from mhp.metrics import (dataset_hypothesis_variance, dataset_sharpness, hypothesis_variance,
-                         multilabel_scores, oracle_min_loss,
-                         oracle_min_loss_nested, per_dimension_variance,
-                         sharpness)
+from mhp.metrics import (dataset_hypothesis_variance, dataset_sharpness, multilabel_scores,
+                         oracle_min_loss, oracle_min_loss_nested)
 from mhp.network import Layer, MlpModel, forward_batch
 from mhp.training import TrainSchedule, train
 
@@ -26,6 +24,9 @@ def constant_model(hyps):
     return MlpModel([Layer(np.zeros((m * d, 1)), hyps.ravel(), "identity")], d, m)
 
 
+ONE_INPUT = np.zeros((1, 1))  # a one-row dataset for a constant_model
+
+
 class TestOracleMin:
     def test_single_hypothesis_equals_mean_loss(self):
         rng = np.random.default_rng(0)
@@ -33,7 +34,7 @@ class TestOracleMin:
         X = rng.random((50, 1))
         Y = rng.normal(size=(50, 2))
         hyps = mhp.forward_batch(model, X)
-        expected = np.mean([mhp.loss(L2, hyps[i, 0], Y[i]) for i in range(50)])
+        expected = np.mean([loss_values(L2, hyps[i, 0], Y[i]) for i in range(50)])
         assert oracle_min_loss(model, X, Y, L2) == pytest.approx(expected, rel=1e-12)
 
     def test_duplicated_heads_match_single_head(self):
@@ -63,54 +64,65 @@ class TestOracleMin:
 
 class TestHypothesisVariance:
     def test_identical_hypotheses_have_zero_spread(self):
-        assert hypothesis_variance(np.tile([1.0, 2.0], (5, 1))) == 0.0
+        model = constant_model(np.tile([1.0, 2.0], (5, 1)))
+        assert dataset_hypothesis_variance(model, ONE_INPUT)[0] == 0.0
 
     def test_two_point_example(self):
-        assert hypothesis_variance(np.array([[0.0, 0.0], [2.0, 0.0]])) == 1.0
+        model = constant_model(np.array([[0.0, 0.0], [2.0, 0.0]]))
+        assert dataset_hypothesis_variance(model, ONE_INPUT)[0] == 1.0
 
     def test_single_hypothesis_rejected(self):
-        with pytest.raises(ValueError):
-            hypothesis_variance(np.array([[1.0, 2.0]]))
+        with pytest.raises(ValueError, match="at least 2 hypotheses"):
+            dataset_hypothesis_variance(constant_model(np.array([[1.0, 2.0]])), ONE_INPUT)
 
     def test_invariance_under_permutation_and_translation(self):
         rng = np.random.default_rng(3)
         h = rng.normal(size=(6, 3))
-        base = hypothesis_variance(h)
-        assert hypothesis_variance(h[rng.permutation(6)]) == pytest.approx(base, rel=1e-12)
-        assert hypothesis_variance(h + np.array([5.0, -2.0, 0.5])) == pytest.approx(base, rel=1e-9)
+
+        def spread(hyps):
+            return dataset_hypothesis_variance(constant_model(hyps), ONE_INPUT)[0]
+
+        base = spread(h)
+        assert spread(h[rng.permutation(6)]) == pytest.approx(base, rel=1e-12)
+        assert spread(h + np.array([5.0, -2.0, 0.5])) == pytest.approx(base, rel=1e-9)
 
     def test_dataset_aggregate_matches_per_input(self):
         rng = np.random.default_rng(4)
         model = mhp.init_mlp(2, [8], 2, 3, rng)
         X = rng.random((40, 2))
         mean_spread, per_dim = dataset_hypothesis_variance(model, X)
-        hyps = mhp.forward_batch(model, X)
-        expected = np.mean([hypothesis_variance(hyps[i]) for i in range(40)])
+        rows = [dataset_hypothesis_variance(model, X[i:i + 1]) for i in range(40)]
+        expected = np.mean([spread for spread, _ in rows])
         assert mean_spread == pytest.approx(expected, rel=1e-12)
-        expected_dim = np.mean([per_dimension_variance(hyps[i]) for i in range(40)], axis=0)
+        expected_dim = np.mean([row_dim for _, row_dim in rows], axis=0)
         np.testing.assert_allclose(per_dim, expected_dim, rtol=1e-12)
+
+
+def one_set_sharpness(hyps, width, height, channels=1):
+    """Sharpness of one (M, H*W*C) hypothesis set, as a one-row dataset."""
+    return dataset_sharpness(constant_model(hyps), ONE_INPUT, width, height, channels)
 
 
 class TestSharpness:
     def test_constant_image_is_flat(self):
-        assert sharpness(np.full((1, 16), 0.7), 4, 4) == 0.0
+        assert one_set_sharpness(np.full((1, 16), 0.7), 4, 4) == 0.0
 
     def test_hand_computed_two_by_two(self):
         img = np.array([[0.0, 1.0], [0.0, 1.0]]).ravel()
-        assert sharpness(img[None, :], 2, 2) == 0.5
+        assert one_set_sharpness(img[None, :], 2, 2) == 0.5
 
     def test_quadratic_intensity_scaling(self):
         rng = np.random.default_rng(5)
         img = rng.random((1, 64))
-        base = sharpness(img, 8, 8)
-        assert sharpness(3.0 * img, 8, 8) == pytest.approx(9.0 * base, rel=1e-12)
+        base = one_set_sharpness(img, 8, 8)
+        assert one_set_sharpness(3.0 * img, 8, 8) == pytest.approx(9.0 * base, rel=1e-12)
 
     def test_translation_invariance_for_interior_dot(self):
         spec = default_gridframe_spec(1)
         a = render_frame(spec, (3, 3)).ravel()
         b = render_frame(spec, (4, 5)).ravel()
-        assert sharpness(a[None, :], 8, 8) == pytest.approx(
-            sharpness(b[None, :], 8, 8), rel=1e-12)
+        assert one_set_sharpness(a[None, :], 8, 8) == pytest.approx(
+            one_set_sharpness(b[None, :], 8, 8), rel=1e-12)
 
     def test_averaging_disjoint_dots_blurs(self):
         spec = default_gridframe_spec(1)
@@ -118,12 +130,12 @@ class TestSharpness:
         b = render_frame(spec, (5, 5)).ravel()
         avg = 0.5 * (a + b)
         assert avg.max() == 0.5 * a.max()
-        assert sharpness(avg[None, :], 8, 8) < sharpness(a[None, :], 8, 8)
-        assert sharpness(avg[None, :], 8, 8) < sharpness(b[None, :], 8, 8)
+        assert one_set_sharpness(avg[None, :], 8, 8) < one_set_sharpness(a[None, :], 8, 8)
+        assert one_set_sharpness(avg[None, :], 8, 8) < one_set_sharpness(b[None, :], 8, 8)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            sharpness(np.zeros((1, 60)), 8, 8)
+            one_set_sharpness(np.zeros((1, 60)), 8, 8)
 
 
 class TestMultiLabelScores:
@@ -163,9 +175,8 @@ class TestVarianceMapOnGridTask:
 
         train(model, sampler, MetaLossConfig(3, 0.05, 0.01), opt,
               TrainSchedule(40, 32, 6, samples_per_epoch=2048))
-        x = sample_gridframe(spec, 1, np.random.default_rng(0))[0][0]
-        hyps = mhp.forward(model, x)
-        vmap = per_dimension_variance(hyps)
+        x = sample_gridframe(spec, 1, np.random.default_rng(0))[0]
+        _, vmap = dataset_hypothesis_variance(model, x)
 
         support = np.zeros(spec.pixels, dtype=bool)
         for pos in spec.terminals:
@@ -185,7 +196,7 @@ class TestDatasetSharpness:
         model = init_mlp(3, [8], width * height * channels, m, rng)
         X = rng.normal(size=(int(rng.integers(1, 30)), 3))
         hyps = forward_batch(model, X)
-        loop = float(np.mean([sharpness(h, width, height, channels) for h in hyps]))
+        loop = float(np.mean([one_set_sharpness(h, width, height, channels) for h in hyps]))
         assert dataset_sharpness(model, X, width, height, channels) == loop
 
     def test_shape_mismatch_rejected(self):
@@ -211,18 +222,15 @@ class TestTargetShape:
 
 class TestSpreadIsBatchRow:
     def test_single_set_is_bitwise_a_dataset_row(self):
+        """A constant_model replaying one input's set gives that one-row dataset's spread bits."""
         rng = np.random.default_rng(7)
         model = mhp.init_mlp(2, [8], 3, 4, rng)
         for x in rng.random((10, 2)):
             spread, per_dim = dataset_hypothesis_variance(model, x[None])
-            hyps = mhp.forward(model, x)
-            assert hypothesis_variance(hyps) == spread
-            np.testing.assert_array_equal(per_dimension_variance(hyps), per_dim)
-
-    @pytest.mark.parametrize("fn", [hypothesis_variance, per_dimension_variance])
-    def test_not_a_set_rejected(self, fn):
-        with pytest.raises(ValueError, match="at least 2 hypotheses"):
-            fn(np.zeros(3))
+            replay, replay_dim = dataset_hypothesis_variance(
+                constant_model(mhp.forward(model, x)), ONE_INPUT)
+            assert replay == spread
+            np.testing.assert_array_equal(replay_dim, per_dim)
 
 
 T = network._ROW_TILE

@@ -7,9 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mhp.network import (Layer, MlpModel, TrainingDivergedError, backward,
-                         backward_batch, forward, forward_batch, init_mlp,
-                         load_checkpoint, make_optimizer, param_views, save_checkpoint, step)
+from mhp.network import (Layer, MlpModel, TrainingDivergedError, backward_batch, forward,
+                         forward_batch, init_mlp, load_checkpoint, make_optimizer,
+                         param_views, save_checkpoint, step)
 from mhp.network import OptimizerState
 
 # Output of the seeded reference model below at x = 0.25, recorded once and
@@ -148,17 +148,23 @@ class TestModelValidation:
             MlpModel([Layer(w, np.zeros(2), "identity")], 2, 1)
 
 
+def batch_grad(model, X, upstream):
+    """:func:`backward_batch` on the activations of ``forward_batch(model, X)``."""
+    _, acts = forward_batch(model, X, return_activations=True)
+    return backward_batch(model, upstream, acts)
+
+
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         model = reference_model()
-        assert np.all(backward(model, np.array([0.3]), np.zeros((4, 2))) == 0.0)
+        assert np.all(batch_grad(model, np.array([[0.3]]), np.zeros((1, 4, 2))) == 0.0)
 
     def test_single_linear_layer_outer_product(self):
         w = np.array([[1.0, 2.0], [3.0, 4.0]])
         model = MlpModel([Layer(w, np.zeros(2), "identity")], 2, 1)
         x = np.array([0.5, -1.5])
         g = np.array([[2.0, -1.0]])
-        (dw, db), = param_views(model.shapes, backward(model, x, g))
+        (dw, db), = param_views(model.shapes, batch_grad(model, x[None], g[None]))
         np.testing.assert_array_equal(dw, np.outer(g[0], x))
         np.testing.assert_array_equal(db, g[0])
 
@@ -167,8 +173,8 @@ class TestBackward:
         rng = np.random.default_rng(1)
         x = np.array([0.4])
         g = rng.normal(size=(4, 2))
-        np.testing.assert_allclose(backward(model, x, 3.5 * g), 3.5 * backward(model, x, g),
-                                   atol=1e-12)
+        np.testing.assert_allclose(batch_grad(model, x[None], 3.5 * g[None]),
+                                   3.5 * batch_grad(model, x[None], g[None]), atol=1e-12)
 
     def test_finite_difference_full_model(self):
         # 3-layer model, well under 500 parameters
@@ -177,7 +183,7 @@ class TestBackward:
         assert model.params.size <= 500
         x = rng.normal(size=3)
         upstream = rng.normal(size=(2, 2))
-        analytic = backward(model, x, upstream)
+        analytic = batch_grad(model, x[None], upstream[None])
         numeric = np.zeros_like(analytic)
         for i, orig in enumerate(model.params.copy()):
             model.params[i] = orig + 1e-6
@@ -191,16 +197,15 @@ class TestBackward:
     def test_upstream_shape_validated(self):
         model = reference_model()
         with pytest.raises(ValueError):
-            backward(model, np.array([0.1]), np.zeros((3, 2)))
+            batch_grad(model, np.array([[0.1]]), np.zeros((1, 3, 2)))
 
     def test_batch_sums_per_sample_grads(self):
         model = reference_model()
         rng = np.random.default_rng(6)
         X = rng.random((5, 1))
         U = rng.normal(size=(5, 4, 2))
-        single = sum(backward(model, X[i], U[i]) for i in range(5))
-        _, acts = forward_batch(model, X, return_activations=True)
-        np.testing.assert_allclose(backward_batch(model, U, acts), single, atol=1e-12)
+        single = sum(batch_grad(model, X[i:i + 1], U[i:i + 1]) for i in range(5))
+        np.testing.assert_allclose(batch_grad(model, X, U), single, atol=1e-12)
 
     @pytest.mark.parametrize("activations", [("relu", "relu", "identity"),
                                              ("identity", "identity", "identity")])
