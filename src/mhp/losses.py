@@ -6,6 +6,7 @@ with the trailing axis as the output (or class) dimension.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,18 +51,30 @@ L2 = LossKind("l2")
 CROSS_ENTROPY = LossKind("cross_entropy")
 
 
+@functools.lru_cache(maxsize=16)
+def _index_grids(lead: tuple, target_shape: tuple) -> tuple[tuple, tuple[np.ndarray, ...]]:
+    """The leading shape that logits of leading shape ``lead`` share with targets of
+    ``target_shape``, and its read-only sparse index grids."""
+    shape = np.broadcast_shapes(lead, target_shape)
+    grids = np.indices(shape, sparse=True)
+    for grid in grids:
+        grid.flags.writeable = False
+    return shape, grids
+
+
 def _target_logits(p: np.ndarray, targets) -> tuple[np.ndarray, tuple]:
     """Logits broadcast (only where needed) to the leading shape they share with the integer
     targets, and one fancy index of each target's logit, which never copies a broadcast view."""
     t = np.asarray(targets)
-    if not np.issubdtype(t.dtype, np.integer):
+    if t.dtype.kind not in "iu":
         raise ValueError("cross_entropy targets must be integer class indices")
-    if t.size and (t.min() < 0 or t.max() >= p.shape[-1]):
+    if t.size and (np.minimum.reduce(t, axis=None) < 0
+                   or np.maximum.reduce(t, axis=None) >= p.shape[-1]):
         raise ValueError(f"class index out of range for {p.shape[-1]} classes")
-    lead = np.broadcast_shapes(p.shape[:-1], t.shape)
+    lead, grids = _index_grids(p.shape[:-1], t.shape)
     if p.shape[:-1] != lead:
         p = np.broadcast_to(p, lead + p.shape[-1:])
-    return p, (*np.indices(lead, sparse=True), t)
+    return p, (*grids, t)
 
 
 def hypothesis_targets(kind: LossKind, targets, n: int, output_dim: int) -> np.ndarray:
@@ -89,20 +102,20 @@ def loss_values(kind: LossKind, predictions, targets) -> np.ndarray:
     p = np.asarray(predictions, dtype=np.float64)
     if kind.name == "cross_entropy":
         p, picked = _target_logits(p, targets)
-        m = p.max(axis=-1, keepdims=True)
-        lse = np.log(np.exp(p - m).sum(axis=-1)) + m[..., 0]
+        m = np.maximum.reduce(p, axis=-1, keepdims=True)
+        lse = np.log(np.add.reduce(np.exp(p - m), axis=-1)) + m[..., 0]
         return lse - p[picked]
     r = p - np.asarray(targets, dtype=np.float64)
     if kind.name == "l2":
         # in place, bitwise the same as 0.5 * (r * r).sum(axis=-1): two
         # temporaries instead of four on the hot path of voronoi._nearest
         r *= r
-        s = r.sum(axis=-1)
+        s = np.add.reduce(r, axis=-1)
         s *= 0.5
         return s
     c = kind.tukey_c
     q = np.minimum((r / c) ** 2, 1.0)
-    return (c * c / 6.0) * (1.0 - (1.0 - q) ** 3).sum(axis=-1)
+    return (c * c / 6.0) * np.add.reduce(1.0 - (1.0 - q) ** 3, axis=-1)
 
 
 def loss_grads(kind: LossKind, predictions, targets) -> np.ndarray:
@@ -124,7 +137,7 @@ def loss_grads(kind: LossKind, predictions, targets) -> np.ndarray:
 def softmax(logits) -> np.ndarray:
     """Numerically stable softmax over the last axis."""
     z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
+    z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 

@@ -13,6 +13,7 @@ the meta-loss reduces to the base loss exactly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,17 @@ class MetaLossConfig:
             raise ValueError("epsilon must lie in (0, 1)")
         if not 0.0 <= self.dropout_prob < 1.0:
             raise ValueError("dropout_prob must lie in [0, 1)")
+
+
+@functools.lru_cache(maxsize=16)
+def _weight_tables(m: int, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """The relaxed weights of M hypotheses, indexed by the number k < M of dropped ones: the
+    winner's and each active loser's. A lone active hypothesis takes weight 1."""
+    active = m - np.arange(m)
+    winner = np.where(active > 1, 1.0 - epsilon, 1.0)
+    loser = np.where(active > 1, epsilon / np.maximum(active - 1, 1), 0.0)
+    winner.flags.writeable = loser.flags.writeable = False
+    return winner, loser
 
 
 def assign_batch(config: MetaLossConfig, hypotheses, targets,
@@ -62,12 +74,14 @@ def assign_batch(config: MetaLossConfig, hypotheses, targets,
         masks = rng.random((n, m)) < config.dropout_prob
     else:
         masks = np.zeros((n, m), dtype=bool)
-    masks[masks.all(axis=1)] = False
+    all_dropped = np.logical_and.reduce(masks, axis=1)
+    if np.logical_or.reduce(all_dropped):
+        masks[all_dropped] = False
 
     masked = np.where(masks, np.inf, losses)
     best = masked.argmin(axis=1)
-    active = m - masks.sum(axis=1)
-    share = np.where(active > 1, config.epsilon / np.maximum(active - 1, 1), 0.0)
-    weights = np.where(masks, 0.0, share[:, None])
-    weights[np.arange(n), best] = np.where(active > 1, 1.0 - config.epsilon, 1.0)
+    dropped = np.add.reduce(masks, axis=1)
+    winner, loser = _weight_tables(m, config.epsilon)
+    weights = np.where(masks, 0.0, loser[dropped, None])
+    weights[np.arange(n), best] = winner[dropped]
     return weights, losses, best, masks

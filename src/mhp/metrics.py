@@ -104,6 +104,8 @@ def multilabel_scores(model: MlpModel, features, label_sets) -> tuple[float, flo
     X = np.asarray(features, dtype=np.float64)
     if len(X) != len(label_sets):
         raise ValueError("one label set per input required")
+    if len(X) == 0:
+        raise ValueError("empty dataset")
     hyps = forward_batch(model, X)
     preds = hyps.argmax(axis=2)
     recalls, precisions = [], []

@@ -155,7 +155,7 @@ def _check_batch_input(model: MlpModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise ValueError(f"expected inputs of shape (n, {model.input_dim}), got {X.shape}")
-    if not np.isfinite(X).all():
+    if not np.logical_and.reduce(np.isfinite(X), axis=None):
         raise ValueError("non-finite input")
     return X
 
@@ -222,7 +222,7 @@ def backward_batch(model: MlpModel, upstream_grads, activations: list[np.ndarray
     grad = np.empty(model.params.size)
     for k, (dw, db) in reversed(list(enumerate(param_views(model.shapes, grad)))):
         np.matmul(delta.T, activations[k], out=dw)
-        delta.sum(axis=0, out=db)
+        np.add.reduce(delta, axis=0, out=db)
         if k > 0:
             delta = delta @ model.layers[k].weights
             if model.layers[k - 1].activation == "relu":
@@ -271,9 +271,12 @@ def step(state: OptimizerState, model: MlpModel, grad) -> None:
     rmsprop: s <- rho*s + (1-rho)*g^2; theta <- theta - lr*g/sqrt(s + 1e-8).
     ``grad`` is (P,); a non-finite gradient or result raises TrainingDivergedError.
 
-    One pass checks the sum of the new buffer and parameters: a non-finite gradient makes it
-    non-finite, a finite sum has no non-finite term. Only a non-finite sum runs the per-layer
-    checks, of the gradient and then of the result, so a sum that merely overflows still steps.
+    One sum checks the result: the new parameters' under sgd_momentum, where a non-finite
+    gradient or buffer makes them non-finite too, as the old parameters are finite; the new
+    buffer's and parameters' under rmsprop, whose buffer can overflow while g/sqrt(inf) leaves
+    the parameters finite. A finite sum has no non-finite term. Only a non-finite sum runs the
+    per-layer checks, of the gradient and then of the result, so a sum that merely overflows
+    still steps.
     """
     g = np.asarray(grad, dtype=np.float64)
     if not g.shape == state.buffer.shape == model.params.shape:
@@ -286,11 +289,12 @@ def step(state: OptimizerState, model: MlpModel, grad) -> None:
         if state.kind == "sgd_momentum":
             buffer -= np.multiply(g, lr, out=params)
             np.add(model.params, buffer, out=params)
+            total = np.add.reduce(params)
         else:
             buffer += (1.0 - mu) * g * g
             np.subtract(model.params, lr * g / np.sqrt(buffer + RMSPROP_EPS), out=params)
-        finite = np.isfinite(new.sum())
-    if not finite:
+            total = np.add.reduce(new, axis=None)
+    if not np.isfinite(total):
         _require_finite(model, g, "gradient")
         _require_finite(model, new, "update")
     state.buffer[...] = buffer

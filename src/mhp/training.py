@@ -41,15 +41,16 @@ class EpochMetrics:
 
 
 def _epoch_data(data, rng: np.random.Generator, schedule: TrainSchedule):
-    if callable(data):
-        X, Y = data(rng, schedule.samples_per_epoch)
-    else:
-        X, Y = data
-        order = rng.permutation(len(X))
-        X, Y = X[order], Y[order]
+    X, Y = data(rng, schedule.samples_per_epoch) if callable(data) else data
+    X, Y = np.asarray(X, dtype=np.float64), np.asarray(Y)
+    if len(X) != len(Y):
+        raise ValueError(f"{len(X)} inputs but {len(Y)} targets")
     if len(X) == 0:
         raise ValueError("empty dataset")
-    return np.asarray(X, dtype=np.float64), np.asarray(Y)
+    if not callable(data):
+        order = rng.permutation(len(X))
+        X, Y = X[order], Y[order]
+    return X, Y
 
 
 def train(model: MlpModel, data, config: MetaLossConfig,
@@ -57,11 +58,12 @@ def train(model: MlpModel, data, config: MetaLossConfig,
     """Train ``model`` in place; returns one metrics record per epoch.
 
     ``data`` is either a fixed ``(X, Y)`` pair, reshuffled every epoch, or a
-    callable ``sampler(rng, n)`` drawing a fresh epoch of n samples. Aborts
-    with TrainingDivergedError (carrying epoch and batch index) as soon as a
-    non-finite loss or gradient appears. A call either finishes or changes
-    nothing: on any exception ``model.params`` and ``optimizer.buffer`` are
-    put back to their values at the call before it propagates.
+    callable ``sampler(rng, n)`` drawing a fresh epoch of n samples. Inputs and
+    targets of different lengths raise ValueError before the epoch's first
+    step. Aborts with TrainingDivergedError (carrying epoch and batch index) as
+    soon as a non-finite loss or gradient appears. A call either finishes or
+    changes nothing: on any exception ``model.params`` and ``optimizer.buffer``
+    are put back to their values at the call before it propagates.
     """
     if config.num_hypotheses != model.num_hypotheses:
         raise ValueError("meta-loss config and model disagree on the hypothesis count")
@@ -87,28 +89,28 @@ def _train_epochs(model: MlpModel, data, config: MetaLossConfig,
         n = len(X)
         meta_sum = 0.0
         oracle_sum = 0.0
-        for b, lo in enumerate(range(0, n, schedule.batch_size)):
-            xb = X[lo:lo + schedule.batch_size]
-            yb = Y[lo:lo + schedule.batch_size]
-            # overflow anywhere in a step is how divergence first shows up; the
-            # checks below and in ``step`` turn it into a typed error
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
+        # overflow anywhere in a step is how divergence first shows up; the
+        # checks below and in ``step`` turn it into a typed error
+        with np.errstate(over="ignore", invalid="ignore"):
+            for b, lo in enumerate(range(0, n, schedule.batch_size)):
+                xb = X[lo:lo + schedule.batch_size]
+                yb = Y[lo:lo + schedule.batch_size]
+                try:
                     hyps, acts = forward_batch(model, xb, return_activations=True)
                     weights, losses, _, _ = assign_batch(config, hyps, yb, rng=dropout_rng)
-                    if not np.isfinite(losses).all():
+                    if not np.logical_and.reduce(np.isfinite(losses), axis=None):
                         raise TrainingDivergedError("non-finite loss")
-                    meta_sum += float((weights * losses).sum())
-                    oracle_sum += float(losses.min(axis=1).sum())
+                    meta_sum += float(np.add.reduce(weights * losses, axis=None))
+                    oracle_sum += float(np.add.reduce(np.minimum.reduce(losses, axis=1)))
                     tb = hypothesis_targets(config.base_loss, yb, len(xb), model.output_dim)
                     upstream = loss_grads(config.base_loss, hyps, tb)
                     upstream *= weights[:, :, None]
                     upstream /= len(xb)
                     step(optimizer, model, backward_batch(model, upstream, acts))
-            except TrainingDivergedError as err:
-                err.epoch, err.batch_index = epoch, b
-                err.args = (f"{err} at epoch {epoch}, batch {b}",)
-                raise
+                except TrainingDivergedError as err:
+                    err.epoch, err.batch_index = epoch, b
+                    err.args = (f"{err} at epoch {epoch}, batch {b}",)
+                    raise
         history.append(EpochMetrics(
             epoch=epoch,
             mean_meta_loss=meta_sum / n,

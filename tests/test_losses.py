@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mhp.losses import (CROSS_ENTROPY, DEFAULT_TUKEY_C, L2, LossKind, loss_grads,
-                        loss_values, softmax)
+from mhp.losses import (CROSS_ENTROPY, DEFAULT_TUKEY_C, L2, LossKind, _index_grids,
+                        loss_grads, loss_values, softmax)
 
 TUKEY = LossKind("tukey")
 
@@ -198,6 +198,46 @@ class TestIndexedCrossEntropy:
         assert grads.flags.writeable and not np.shares_memory(grads, preds)
         grads *= 2.0
         assert np.array_equal(preds, before)
+
+
+class TestIndexGrids:
+    """The cross-entropy index grids, cached per (logit leading shape, target shape)."""
+
+    def test_grids_are_read_only(self):
+        loss_values(CROSS_ENTROPY, np.zeros((4, 3, 5)), np.zeros((4, 1), dtype=np.int64))
+        lead, grids = _index_grids((4, 3), (4, 1))
+        assert lead == (4, 3) and len(grids) == 2
+        for grid in grids:
+            assert not grid.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                grid[...] = 0
+
+    def test_a_second_shape_pair_gets_its_own_grids(self):
+        rng = np.random.default_rng(23)
+        first = _index_grids((32, 3), (32, 1))
+        assert _index_grids((32, 3), (32, 1)) is first
+        for logit_shape, target_shape in [((32, 3, 6), (32, 1)), ((16, 3, 6), (16, 1))]:
+            logits = rng.normal(scale=5.0, size=logit_shape)
+            targets = rng.integers(0, 6, size=target_shape)
+            values, grads = reference_cross_entropy(logits, targets)
+            assert loss_values(CROSS_ENTROPY, logits, targets).tobytes() == values.tobytes()
+            assert loss_grads(CROSS_ENTROPY, logits, targets).tobytes() == grads.tobytes()
+        lead, grids = _index_grids((16, 3), (16, 1))
+        assert lead == (16, 3)
+        assert [g.shape for g in grids] == [(16, 1), (1, 3)]
+        assert [g.shape for g in first[1]] == [(32, 1), (1, 3)]
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32])
+    def test_any_integer_dtype_is_a_class_index(self, dtype):
+        rng = np.random.default_rng(24)
+        logits = rng.normal(size=(8, 2, 4))
+        targets = rng.integers(0, 4, size=(8, 1))
+        want = loss_values(CROSS_ENTROPY, logits, targets).tobytes()
+        assert loss_values(CROSS_ENTROPY, logits, targets.astype(dtype)).tobytes() == want
+
+    def test_boolean_targets_rejected(self):
+        with pytest.raises(ValueError, match="integer class indices"):
+            loss_values(CROSS_ENTROPY, np.zeros((2, 2)), np.array([True, False]))
 
 
 class TestSpecStrings:

@@ -5,7 +5,7 @@ import pytest
 
 from mhp.losses import (CROSS_ENTROPY, L2, LossKind, hypothesis_targets, loss_grads,
                         loss_values)
-from mhp.meta_loss import MetaLossConfig, assign_batch
+from mhp.meta_loss import MetaLossConfig, _weight_tables, assign_batch
 
 TUKEY = LossKind("tukey")
 
@@ -273,6 +273,36 @@ class TestAssignBatch:
             want = np.where(mask, 0.0, eps / (active - 1) if active > 1 else 0.0)
             want[b] = 1.0 - eps if active > 1 else 1.0
             assert row.tobytes() == want.tobytes()
+
+
+class TestWeightTables:
+    """The per-(M, epsilon) weight tables that ``assign_batch`` reads."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 10])
+    @pytest.mark.parametrize("eps", [0.05, 0.3])
+    def test_tables_equal_the_where_chain(self, m, eps):
+        """Row k drops k heads; the tables give the bits of the per-row np.where chain."""
+        masks = np.arange(m)[None, :] < np.arange(m)[:, None]
+        active = m - masks.sum(axis=1)
+        share = np.where(active > 1, eps / np.maximum(active - 1, 1), 0.0)
+        top = np.where(active > 1, 1.0 - eps, 1.0)
+        winner, loser = _weight_tables(m, eps)
+        assert winner.shape == loser.shape == (m,)
+        assert winner.tobytes() == top.tobytes()
+        assert loser.tobytes() == share.tobytes()
+
+    def test_tables_are_read_only(self):
+        for table in _weight_tables(4, 0.05):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.5
+
+    def test_weights_are_fresh_arrays(self):
+        cfg = MetaLossConfig(3, dropout_prob=0.0)
+        rng = np.random.default_rng(10)
+        weights, _, _, _ = assign_batch(cfg, rng.normal(size=(5, 3, 2)), rng.normal(size=(5, 2)))
+        weights *= 2.0
+        assert _weight_tables(3, cfg.epsilon)[0][0] == 1.0 - cfg.epsilon
 
 
 def misshaped(targets):

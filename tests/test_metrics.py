@@ -295,8 +295,9 @@ class TestEmptyDataset:
         lambda model, X, Y: oracle_min_loss_nested(model, X, Y, L2),
         lambda model, X, Y: dataset_hypothesis_variance(model, X),
         lambda model, X, Y: dataset_sharpness(model, X, 2, 2),
+        lambda model, X, Y: multilabel_scores(model, X, []),
     ], ids=["oracle_min_loss", "oracle_min_loss_nested", "dataset_hypothesis_variance",
-            "dataset_sharpness"])
+            "dataset_sharpness", "multilabel_scores"])
     def test_rejected_without_a_warning(self, metric):
         model = constant_model(np.zeros((2, 4)))
         with warnings.catch_warnings():

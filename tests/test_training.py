@@ -188,3 +188,32 @@ class TestSinglePass:
         cfg = MetaLossConfig(2, 0.05, 0.01, mhp.L2)
         train(model, temporal_sampler, cfg, opt, TrainSchedule(1, 32, 0, samples_per_epoch=32))
         assert calls == [32]
+
+
+class TestEpochData:
+    """A fixed pair or a sampler's draw is converted first, then its lengths must agree."""
+
+    def test_fixed_lists_train_like_arrays(self):
+        X, Y = temporal2d_dataset(256, np.random.default_rng(6))
+        trained = []
+        for data in ((X, Y), (X.tolist(), Y.tolist())):
+            model = fresh_model(2)
+            opt = mhp.make_optimizer("sgd_momentum", model, 0.02, 0.9)
+            history = train(model, data, MetaLossConfig(2, 0.05, 0.01), opt,
+                            TrainSchedule(2, 32, 0))
+            trained.append((model.params.tobytes(), [h.mean_meta_loss for h in history]))
+        assert trained[0] == trained[1]
+
+    @pytest.mark.parametrize("targets", [255, 257], ids=["fewer_targets", "more_targets"])
+    @pytest.mark.parametrize("source", ["fixed", "sampler"])
+    def test_mismatched_lengths_refused_before_any_step(self, monkeypatch, source, targets):
+        X, Y = temporal2d_dataset(257, np.random.default_rng(7))
+        X, Y = X[:256], Y[:targets]
+        data = (X, Y) if source == "fixed" else (lambda rng, n: (X, Y))
+        steps = []
+        monkeypatch.setattr(mhp.training, "step", lambda *args: steps.append(args))
+        model = fresh_model(2)
+        opt = mhp.make_optimizer("sgd_momentum", model, 0.02, 0.9)
+        with pytest.raises(ValueError, match=f"256 inputs but {targets} targets"):
+            train(model, data, MetaLossConfig(2), opt, TrainSchedule(1, 32, 0))
+        assert steps == []
