@@ -43,6 +43,9 @@ class EpochMetrics:
 def _epoch_data(data, rng: np.random.Generator, schedule: TrainSchedule):
     X, Y = data(rng, schedule.samples_per_epoch) if callable(data) else data
     X, Y = np.asarray(X, dtype=np.float64), np.asarray(Y)
+    if X.ndim == 0 or Y.ndim == 0:
+        raise ValueError(f"inputs of shape {X.shape} and targets of shape {Y.shape}: "
+                         "both need a leading sample axis")
     if len(X) != len(Y):
         raise ValueError(f"{len(X)} inputs but {len(Y)} targets")
     if len(X) == 0:
@@ -59,11 +62,12 @@ def train(model: MlpModel, data, config: MetaLossConfig,
 
     ``data`` is either a fixed ``(X, Y)`` pair, reshuffled every epoch, or a
     callable ``sampler(rng, n)`` drawing a fresh epoch of n samples. Inputs and
-    targets of different lengths raise ValueError before the epoch's first
-    step. Aborts with TrainingDivergedError (carrying epoch and batch index) as
-    soon as a non-finite loss or gradient appears. A call either finishes or
-    changes nothing: on any exception ``model.params`` and ``optimizer.buffer``
-    are put back to their values at the call before it propagates.
+    targets of different lengths, or a scalar in place of either, raise
+    ValueError before the epoch's first step. Aborts with TrainingDivergedError
+    (carrying epoch and batch index) as soon as a non-finite loss or gradient
+    appears. A call either finishes or changes nothing: on any exception
+    ``model.params`` and ``optimizer.buffer`` are put back to their values at
+    the call before it propagates.
     """
     if config.num_hypotheses != model.num_hypotheses:
         raise ValueError("meta-loss config and model disagree on the hypothesis count")

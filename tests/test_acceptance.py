@@ -3,33 +3,36 @@
 One test per criterion, each printing an ``ACCEPTANCE <n> ...: PASS/FAIL``
 line and enforcing its runtime budget. Training time for a shared model
 fixture is charged to the criterion whose experiment it is (3 for the
-temporal task, 5 for the grid task, 6 for the multi-label task). Run with
+temporal task, 5 for the grid task, 6 for the multi-label task). Those
+models are trained by ``mhp train`` from the checked-in ``configs/*.json``,
+one file per experiment run, with only the seed changed. Run with
 ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion lines.
 """
 
 import json
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mhp.cli import main as cli_main
-from mhp.datagen import (default_gridframe_spec, make_multilabel_spec,
-                         region_index, sample_gridframe, sample_multilabel,
-                         sample_temporal2d, temporal2d_dataset)
+from mhp.datagen import (default_gridframe_spec, make_multilabel_spec, region_index,
+                         sample_gridframe, sample_temporal2d, temporal2d_dataset)
 from mhp.losses import CROSS_ENTROPY, L2, LossKind, hypothesis_targets, loss_grads, loss_values
 from mhp.meta_loss import MetaLossConfig, assign_batch
 from mhp.metrics import (dataset_sharpness, multilabel_scores, oracle_min_loss,
                          oracle_min_loss_nested)
-from mhp.network import backward_batch, forward, forward_batch, init_mlp, make_optimizer
-from mhp.training import TrainSchedule, train
+from mhp.network import backward_batch, forward, forward_batch, init_mlp, load_checkpoint
 from mhp.voronoi import (centroidal_residual, lloyd_best_of, quantization_error,
                          tessellate)
 
 pytestmark = pytest.mark.slow
 
 SEEDS = (0, 1, 2, 3, 4)
+# one `mhp train` config per acceptance run, written at seed 0
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @contextmanager
@@ -66,33 +69,35 @@ def fd_scale_error(analytic, numeric):
 # ---------------------------------------------------------------------------
 # Shared experiment fixtures
 
-def train_model(m, seed, sampler, in_dim, out_dim, hidden, lr, epochs, batch,
-                n_per_epoch, base_loss=L2):
-    rng = np.random.default_rng(seed)
-    model = init_mlp(in_dim, hidden, out_dim, m, rng, seed=seed)
-    opt = make_optimizer("sgd_momentum", model, lr, 0.9)
-    cfg = MetaLossConfig(m, epsilon=0.05, dropout_prob=0.01, base_loss=base_loss)
-    sched = TrainSchedule(epochs, batch, seed, samples_per_epoch=n_per_epoch)
-    history = train(model, sampler, cfg, opt, sched)
-    return model, history
+def train_runs(tmp_path_factory, task: str, hypotheses):
+    """``{M: {seed: (model, optimizer)}}``: what ``mhp train`` writes for
+    ``configs/<task>_m<M>.json`` with only its seed changed, read back from the
+    checkpoint; also returns the configs' ``dataset`` object."""
+    out = tmp_path_factory.mktemp(task)
+    runs = {}
+    with pytest.MonkeyPatch.context() as env:
+        env.delenv("MHP_SEED", raising=False)
+        for m in hypotheses:
+            cfg = json.loads((CONFIGS / f"{task}_m{m}.json").read_text())
+            runs[m] = {}
+            for s in SEEDS:
+                config, run = out / f"m{m}_seed{s}.json", out / f"m{m}_seed{s}"
+                config.write_text(json.dumps({**cfg, "seed": s}))
+                assert cli_main(["train", "--config", str(config), "--out", str(run)]) == 0
+                runs[m][s] = load_checkpoint(run / "checkpoint.json")
+    return cfg["dataset"], runs
 
 
 @pytest.fixture(scope="session")
-def temporal_runs():
+def temporal_runs(tmp_path_factory):
     """SHP, 4-MHP and 10-MHP on the temporal task, 5 seeds each."""
     t0 = time.perf_counter()
-    runs = {
-        m: {s: train_model(m, s, lambda r, n: temporal2d_dataset(n, r),
-                           in_dim=1, out_dim=2, hidden=(50, 50), lr=0.015,
-                           epochs=100, batch=64, n_per_epoch=10_000)
-            for s in SEEDS}
-        for m in (1, 4, 10)
-    }
+    _, runs = train_runs(tmp_path_factory, "temporal2d", (1, 4, 10))
     return runs, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")
-def grid_runs():
+def grid_runs(tmp_path_factory):
     """SHP, 5-MHP and 10-MHP on the 8x8 grid-frame task, 5 seeds each.
 
     The task uses 12 equally likely terminal cells so that even the largest
@@ -100,40 +105,18 @@ def grid_runs():
     hypotheses than outcomes the surplus heads settle on the conditional
     average and drag the mean sharpness back down.
     """
-    spec = default_gridframe_spec(12)
-
-    def sampler(r, n):
-        X, Y, _ = sample_gridframe(spec, n, r)
-        return X, Y
-
     t0 = time.perf_counter()
-    runs = {
-        m: {s: train_model(m, s, sampler, in_dim=spec.pixels, out_dim=spec.pixels,
-                           hidden=(50, 50), lr=0.08, epochs=120, batch=64,
-                           n_per_epoch=4096)
-            for s in SEEDS}
-        for m in (1, 5, 10)
-    }
-    return spec, runs, time.perf_counter() - t0
+    ds, runs = train_runs(tmp_path_factory, "gridframe", (1, 5, 10))
+    return default_gridframe_spec(ds["terminals"]), runs, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")
-def multilabel_runs():
+def multilabel_runs(tmp_path_factory):
     """SHP and 3-MHP classifiers on the 6-class, two-label task, 5 seeds."""
-    spec = make_multilabel_spec(6, 2, np.random.default_rng(77))
-
-    def sampler(r, n):
-        X, y, _ = sample_multilabel(spec, n, r)
-        return X, y
-
     t0 = time.perf_counter()
-    runs = {
-        m: {s: train_model(m, s, sampler, in_dim=2, out_dim=6, hidden=(32, 32),
-                           lr=0.1, epochs=50, batch=32, n_per_epoch=4096,
-                           base_loss=CROSS_ENTROPY)
-            for s in SEEDS}
-        for m in (1, 3)
-    }
+    ds, runs = train_runs(tmp_path_factory, "multilabel", (1, 3))
+    spec = make_multilabel_spec(ds["num_classes"], ds["set_size"],
+                                np.random.default_rng(ds["item_seed"]))
     return spec, runs, time.perf_counter() - t0
 
 
@@ -312,17 +295,8 @@ def test_criterion_8_determinism(tmp_path):
         assert ((tmp_path / "g1/data.csv").read_bytes()
                 == (tmp_path / "g2/data.csv").read_bytes())
 
-        cfg = {
-            "M": 4, "epsilon": 0.05, "dropout_prob": 0.01, "base_loss": "l2",
-            "epochs": 5, "batch_size": 64, "optimizer": "sgd_momentum",
-            "learning_rate": 0.02, "momentum": 0.9, "seed": 31,
-            "hidden_layers": [25, 25],
-            "dataset": {"task": "temporal2d", "n": 2000},
-        }
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(cfg))
         for name in ("t1", "t2"):
-            assert cli_main(["train", "--config", str(cfg_path),
+            assert cli_main(["train", "--config", str(CONFIGS / "temporal2d_m4.json"),
                              "--out", str(tmp_path / name)]) == 0
         assert ((tmp_path / "t1/metrics.jsonl").read_bytes()
                 == (tmp_path / "t2/metrics.jsonl").read_bytes())

@@ -191,7 +191,8 @@ class TestSinglePass:
 
 
 class TestEpochData:
-    """A fixed pair or a sampler's draw is converted first, then its lengths must agree."""
+    """A fixed pair or a sampler's draw is converted first, then both must have a sample
+    axis and their lengths must agree."""
 
     def test_fixed_lists_train_like_arrays(self):
         X, Y = temporal2d_dataset(256, np.random.default_rng(6))
@@ -217,3 +218,20 @@ class TestEpochData:
         with pytest.raises(ValueError, match=f"256 inputs but {targets} targets"):
             train(model, data, MetaLossConfig(2), opt, TrainSchedule(1, 32, 0))
         assert steps == []
+
+    @pytest.mark.parametrize("data", [
+        (np.zeros((4, 1)), 3.0),
+        (3.0, np.zeros((4, 2))),
+        lambda rng, n: (np.zeros((n, 1)), 3.0),
+    ], ids=["scalar_target", "scalar_input", "sampler_scalar_target"])
+    def test_scalar_refused_before_any_step(self, monkeypatch, data):
+        steps = []
+        monkeypatch.setattr(mhp.training, "step", lambda *args: steps.append(args))
+        model = fresh_model(2)
+        opt = mhp.make_optimizer("sgd_momentum", model, 0.02, 0.9)
+        params, buffer = model.params.copy(), opt.buffer.copy()
+        with pytest.raises(ValueError, match=r"of shape \(.*\) and targets of shape \(.*\)"):
+            train(model, data, MetaLossConfig(2), opt, TrainSchedule(1, 32, 0))
+        assert steps == []
+        assert model.params.tobytes() == params.tobytes()
+        assert opt.buffer.tobytes() == buffer.tobytes()
