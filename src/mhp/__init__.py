@@ -10,8 +10,8 @@ verifies against a classical quantizer oracle.
 
 __version__ = "0.1.0"
 
-from .losses import CROSS_ENTROPY, DEFAULT_TUKEY_C, L2, LossKind
-from .meta_loss import MetaLossConfig, assign_batch
+from .losses import CROSS_ENTROPY, DEFAULT_TUKEY_C, L2, LossKind, hypothesis_targets
+from .meta_loss import MetaLossConfig, assign_batch, draw_dropout
 from .network import (Layer, MlpModel, OptimizerState, TrainingDivergedError, forward,
                       forward_batch, init_mlp, load_checkpoint, make_optimizer,
                       save_checkpoint, step)
@@ -23,6 +23,7 @@ __all__ = [
     "CROSS_ENTROPY", "DEFAULT_TUKEY_C", "EpochMetrics", "L2", "Layer", "LloydResult",
     "LossKind", "MetaLossConfig", "MlpModel", "OptimizerState", "Tessellation",
     "TrainSchedule", "TrainingDivergedError", "assign_batch", "centroidal_residual",
-    "forward", "forward_batch", "init_mlp", "lloyd", "lloyd_best_of", "load_checkpoint",
-    "make_optimizer", "quantization_error", "save_checkpoint", "step", "tessellate", "train",
+    "draw_dropout", "forward", "forward_batch", "hypothesis_targets", "init_mlp", "lloyd",
+    "lloyd_best_of", "load_checkpoint", "make_optimizer", "quantization_error",
+    "save_checkpoint", "step", "tessellate", "train",
 ]

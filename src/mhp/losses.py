@@ -93,6 +93,16 @@ def hypothesis_targets(kind: LossKind, targets, n: int, output_dim: int) -> np.n
     return t[:, None]
 
 
+def check_hypothesis_targets(kind: LossKind, targets, n: int, output_dim: int) -> None:
+    """Raise ValueError unless ``targets`` have the shape :func:`hypothesis_targets` gives
+    the targets of n samples."""
+    want = (n, 1) if kind.name == "cross_entropy" else (n, 1, output_dim)
+    got = np.shape(targets)
+    if got != want:
+        raise ValueError(f"{kind.name} targets shaped for hypotheses must have shape {want}, "
+                         f"got {got}")
+
+
 def loss_values(kind: LossKind, predictions, targets) -> np.ndarray:
     """Loss of each prediction against its target, summed over the last axis.
 

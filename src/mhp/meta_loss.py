@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .losses import L2, LossKind, hypothesis_targets, loss_values
+from .losses import L2, LossKind, check_hypothesis_targets, loss_values
 
 
 @dataclass(frozen=True)
@@ -48,26 +49,33 @@ def _weight_tables(m: int, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     return winner, loser
 
 
-def assign_batch(config: MetaLossConfig, hypotheses, targets,
-                 rng: np.random.Generator | None = None, dropped_masks=None):
-    """Vectorized assignment for a batch.
+class HeadDropout(NamedTuple):
+    """Per row: the dropped heads, the winner's weight and each active loser's share."""
 
-    ``hypotheses`` is (n, M, d); regression targets are (n, d), class targets
-    (n,). Returns (weights (n, M), losses (n, M), best (n,), masks (n, M)).
-    Dropout draws are one ``rng.random((n, M))``, so consecutive row chunks
-    draw the same stream.
+    masks: np.ndarray   # (n, M) bool, True where a head is dropped
+    winner: np.ndarray  # (n,)
+    loser: np.ndarray   # (n,)
+
+    def rows(self, start: int, stop: int) -> "HeadDropout":
+        return HeadDropout(self.masks[start:stop], self.winner[start:stop],
+                           self.loser[start:stop])
+
+
+def draw_dropout(config: MetaLossConfig, n: int, rng: np.random.Generator | None = None,
+                 dropped_masks=None) -> HeadDropout:
+    """Dropout of n rows: the given boolean (n, M) ``dropped_masks``, else one
+    ``rng.random((n, M)) < dropout_prob`` draw (nothing is drawn when it is 0), so
+    consecutive row chunks draw the same stream as one call. A row with every head
+    dropped drops none.
     """
-    h = np.asarray(hypotheses, dtype=np.float64)
-    n, m = h.shape[0], h.shape[1]
-    if m != config.num_hypotheses:
-        raise ValueError(f"expected M={config.num_hypotheses} hypotheses, got {m}")
-    t = hypothesis_targets(config.base_loss, targets, n, h.shape[2])
-    losses = loss_values(config.base_loss, h, t)
-
+    m = config.num_hypotheses
     if dropped_masks is not None:
-        masks = np.asarray(dropped_masks, dtype=bool).copy()
+        masks = np.asarray(dropped_masks)
+        if masks.dtype != bool:
+            raise ValueError(f"dropout masks must be boolean, got dtype {masks.dtype}")
         if masks.shape != (n, m):
             raise ValueError(f"expected dropout masks of shape {(n, m)}, got {masks.shape}")
+        masks = masks.copy()
     elif config.dropout_prob > 0.0:
         if rng is None:
             raise ValueError("rng required when dropout_prob > 0")
@@ -77,11 +85,29 @@ def assign_batch(config: MetaLossConfig, hypotheses, targets,
     all_dropped = np.logical_and.reduce(masks, axis=1)
     if np.logical_or.reduce(all_dropped):
         masks[all_dropped] = False
-
-    masked = np.where(masks, np.inf, losses)
-    best = masked.argmin(axis=1)
     dropped = np.add.reduce(masks, axis=1)
     winner, loser = _weight_tables(m, config.epsilon)
-    weights = np.where(masks, 0.0, loser[dropped, None])
-    weights[np.arange(n), best] = winner[dropped]
+    return HeadDropout(masks, winner[dropped], loser[dropped])
+
+
+def assign_batch(config: MetaLossConfig, hypotheses, targets, dropout: HeadDropout):
+    """Vectorized assignment for a batch.
+
+    ``hypotheses`` is (n, M, d); ``targets`` are shaped as :func:`hypothesis_targets`
+    returns them, (n, 1, d) for regression or (n, 1) class indices; ``dropout`` holds n
+    rows of :func:`draw_dropout`. Returns (weights (n, M), losses (n, M), best (n,),
+    masks (n, M)).
+    """
+    h = np.asarray(hypotheses, dtype=np.float64)
+    n, m = h.shape[0], h.shape[1]
+    if m != config.num_hypotheses:
+        raise ValueError(f"expected M={config.num_hypotheses} hypotheses, got {m}")
+    check_hypothesis_targets(config.base_loss, targets, n, h.shape[2])
+    masks = dropout.masks
+    if masks.shape != (n, m):
+        raise ValueError(f"expected dropout masks of shape {(n, m)}, got {masks.shape}")
+    losses = loss_values(config.base_loss, h, targets)
+    best = np.where(masks, np.inf, losses).argmin(axis=1)
+    weights = np.where(masks, 0.0, dropout.loser[:, None])
+    weights[np.arange(n), best] = dropout.winner
     return weights, losses, best, masks

@@ -75,9 +75,12 @@ class MlpModel:
     seed: int | None = None
     extras: dict = field(default_factory=dict)
     params: np.ndarray = field(init=False, repr=False)
+    # (out, in) of each layer's weights, read once: the layers are views into ``params``
+    shapes: tuple[tuple[int, int], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.validate()
+        self.shapes = tuple(np.shape(l.weights) for l in self.layers)
         self.params = np.empty(sum(out * (ind + 1) for out, ind in self.shapes))
         views = param_views(self.shapes, self.params)
         for layer, (w, b) in zip(self.layers, views):
@@ -115,10 +118,6 @@ class MlpModel:
             raise ValueError("final layer activation must be identity")
         if not isinstance(self.extras, dict):
             raise ValueError(f"extras must be a JSON object, got {self.extras!r}")
-
-    @property
-    def shapes(self) -> list[tuple[int, int]]:
-        return [np.shape(l.weights) for l in self.layers]
 
 
 def init_mlp(input_dim: int, hidden_dims, output_dim: int, num_hypotheses: int,

@@ -2,8 +2,9 @@
 
 Each step forwards a batch, weights the per-hypothesis loss gradients by the
 relaxed assignment, backpropagates their batch mean through the activations
-the forward pass kept and applies one optimizer update. Dropout masks are
-resampled per sample. Runs are deterministic given the schedule seed: the
+the forward pass kept and applies one optimizer update. Each epoch's targets
+are shaped once and its dropout masks are drawn once, one row per sample,
+before its first step. Runs are deterministic given the schedule seed: the
 data stream and the dropout stream are derived from it as independent child
 generators.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import hypothesis_targets, loss_grads
-from .meta_loss import MetaLossConfig, assign_batch
+from .meta_loss import MetaLossConfig, assign_batch, draw_dropout
 from .network import MlpModel, OptimizerState, TrainingDivergedError, backward_batch, forward_batch, step
 
 
@@ -62,12 +63,13 @@ def train(model: MlpModel, data, config: MetaLossConfig,
 
     ``data`` is either a fixed ``(X, Y)`` pair, reshuffled every epoch, or a
     callable ``sampler(rng, n)`` drawing a fresh epoch of n samples. Inputs and
-    targets of different lengths, or a scalar in place of either, raise
-    ValueError before the epoch's first step. Aborts with TrainingDivergedError
-    (carrying epoch and batch index) as soon as a non-finite loss or gradient
-    appears. A call either finishes or changes nothing: on any exception
-    ``model.params`` and ``optimizer.buffer`` are put back to their values at
-    the call before it propagates.
+    targets of different lengths, a scalar in place of either, or targets of
+    the wrong shape for the loss raise ValueError before the epoch's first
+    step. Aborts with TrainingDivergedError (carrying epoch and batch index)
+    as soon as a non-finite loss or gradient appears. A call either finishes
+    or changes nothing: on any exception ``model.params`` and
+    ``optimizer.buffer`` are put back to their values at the call before it
+    propagates.
     """
     if config.num_hypotheses != model.num_hypotheses:
         raise ValueError("meta-loss config and model disagree on the hypothesis count")
@@ -91,22 +93,23 @@ def _train_epochs(model: MlpModel, data, config: MetaLossConfig,
         t0 = time.perf_counter()
         X, Y = _epoch_data(data, data_rng, schedule)
         n = len(X)
+        T = hypothesis_targets(config.base_loss, Y, n, model.output_dim)
+        dropout = draw_dropout(config, n, dropout_rng)
         meta_sum = 0.0
         oracle_sum = 0.0
         # overflow anywhere in a step is how divergence first shows up; the
         # checks below and in ``step`` turn it into a typed error
         with np.errstate(over="ignore", invalid="ignore"):
             for b, lo in enumerate(range(0, n, schedule.batch_size)):
-                xb = X[lo:lo + schedule.batch_size]
-                yb = Y[lo:lo + schedule.batch_size]
+                hi = lo + schedule.batch_size
+                xb, tb = X[lo:hi], T[lo:hi]
                 try:
                     hyps, acts = forward_batch(model, xb, return_activations=True)
-                    weights, losses, _, _ = assign_batch(config, hyps, yb, rng=dropout_rng)
+                    weights, losses, _, _ = assign_batch(config, hyps, tb, dropout.rows(lo, hi))
                     if not np.logical_and.reduce(np.isfinite(losses), axis=None):
                         raise TrainingDivergedError("non-finite loss")
                     meta_sum += float(np.add.reduce(weights * losses, axis=None))
                     oracle_sum += float(np.add.reduce(np.minimum.reduce(losses, axis=1)))
-                    tb = hypothesis_targets(config.base_loss, yb, len(xb), model.output_dim)
                     upstream = loss_grads(config.base_loss, hyps, tb)
                     upstream *= weights[:, :, None]
                     upstream /= len(xb)

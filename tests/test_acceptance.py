@@ -21,7 +21,7 @@ from mhp.cli import main as cli_main
 from mhp.datagen import (default_gridframe_spec, make_multilabel_spec, region_index,
                          sample_gridframe, sample_temporal2d, temporal2d_dataset)
 from mhp.losses import CROSS_ENTROPY, L2, LossKind, hypothesis_targets, loss_grads, loss_values
-from mhp.meta_loss import MetaLossConfig, assign_batch
+from mhp.meta_loss import MetaLossConfig, assign_batch, draw_dropout
 from mhp.metrics import (dataset_sharpness, multilabel_scores, oracle_min_loss,
                          oracle_min_loss_nested)
 from mhp.network import backward_batch, forward, forward_batch, init_mlp, load_checkpoint
@@ -144,9 +144,9 @@ def test_criterion_1_gradient_suite():
                 tgt = int(rng.integers(d)) if kind.name == "cross_entropy" else rng.normal(size=d)
                 tgt = np.asarray(tgt)[None]
                 cfg = MetaLossConfig(m, 0.05, 0.3, kind)
-                weights, _, _, _ = assign_batch(cfg, hyp, tgt,
-                                                dropped_masks=(rng.random(m) < 0.3)[None])
                 tb = hypothesis_targets(kind, tgt, 1, d)
+                dropout = draw_dropout(cfg, 1, dropped_masks=(rng.random(m) < 0.3)[None])
+                weights, _, _, _ = assign_batch(cfg, hyp, tb, dropout)
                 analytic = weights[..., None] * loss_grads(kind, hyp, tb)
                 numeric = central_differences(
                     lambda: (weights * loss_values(kind, hyp, tb)).sum(axis=1)[0], hyp, h)
@@ -172,15 +172,17 @@ def test_criterion_2_reduction_law():
                 hyp = rng.normal(size=(1, 4))
                 tgt = int(rng.integers(4)) if kind.name == "cross_entropy" else rng.normal(size=4)
                 cfg = MetaLossConfig(1, base_loss=kind, dropout_prob=0.0)
-                weights, losses, _, _ = assign_batch(cfg, hyp[None], np.asarray(tgt)[None])
+                tb = hypothesis_targets(kind, np.asarray(tgt)[None], 1, 4)
+                weights, losses, _, _ = assign_batch(cfg, hyp[None], tb, draw_dropout(cfg, 1))
                 # the meta-loss sum that ``train`` logs, against the base loss
                 assert float((weights * losses).sum()) == loss_values(kind, hyp[0], tgt)
         for m in range(2, 11):
             for eps in (0.01, 0.05, 0.3):
                 cfg = MetaLossConfig(m, epsilon=eps, dropout_prob=0.3)
                 for _ in range(20):
-                    weights, _, _, _ = assign_batch(cfg, rng.normal(size=(1, m, 2)),
-                                                    rng.normal(size=(1, 2)), rng=rng)
+                    hyp = rng.normal(size=(1, m, 2))
+                    tb = hypothesis_targets(L2, rng.normal(size=(1, 2)), 1, 2)
+                    weights, _, _, _ = assign_batch(cfg, hyp, tb, draw_dropout(cfg, 1, rng))
                     assert abs(weights.sum() - 1.0) <= 1e-12
 
 

@@ -1,5 +1,7 @@
 """The training loop: determinism, divergence handling and basic learning."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ import mhp
 import mhp.network
 import mhp.training
 from mhp.datagen import temporal2d_dataset
-from mhp.losses import CROSS_ENTROPY
+from mhp.losses import CROSS_ENTROPY, LossKind
 from mhp.meta_loss import MetaLossConfig
 from mhp.network import TrainingDivergedError
 from mhp.training import TrainSchedule, train
@@ -44,6 +46,48 @@ class TestDeterminism:
         _, h1 = run(seed=1)
         _, h2 = run(seed=2)
         assert h1[-1].mean_meta_loss != h2[-1].mean_meta_loss
+
+
+def pinned_run(base, optimizer, m, dropout_prob):
+    """SHA-256 of the params, the optimizer buffer and the (epoch, meta-loss, oracle-min)
+    records of a 3-epoch run on a fixed 250-sample pair, 32 rows a batch."""
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(250, 2))
+    if base.name == "cross_entropy":
+        Y, out = rng.integers(0, 4, size=250), 4
+    else:
+        Y, out = rng.normal(scale=3.0, size=(250, 2)), 2
+    model = mhp.init_mlp(2, (16, 16), out, m, np.random.default_rng(5), seed=5)
+    opt = mhp.make_optimizer(optimizer, model, 0.01, 0.9)
+    history = train(model, (X, Y), MetaLossConfig(m, 0.05, dropout_prob, base), opt,
+                    TrainSchedule(3, 32, 7))
+    metrics = np.array([(h.epoch, h.mean_meta_loss, h.oracle_min_loss) for h in history])
+    return [hashlib.sha256(a.tobytes()).hexdigest() for a in (model.params, opt.buffer, metrics)]
+
+
+class TestPinnedBytes:
+    """Digests taken before the dropout draw and the target reshape moved out of the step."""
+
+    @pytest.mark.parametrize("base, optimizer, m, dropout_prob, digests", [
+        (mhp.L2, "sgd_momentum", 3, 0.3, [
+            "e38c108c0ea27c82df5e8521350bb05efb71005554d1996528ff923eb0efe322",
+            "1acf36e5dddf0a2f5b8fa4afdaa60662e60e7bec0bf51653f209e2cbf8b29161",
+            "8c1e70eccfa59411bd494acdebdf78e645168511e763964ff94821358bd8f569"]),
+        (CROSS_ENTROPY, "rmsprop", 3, 0.3, [
+            "0c7aa086d9e09e2539269bad2ed528f7fe6209b02f670a76a07c68be259fdeb2",
+            "04ac6b4a27af9d5dc1d3ff36d6ed456f93ae2444af168d1881fcb5ec4aeed813",
+            "ba7bb34e10927761fc449cfb899e442f175c29205fdc2839276b4a240726e9ea"]),
+        (LossKind("tukey"), "sgd_momentum", 2, 0.0, [
+            "46fe527cb0b762f36eb9535a17d28ffcf9c791bcf6f54dfcc2552560e87d920d",
+            "c4249f1207d5d3ac3afaf3fe37175c490d06d559b25241706c176490c0451dd7",
+            "b10114d931835c9fb9fe9ebf2b66bf7c2db3ab6692e26e25d3617431b6ff11d7"]),
+        (mhp.L2, "sgd_momentum", 2, 0.6, [
+            "f7b5b4873e9778820201aa6677193449c1a82f3bc072867fe31c6269ff66d865",
+            "279b44047581f69184d88ee51ade9e03f0f7c3bfb661013aa8532a4bfc73a94f",
+            "0fa320087833db0c843e0f757a6dc3880096a1b4b5e46bade5beecc3739b3647"]),
+    ], ids=["l2_sgd_m3", "cross_entropy_rmsprop_m3", "tukey_m2_no_dropout", "l2_m2_rows_drop"])
+    def test_params_buffer_and_metrics(self, base, optimizer, m, dropout_prob, digests):
+        assert pinned_run(base, optimizer, m, dropout_prob) == digests
 
 
 class TestDivergence:
@@ -189,6 +233,24 @@ class TestSinglePass:
         train(model, temporal_sampler, cfg, opt, TrainSchedule(1, 32, 0, samples_per_epoch=32))
         assert calls == [32]
 
+    def test_each_stage_once_per_batch(self, monkeypatch):
+        """The five stages are called through ``training``'s namespace once per batch, and
+        the targets are shaped and the dropout drawn once per epoch."""
+        calls = []
+        for name in ("forward_batch", "assign_batch", "loss_grads", "backward_batch", "step",
+                     "hypothesis_targets", "draw_dropout"):
+            def counted(*args, _name=name, _original=getattr(mhp.training, name), **kw):
+                calls.append(_name)
+                return _original(*args, **kw)
+            monkeypatch.setattr(mhp.training, name, counted)
+        X, Y = temporal2d_dataset(250, np.random.default_rng(8))
+        model = fresh_model(3)
+        opt = mhp.make_optimizer("sgd_momentum", model, 0.02, 0.9)
+        train(model, (X, Y), MetaLossConfig(3, 0.05, 0.3), opt, TrainSchedule(3, 32, 0))
+        epoch = ["hypothesis_targets", "draw_dropout"] + 8 * [
+            "forward_batch", "assign_batch", "loss_grads", "backward_batch", "step"]
+        assert calls == 3 * epoch
+
 
 class TestEpochData:
     """A fixed pair or a sampler's draw is converted first, then both must have a sample
@@ -218,6 +280,19 @@ class TestEpochData:
         with pytest.raises(ValueError, match=f"256 inputs but {targets} targets"):
             train(model, data, MetaLossConfig(2), opt, TrainSchedule(1, 32, 0))
         assert steps == []
+
+    @pytest.mark.parametrize("targets", [np.zeros((256, 3)), np.zeros(256)],
+                             ids=["too_wide", "flat"])
+    def test_misshaped_targets_refused_before_any_forward(self, monkeypatch, targets):
+        forwards = []
+        monkeypatch.setattr(mhp.training, "forward_batch",
+                            lambda *args, **kw: forwards.append(args))
+        model = fresh_model(2)
+        opt = mhp.make_optimizer("sgd_momentum", model, 0.02, 0.9)
+        with pytest.raises(ValueError, match=r"l2 targets must have shape \(256, 2\)"):
+            train(model, (np.zeros((256, 1)), targets), MetaLossConfig(2), opt,
+                  TrainSchedule(1, 32, 0))
+        assert forwards == []
 
     @pytest.mark.parametrize("data", [
         (np.zeros((4, 1)), 3.0),
