@@ -336,6 +336,9 @@ def cmd_tessellate(args) -> None:
     run = _Run("tessellate")
     if bool(args.checkpoint) == bool(args.generators):
         raise ValueError("provide exactly one of --checkpoint and --generators")
+    # drawn first: the draw checks t, and no generator depends on the sample rng
+    rng = np.random.default_rng(args.seed)
+    _, samples = sample_temporal2d(args.t, args.samples, rng)
     if args.generators:
         doc = read_json(args.generators)
         generators = read_field(doc, "generators", lambda v: np.array(
@@ -348,8 +351,6 @@ def cmd_tessellate(args) -> None:
             raise ValueError("tessellate samples temporal2d targets; the checkpoint was "
                              f"trained on {task!r}")
         generators = forward(model, np.array([args.t]))
-    rng = np.random.default_rng(args.seed)
-    _, samples = sample_temporal2d(args.t, args.samples, rng)
     cells = membership(generators, base, samples)
 
     out = _outdir(args.out)

@@ -1,17 +1,37 @@
 """Small shared I/O helpers: atomic text, JSON and CSV writes, :func:`read_json`, the one
-reader of a config, sidecar, checkpoint or generators file, and :func:`read_field`, the one
-reader for a field of it."""
+reader of a config, sidecar, checkpoint or generators file, :func:`read_field`, the one
+reader for a field of it, and :func:`worker_count`, the one rule for how many workers run
+independent jobs."""
 
 from __future__ import annotations
 
 import json
 import os
-from contextlib import contextmanager
+import shutil
+import subprocess
+import sys
+import tempfile
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 import numpy as np
 
+from . import _csv_rows
+
 _CSV_CHUNK_ROWS = 4096
+# the type code and dtype a helper reads an int column as, by dtype kind; any other
+# column goes as float64, code "d"
+_CSV_RAW = {"i": ("q", np.int64), "u": ("Q", np.uint64)}
+
+
+def worker_count(jobs: int) -> int:
+    """Workers for ``jobs`` independent jobs: one per core this process may use, at most
+    one per job."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return min(jobs, cores)
 
 
 def _shown(value) -> str:
@@ -121,27 +141,76 @@ def write_json_atomic(path, obj, *, indent: int | None = 2) -> Path:
 
 def _column_text(column: np.ndarray) -> list[str]:
     if column.dtype.kind in "iu":
-        return list(map(str, column.tolist()))
-    return list(map(repr, column.astype(np.float64, copy=False).tolist()))
+        return _csv_rows.cells(column.tolist(), True)
+    return _csv_rows.cells(column.astype(np.float64, copy=False).tolist(), False)
+
+
+def _write_rows(fh, columns: list, start: int, stop: int) -> None:
+    """Format rows [start, stop) in this process, a chunk at a time."""
+    for lo in range(start, stop, _CSV_CHUNK_ROWS):
+        hi = min(lo + _CSV_CHUNK_ROWS, stop)
+        fh.write(_csv_rows.rows([_column_text(column[lo:hi]) for column in columns]))
+
+
+def _start_helper(helpers: ExitStack, columns: list, start: int, stop: int):
+    """A helper process formatting rows [start, stop) into an unnamed temp file, as
+    ``(process, file)``; None if no process could be started. ``helpers`` kills and
+    reaps the process and closes its files."""
+    raw = [_CSV_RAW.get(column.dtype.kind, ("d", np.float64)) for column in columns]
+    stdin = helpers.enter_context(tempfile.TemporaryFile())
+    stdin.write(f"{stop - start} {_CSV_CHUNK_ROWS} {''.join(c for c, _ in raw)}\n".encode())
+    for column, (_, dtype) in zip(columns, raw):
+        stdin.write(np.ascontiguousarray(column[start:stop], dtype=dtype))
+    stdin.seek(0)  # flushes, and the helper reads from the start
+    stdout = helpers.enter_context(tempfile.TemporaryFile())
+    try:
+        process = subprocess.Popen([sys.executable, "-S", "-E", _csv_rows.__file__],
+                                   stdin=stdin, stdout=stdout)
+    except OSError:
+        return None
+    helpers.callback(process.wait)
+    helpers.callback(process.kill)  # a no-op once the process has been waited for
+    return process, stdout
 
 
 def write_csv_atomic(path, header, *blocks) -> Path:
     """Write (n, k) arrays side by side as CSV rows, after an optional header.
 
     A 1-d block is one column. Integers print as integers, other cells as
-    the shortest text that round-trips to the same float64. Rows are
-    formatted a chunk at a time, so the whole table is never text at once.
+    the shortest text that round-trips to the same float64 (the row format
+    of ``_csv_rows``). A table of at least two ``_CSV_CHUNK_ROWS`` chunks per
+    worker is split into contiguous row parts, one per ``worker_count``
+    worker: this process formats the first, a chunk at a time, while a
+    ``python -S -E _csv_rows.py`` helper process formats each other part from
+    its raw column values into an unnamed temp file, which is then appended in
+    order. Every part runs the same formatter on the same interpreter, so the
+    bytes do not depend on the number of workers. A part whose helper cannot
+    be started is formatted here; a helper that fails raises OSError. A
+    failed write keeps the old bytes of ``path`` and leaves no temp file, and
+    every helper has been reaped when this returns or raises.
     """
     path = Path(path)
     blocks = [b[:, None] if b.ndim == 1 else b for b in map(np.asarray, blocks)]
     n = len(blocks[0])
     if any(b.ndim != 2 or len(b) != n for b in blocks):
         raise ValueError("CSV blocks must be (n, k) arrays with the same n")
-    with _replacing(path) as fh:
+    columns = [b[:, j] for b in blocks for j in range(b.shape[1])]
+    workers = worker_count(max(1, n // (2 * _CSV_CHUNK_ROWS))) if columns else 1
+    bounds = [n * k // workers for k in range(workers + 1)]
+    with _replacing(path) as fh, ExitStack() as helpers:
         if header is not None:
             fh.write(",".join(header) + "\n")
-        for start in range(0, n, _CSV_CHUNK_ROWS):
-            columns = [_column_text(b[start:start + _CSV_CHUNK_ROWS, j])
-                       for b in blocks for j in range(b.shape[1])]
-            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+        parts = [(start, stop, _start_helper(helpers, columns, start, stop))
+                 for start, stop in zip(bounds[1:], bounds[2:])]
+        _write_rows(fh, columns, 0, bounds[1])
+        for start, stop, helper in parts:
+            if helper is None:
+                _write_rows(fh, columns, start, stop)
+                continue
+            process, text = helper
+            if process.wait() != 0:
+                raise OSError(f"{path}: CSV row helper exited with status {process.returncode}")
+            fh.flush()
+            text.seek(0)
+            shutil.copyfileobj(text, fh.buffer)
     return path

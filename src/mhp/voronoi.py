@@ -12,13 +12,13 @@ trained hypothesis heads are compared against.
 from __future__ import annotations
 
 import logging
-import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
+from .io_utils import worker_count
 from .losses import L2, LossKind, hypothesis_targets, loss_values
 
 logger = logging.getLogger(__name__)
@@ -274,16 +274,6 @@ def _lloyd_passes(pts: np.ndarray, gens: np.ndarray, max_iters: int, tol: float)
     return LloydResult(gens, iterations, converged, _mean_loss(near))
 
 
-def _restart_threads(restarts: int) -> int:
-    """Threads for ``restarts`` independent runs: one per core this process may use, at most
-    one per run."""
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cores = os.cpu_count() or 1
-    return min(restarts, cores)
-
-
 def lloyd_best_of(samples, m: int, restarts: int, rng: np.random.Generator, *,
                   max_iters: int = 100, tol: float = 1e-4) -> LloydResult:
     """Best of several seeded ``lloyd`` runs by quantization error, the first on ties.
@@ -292,7 +282,7 @@ def lloyd_best_of(samples, m: int, restarts: int, rng: np.random.Generator, *,
     drawn from ``rng`` in restart order; no Lloyd pass reads ``rng``, so these
     are the starts that one ``lloyd(samples, m, rng=rng)`` call per restart
     would draw. The restarts are then independent: each runs as ``lloyd``
-    from its start, on ``_restart_threads(restarts)`` threads, the calling
+    from its start, on ``io_utils.worker_count(restarts)`` threads, the calling
     thread among them, and the result does not depend on how many. Once a
     restart raises, no further restart starts; when every thread has
     finished, the error of the first failed restart propagates.
@@ -320,7 +310,7 @@ def lloyd_best_of(samples, m: int, restarts: int, rng: np.random.Generator, *,
                 stop.set()
 
     helpers = [threading.Thread(target=run_restarts)
-               for _ in range(_restart_threads(restarts) - 1)]
+               for _ in range(worker_count(restarts) - 1)]
     try:
         for helper in helpers:
             helper.start()

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mhp import io_utils
 from mhp.cli import main
 from mhp.datagen import load_dataset, write_dataset
 from mhp.losses import L2, LossKind
@@ -477,6 +478,32 @@ class TestOracleBytes:
             "generators.json": "1feaa950bc438ee404dd92ee40ba5521937f40b1cf3e8a0ea12a2ef021faf6f8"}
 
 
+class TestLargeCsvBytes:
+    """SHA-256 of CSV tables large enough to be formatted in parts by helper processes,
+    taken when one process wrote every row."""
+
+    @pytest.mark.parametrize("workers", [None, 3], ids=["machine", "three_workers"])
+    def test_large_csv_bytes_are_pinned(self, tmp_path, monkeypatch, workers):
+        if workers is not None:
+            monkeypatch.setattr(io_utils, "worker_count", lambda jobs: min(jobs, workers))
+        gens = tmp_path / "generators.json"
+        gens.write_text(json.dumps({"generators": [[0.5, 0.5], [-0.5, 0.5], [0.5, -0.5],
+                                                   [-0.4, -0.6], [0.1, 0.0]], "loss": "l2"}))
+        for task in ("temporal2d", "multilabel"):
+            assert main(["gen", "--task", task, "--n", "40000", "--seed", "5",
+                         "--out", str(tmp_path / task)]) == 0
+        assert main(["tessellate", "--generators", str(gens), "--t", "0.3",
+                     "--samples", "40000", "--seed", "4", "--out", str(tmp_path / "tess")]) == 0
+        digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                  for name in ("temporal2d/data.csv", "multilabel/data.csv", "tess/cells.csv")}
+        assert digest == {
+            "temporal2d/data.csv":
+                "cad1e2a9d8286fd084e566a9ffa792ab7a357473915040c2139c5b5a81cd9095",
+            "multilabel/data.csv":
+                "3bec913180ead142118e4a3afb684cb97313ff03803d47c3e48f1d81a5df4aa4",
+            "tess/cells.csv": "905f20638a9e1c0d38b9a382ff5d2d59886511cbe93624f3036c33213a0e1208"}
+
+
 class TestRunBytes:
     """SHA-256 of seeded ``train`` outputs and of ``eval --out`` files: a change to how they
     are computed or written keeps every byte of them. The digests were taken before JSON
@@ -659,6 +686,16 @@ class TestTessellate:
                      "--t", "0.5", "--samples", "1000", "--seed", "5",
                      "--out", str(b)]) == 0
         assert (a / "cells.csv").read_bytes() == (b / "cells.csv").read_bytes()
+
+    @pytest.mark.parametrize("source", ["checkpoint", "generators"])
+    def test_nan_t_is_named_for_either_source(self, checkpoint, tmp_path, capsys, source):
+        gens = tmp_path / "generators.json"
+        gens.write_text(json.dumps(GENERATORS_DOC))
+        path = checkpoint if source == "checkpoint" else gens
+        usage_error(capsys, ["tessellate", f"--{source}", str(path), "--t", "nan",
+                             "--samples", "10", "--out", str(tmp_path / "x")],
+                    "t must lie in [0, 1], got nan")
+        assert not (tmp_path / "x").exists()
 
     def test_requires_exactly_one_source(self, checkpoint, tmp_path, capsys):
         usage_error(capsys, ["tessellate", "--t", "0.5", "--out", str(tmp_path / "x")])

@@ -1,6 +1,9 @@
 """Atomic text, JSON and CSV writes, and the JSON field reader."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -86,6 +89,105 @@ def test_failed_csv_write_keeps_the_old_file_and_leaves_no_temp(tmp_path, monkey
         write_csv_atomic(path, ["a", "b"], block)
     assert [p.name for p in tmp_path.iterdir()] == ["out2.csv"]
     assert path.read_bytes() == old
+
+
+def test_worker_count_is_one_per_usable_core_at_most_one_per_job(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert [io_utils.worker_count(jobs) for jobs in (1, 2, 3, 10)] == [1, 2, 3, 3]
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert io_utils.worker_count(10) == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert io_utils.worker_count(10) == 1
+
+
+def large_table():
+    """Blocks of every kind the writer takes, with a row count that neither 2 nor 3 divides
+    and enough rows for three parts."""
+    n = 6 * io_utils._CSV_CHUNK_ROWS + 1
+    rng = np.random.default_rng(12)
+    floats = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-300, 300, size=(n, 2))
+    floats[[0, n // 2, n - 1], 0] = [-0.0, 5e-324, 1e300]
+    ints = rng.integers(-10**12, 10**12, size=n)
+    ints[[0, n - 1]] = [-10**12, 10**12]
+    objects = rng.normal(size=n).astype(object)
+    objects[1::3] = 7
+    uints = rng.integers(2**63, 2**64, size=n, dtype=np.uint64)
+    blocks = (np.zeros((n, 0)), floats, ints, uints, rng.random(n) < 0.5, objects)
+    return ["a", "b", "i", "u", "flag", "obj"], blocks
+
+
+@pytest.fixture(scope="module")
+def large_csv():
+    header, blocks = large_table()
+    return header, blocks, reference_csv(header, *blocks)
+
+
+def assert_same_table(path, want: str) -> None:
+    """``path`` holds ``want``; a mismatch names the first differing line instead of leaving
+    pytest to diff megabytes of text."""
+    got = path.read_text(encoding="utf-8")
+    if got != want:
+        pairs = zip(got.splitlines(), want.splitlines())
+        line = next((i for i, (g, w) in enumerate(pairs) if g != w), None)
+        pytest.fail(f"first differing line: {line}; lengths {len(got)} and {len(want)}")
+
+
+def usable_cores(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def count_helpers(monkeypatch) -> list:
+    started, popen = [], subprocess.Popen
+
+    def counted(*args, **kwargs):
+        process = popen(*args, **kwargs)
+        started.append(process)
+        return process
+    monkeypatch.setattr(subprocess, "Popen", counted)
+    return started
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_csv_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, large_csv, cores):
+    header, blocks, want = large_csv
+    usable_cores(monkeypatch, cores)
+    started = count_helpers(monkeypatch)
+    path = write_csv_atomic(tmp_path / "t.csv", header, *blocks)
+    assert len(started) == cores - 1
+    assert_same_table(path, want)
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+def test_parts_whose_helper_cannot_start_are_formatted_here(tmp_path, monkeypatch, large_csv):
+    header, blocks, want = large_csv
+    usable_cores(monkeypatch, 3)
+    started = count_helpers(monkeypatch)
+    monkeypatch.setattr(sys, "executable", str(tmp_path / "missing" / "python"))
+    path = write_csv_atomic(tmp_path / "t.csv", header, *blocks)
+    assert started == []
+    assert_same_table(path, want)
+
+
+@pytest.mark.parametrize("failure", ["helper", "own_part"])
+def test_failed_parallel_csv_write_keeps_the_old_file_and_no_process(tmp_path, monkeypatch,
+                                                                     failure):
+    path = tmp_path / "out.csv"
+    write_csv_atomic(path, ["a", "b"], np.arange(6.0).reshape(3, 2))
+    old = path.read_bytes()
+    usable_cores(monkeypatch, 3)
+    started = count_helpers(monkeypatch)
+    if failure == "helper":
+        monkeypatch.setattr(sys, "executable", "/bin/false")
+    else:
+        _fail_on_third_column(monkeypatch)
+    with pytest.raises(OSError):
+        write_csv_atomic(path, ["a", "b"], np.ones((6 * io_utils._CSV_CHUNK_ROWS, 2)))
+    assert len(started) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    assert path.read_bytes() == old
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_csv_blocks_of_different_lengths_are_rejected(tmp_path):

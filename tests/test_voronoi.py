@@ -253,7 +253,7 @@ class TestConcurrentRestarts:
 
     @staticmethod
     def threads(monkeypatch, count):
-        monkeypatch.setattr(voronoi, "_restart_threads", lambda restarts: min(count, restarts))
+        monkeypatch.setattr(voronoi, "worker_count", lambda restarts: min(count, restarts))
 
     @pytest.mark.parametrize("d, m", [(2, 4), (64, 3)])
     def test_result_does_not_depend_on_the_thread_count(self, monkeypatch, d, m):
