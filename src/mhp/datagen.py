@@ -44,8 +44,23 @@ def region_probabilities(t) -> np.ndarray:
 
 
 def _draw(p, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n category indices by inverse CDF on one uniform each; ``p`` is (k,) or (n, k)."""
-    return (rng.random(n)[:, None] >= np.cumsum(p, axis=-1)[..., :-1]).sum(-1)
+    """n category indices by inverse CDF on one ``rng.random(n)`` uniform each; ``p`` is (k,)
+    or (n, k).
+
+    A uniform u draws the number of entries of the CDF ``cumsum(p)[..., :-1]`` that are <= u.
+    A fixed ``p`` counts them with one binary search per uniform. Per-row ``p`` runs the
+    CDF as a column sum, one column add and one compare per category, so it takes the bits
+    of ``cumsum`` (the same sequential adds) without a reduction along the short rows.
+    """
+    u = rng.random(n)
+    p = np.asarray(p)
+    if p.ndim == 1:
+        return np.searchsorted(np.cumsum(p)[:-1], u, side="right")
+    cdf, index = np.zeros(n), np.zeros(n, dtype=np.intp)
+    for k in range(p.shape[1] - 1):
+        cdf += p[:, k]
+        index += u >= cdf
+    return index
 
 
 def region_index(points) -> np.ndarray:
@@ -62,7 +77,8 @@ def _temporal2d(n: int, rng: np.random.Generator, t: float | None):
         raise ValueError("n must be >= 1")
     ts = rng.random(n) if t is None else np.full(n, float(t))
     region = _draw(region_probabilities(ts if t is None else t), n, rng)
-    lo, hi = _QUAD_LO[region], _QUAD_HI[region]
+    # row gathers use take: a fancy index costs far more per short row
+    lo, hi = _QUAD_LO.take(region, axis=0), _QUAD_HI.take(region, axis=0)
     return ts[:, None], lo + rng.random((n, 2)) * (hi - lo)
 
 
@@ -142,7 +158,7 @@ def sample_multilabel(spec: MultiLabelSpec, n: int, rng: np.random.Generator):
     idx = rng.integers(0, len(spec.items), size=n)
     # one draw, the same stream as one rng.integers(len(labels)) per sample in order
     picks = rng.integers(0, sizes[idx])
-    return feats[idx], flat[(np.cumsum(sizes) - sizes)[idx] + picks], idx
+    return feats.take(idx, axis=0), flat[(np.cumsum(sizes) - sizes)[idx] + picks], idx
 
 
 SMOOTH_KERNEL = np.array([[0.25, 0.5, 0.25],
@@ -218,7 +234,7 @@ def sample_gridframe(spec: GridFrameSpec, n: int, rng: np.random.Generator):
     frames = np.stack([render_frame(spec, pos).ravel() for pos in spec.terminals])
     idx = _draw(spec.probabilities, n, rng)
     X = np.tile(start, (n, 1))
-    return X, frames[idx], idx
+    return X, frames.take(idx, axis=0), idx
 
 
 def sample_gaussian_mixture(means, covs, weights, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -147,6 +147,9 @@ def _column_text(column: np.ndarray) -> list[str]:
 
 def _write_rows(fh, columns: list, start: int, stop: int) -> None:
     """Format rows [start, stop) in this process, a chunk at a time."""
+    if not columns:  # rows without cells: an empty line each
+        fh.write("\n" * (stop - start))
+        return
     for lo in range(start, stop, _CSV_CHUNK_ROWS):
         hi = min(lo + _CSV_CHUNK_ROWS, stop)
         fh.write(_csv_rows.rows([_column_text(column[lo:hi]) for column in columns]))

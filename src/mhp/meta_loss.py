@@ -49,16 +49,27 @@ def _weight_tables(m: int, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     return winner, loser
 
 
-class HeadDropout(NamedTuple):
-    """Per row: the dropped heads, the winner's weight and each active loser's share."""
+@functools.lru_cache(maxsize=16)
+def _row_index(n: int) -> np.ndarray:
+    """A read-only ``arange(n)``, the row index of a batch's winner scatter."""
+    rows = np.arange(n)
+    rows.flags.writeable = False
+    return rows
 
-    masks: np.ndarray   # (n, M) bool, True where a head is dropped
-    winner: np.ndarray  # (n,)
-    loser: np.ndarray   # (n,)
+
+class HeadDropout(NamedTuple):
+    """Per row: the dropped heads, the winner's weight, each active loser's share, and the
+    row's weights before its winner is known (the share on each active head, 0 on each
+    dropped one)."""
+
+    masks: np.ndarray        # (n, M) bool, True where a head is dropped
+    winner: np.ndarray       # (n,)
+    loser: np.ndarray        # (n,)
+    loser_rows: np.ndarray   # (n, M), np.where(masks, 0.0, loser[:, None])
 
     def rows(self, start: int, stop: int) -> "HeadDropout":
         return HeadDropout(self.masks[start:stop], self.winner[start:stop],
-                           self.loser[start:stop])
+                           self.loser[start:stop], self.loser_rows[start:stop])
 
 
 def draw_dropout(config: MetaLossConfig, n: int, rng: np.random.Generator | None = None,
@@ -67,6 +78,10 @@ def draw_dropout(config: MetaLossConfig, n: int, rng: np.random.Generator | None
     ``rng.random((n, M)) < dropout_prob`` draw (nothing is drawn when it is 0), so
     consecutive row chunks draw the same stream as one call. A row with every head
     dropped drops none.
+
+    One integer product of the masks with ones counts each row's dropped heads (a
+    reduction along the M-long rows costs far more per row); the count indexes the weight
+    tables. The loser rows are built here, once for all n rows, so a batch only copies them.
     """
     m = config.num_hypotheses
     if dropped_masks is not None:
@@ -82,12 +97,16 @@ def draw_dropout(config: MetaLossConfig, n: int, rng: np.random.Generator | None
         masks = rng.random((n, m)) < config.dropout_prob
     else:
         masks = np.zeros((n, m), dtype=bool)
-    all_dropped = np.logical_and.reduce(masks, axis=1)
+    dropped = masks @ np.ones(m, dtype=np.intp)
+    all_dropped = dropped == m
     if np.logical_or.reduce(all_dropped):
         masks[all_dropped] = False
-    dropped = np.add.reduce(masks, axis=1)
+        dropped[all_dropped] = 0
     winner, loser = _weight_tables(m, config.epsilon)
-    return HeadDropout(masks, winner[dropped], loser[dropped])
+    share = loser[dropped]
+    loser_rows = np.repeat(share, m).reshape(n, m)
+    loser_rows[masks] = 0.0
+    return HeadDropout(masks, winner[dropped], share, loser_rows)
 
 
 def assign_batch(config: MetaLossConfig, hypotheses, targets, dropout: HeadDropout):
@@ -96,7 +115,8 @@ def assign_batch(config: MetaLossConfig, hypotheses, targets, dropout: HeadDropo
     ``hypotheses`` is (n, M, d); ``targets`` are shaped as :func:`hypothesis_targets`
     returns them, (n, 1, d) for regression or (n, 1) class indices; ``dropout`` holds n
     rows of :func:`draw_dropout`. Returns (weights (n, M), losses (n, M), best (n,),
-    masks (n, M)).
+    masks (n, M)): the weights are a fresh copy of the dropout's loser rows with each
+    row's winner, the active head of least loss, set to the winner's weight.
     """
     h = np.asarray(hypotheses, dtype=np.float64)
     n, m = h.shape[0], h.shape[1]
@@ -108,6 +128,6 @@ def assign_batch(config: MetaLossConfig, hypotheses, targets, dropout: HeadDropo
         raise ValueError(f"expected dropout masks of shape {(n, m)}, got {masks.shape}")
     losses = loss_values(config.base_loss, h, targets)
     best = np.where(masks, np.inf, losses).argmin(axis=1)
-    weights = np.where(masks, 0.0, dropout.loser[:, None])
-    weights[np.arange(n), best] = dropout.winner
+    weights = dropout.loser_rows.copy()
+    weights[_row_index(n), best] = dropout.winner
     return weights, losses, best, masks

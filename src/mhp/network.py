@@ -151,6 +151,12 @@ def init_mlp(input_dim: int, hidden_dims, output_dim: int, num_hypotheses: int,
 
 
 def _check_batch_input(model: MlpModel, X: np.ndarray) -> np.ndarray:
+    """``X`` as a float64 (n, input_dim) batch; a NaN or infinite value raises ValueError.
+
+    Each value is checked, so finite inputs whose sum would overflow pass. A one-sum check
+    would need an ``np.errstate`` per call to keep that overflow from warning, which costs
+    more than this check on a training batch.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise ValueError(f"expected inputs of shape (n, {model.input_dim}), got {X.shape}")

@@ -11,6 +11,7 @@ generators.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -106,9 +107,11 @@ def _train_epochs(model: MlpModel, data, config: MetaLossConfig,
                 try:
                     hyps, acts = forward_batch(model, xb, return_activations=True)
                     weights, losses, _, _ = assign_batch(config, hyps, tb, dropout.rows(lo, hi))
-                    if not np.logical_and.reduce(np.isfinite(losses), axis=None):
+                    meta = float(np.add.reduce(weights * losses, axis=None))
+                    # a finite sum has no non-finite term: 0 * inf is NaN on a dropped head
+                    if not math.isfinite(meta) and not np.isfinite(losses).all():
                         raise TrainingDivergedError("non-finite loss")
-                    meta_sum += float(np.add.reduce(weights * losses, axis=None))
+                    meta_sum += meta
                     oracle_sum += float(np.add.reduce(np.minimum.reduce(losses, axis=1)))
                     upstream = loss_grads(config.base_loss, hyps, tb)
                     upstream *= weights[:, :, None]

@@ -41,6 +41,65 @@ class TestCategoricalDraw:
                 np.searchsorted(cdf, u[part], side="right"), 3))
 
 
+def one_line_draw(p, u):
+    """The one-line inverse CDF that ``_draw`` replaced, the reference for its bits."""
+    return (u[:, None] >= np.cumsum(p, axis=-1)[..., :-1]).sum(-1)
+
+
+class StubUniforms:
+    """An rng whose ``random(n)`` hands out given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, n):
+        assert n == len(self.u)
+        return self.u.copy()
+
+
+class TestDrawEqualsOneLineFormula:
+    """``_draw`` gives the indices of the one-line formula it replaced, on the same uniforms."""
+
+    @pytest.mark.parametrize("k", [1, 2, 12])
+    def test_fixed_probabilities_with_empty_categories(self, k):
+        rng = np.random.default_rng(k)
+        p = rng.random(k) * (np.arange(k) % 3 != 1)
+        p[0] = p[0] or 0.5
+        p /= p.sum()
+        u = np.random.default_rng(20 + k).random(5000)
+        got = _draw(p, 5000, np.random.default_rng(20 + k))
+        want = one_line_draw(p, u)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 1.0, None], ids=["0", "0.3", "1", "uniform"])
+    def test_row_probabilities(self, t):
+        ts = np.random.default_rng(6).random(3000) if t is None else np.full(3000, t)
+        p = region_probabilities(ts)
+        u = np.random.default_rng(7).random(3000)
+        got = _draw(p, 3000, np.random.default_rng(7))
+        want = one_line_draw(p, u)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rows", [False, True], ids=["fixed", "per_row"])
+    def test_uniforms_on_cdf_values(self, rows):
+        """A uniform equal to a CDF value counts that entry, as ``>=`` does."""
+        p = np.array([0.25, 0.25, 0.5])
+        u = np.array([0.0, 0.25, 0.5, 0.75])
+        p = np.tile(p, (len(u), 1)) if rows else p
+        got = _draw(p, len(u), StubUniforms(u))
+        assert got.tolist() == one_line_draw(p, u).tolist() == [0, 1, 2, 2]
+
+    @pytest.mark.parametrize("rows", [False, True], ids=["fixed", "per_row"])
+    def test_last_category_when_the_cdf_total_rounds_below_one(self, rows):
+        """Ten masses of 0.1 sum to 1 - 2**-53, the largest uniform; the last CDF entry is
+        never compared, so the draw stays in range."""
+        p = np.full(10, 0.1)
+        u = np.array([1.0 - 2.0**-53, 0.5])
+        p = np.tile(p, (len(u), 1)) if rows else p
+        got = _draw(p, len(u), StubUniforms(u))
+        assert got.tolist() == one_line_draw(p, u).tolist() == [9, 5]
+
+
 class TestTemporal2D:
     def test_t_validation(self):
         rng = np.random.default_rng(0)

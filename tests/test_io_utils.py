@@ -57,6 +57,14 @@ def test_csv_bytes_match_the_row_loop(tmp_path, n):
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
 
+@pytest.mark.parametrize("n", [1, 5, io_utils._CSV_CHUNK_ROWS + 1])
+@pytest.mark.parametrize("header", [["a"], None], ids=["header", "no_header"])
+def test_zero_width_table_writes_an_empty_line_per_row(tmp_path, n, header):
+    blocks = (np.zeros((n, 0)), np.zeros((n, 0), dtype=np.int64))
+    path = write_csv_atomic(tmp_path / "t.csv", header, *blocks)
+    assert path.read_text(encoding="utf-8") == reference_csv(header, *blocks)
+
+
 def _fail_on_third_column(monkeypatch):
     calls, real = [], io_utils._column_text
 

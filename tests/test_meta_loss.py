@@ -317,6 +317,29 @@ class TestDrawDropout:
         assert whole.winner.tobytes() == winner[dropped].tobytes()
         assert whole.loser.tobytes() == loser[dropped].tobytes()
 
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_caller_masks_give_the_reduction_rule(self, m):
+        """Masks, winner and loser as the row reductions gave them, all-dropped rows reset,
+        and the loser rows as the per-batch np.where built them."""
+        cfg = MetaLossConfig(m, epsilon=0.05, dropout_prob=0.3)
+        rng = np.random.default_rng(30 + m)
+        given = rng.random((200, m)) < 0.5
+        given[::7] = True  # all dropped
+        given[1::7] = False
+        dropout = draw_dropout(cfg, 200, dropped_masks=given)
+        reset = np.logical_and.reduce(given, axis=1)
+        masks = given.copy()
+        masks[reset] = False
+        winner, loser = _weight_tables(m, cfg.epsilon)
+        dropped = np.add.reduce(masks, axis=1)
+        assert dropout.masks.tobytes() == masks.tobytes()
+        assert dropout.winner.tobytes() == winner[dropped].tobytes()
+        assert dropout.loser.tobytes() == loser[dropped].tobytes()
+        rows = np.where(masks, 0.0, dropout.loser[:, None])
+        assert dropout.loser_rows.dtype == rows.dtype
+        assert dropout.loser_rows.tobytes() == rows.tobytes()
+        assert given[::7].all()  # the caller's masks are left as they were
+
     @pytest.mark.parametrize("m", [1, 3])
     def test_nothing_drawn_without_dropout(self, m):
         cfg = MetaLossConfig(m, dropout_prob=0.0)
@@ -353,9 +376,13 @@ class TestWeightTables:
     def test_weights_are_fresh_arrays(self):
         cfg = MetaLossConfig(3, dropout_prob=0.0)
         rng = np.random.default_rng(10)
-        weights, _, _, _ = assign(cfg, rng.normal(size=(5, 3, 2)), rng.normal(size=(5, 2)))
+        dropout = draw_dropout(cfg, 5)
+        rows = dropout.loser_rows.copy()
+        targets = hypothesis_targets(cfg.base_loss, rng.normal(size=(5, 2)), 5, 2)
+        weights, _, _, _ = assign_batch(cfg, rng.normal(size=(5, 3, 2)), targets, dropout)
         weights *= 2.0
         assert _weight_tables(3, cfg.epsilon)[0][0] == 1.0 - cfg.epsilon
+        assert dropout.loser_rows.tobytes() == rows.tobytes()
 
 
 def misshaped(targets):

@@ -81,6 +81,22 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(model, np.array([np.nan]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_batch_with_a_non_finite_value_refused(self, value):
+        X = np.linspace(0, 1, 40)[:, None]
+        X[17, 0] = value
+        with pytest.raises(ValueError, match="^non-finite input$"):
+            forward_batch(reference_model(), X)
+        X[16, 0] = -X[17, 0]  # two of them, of opposite signs for an infinity
+        with pytest.raises(ValueError, match="^non-finite input$"):
+            forward_batch(reference_model(), X)
+
+    def test_finite_inputs_whose_sum_overflows_pass(self):
+        # one identity layer of small weights, so that only a sum of the inputs overflows
+        model = MlpModel([Layer(np.array([[0.5], [0.25]]), np.zeros(2), "identity")], 1, 2)
+        hyps = forward_batch(model, np.array([[1e308], [1e308]]))
+        assert hyps.tolist() == [[[5e307], [2.5e307]]] * 2
+
     def test_layer_output_is_the_only_full_size_temporary(self):
         # the bias is added in place, so a 50-wide layer briefly holds its
         # input and its output (2x n x 50 floats), not a third array

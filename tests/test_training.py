@@ -112,6 +112,39 @@ class TestDivergence:
         assert err.value.epoch is not None
         assert err.value.batch_index is not None
 
+    @pytest.mark.parametrize("batch", [0, 5])
+    @pytest.mark.parametrize("head", ["winner", "dropped"])
+    def test_non_finite_loss_names_its_batch_and_changes_nothing(self, monkeypatch, batch, head):
+        """A NaN loss on the winner, or an infinite one on a dropped head (weight 0, so its
+        term is NaN), stops the run at that batch."""
+        assigned, assign_batch = [], mhp.training.assign_batch
+
+        def spoiled(config, hyps, targets, dropout):
+            weights, losses, best, masks = assign_batch(config, hyps, targets, dropout)
+            if len(assigned) == batch:
+                if head == "winner":
+                    losses[3, best[3]] = np.nan
+                else:
+                    row, col = np.argwhere(masks)[0]
+                    assert weights[row, col] == 0.0
+                    losses[row, col] = np.inf
+            assigned.append(len(losses))
+            return weights, losses, best, masks
+        model = fresh_model(4)
+        opt = mhp.make_optimizer("sgd_momentum", model, 0.02, 0.9)
+        train(model, temporal_sampler, MetaLossConfig(4), opt,
+              TrainSchedule(1, 32, 0, samples_per_epoch=256))
+        params, buffer = model.params.copy(), opt.buffer.copy()
+        monkeypatch.setattr(mhp.training, "assign_batch", spoiled)
+        with pytest.raises(TrainingDivergedError,
+                           match=f"^non-finite loss at epoch 0, batch {batch}$") as err:
+            train(model, temporal_sampler, MetaLossConfig(4, 0.05, 0.5), opt,
+                  TrainSchedule(2, 32, 1, samples_per_epoch=256))
+        assert (err.value.epoch, err.value.batch_index) == (0, batch)
+        assert len(assigned) == batch + 1
+        assert model.params.tobytes() == params.tobytes()
+        assert opt.buffer.tobytes() == buffer.tobytes()
+
     def test_model_config_mismatch(self):
         model = fresh_model(2)
         opt = mhp.make_optimizer("sgd_momentum", model, 0.01)
