@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .losses import CROSS_ENTROPY, DEFAULT_TUKEY_C, L2, LossKind, hypothesis_targets
 from .meta_loss import MetaLossConfig, assign_batch, draw_dropout
-from .network import (Layer, MlpModel, OptimizerState, TrainingDivergedError, forward,
+from .network import (MlpModel, OptimizerState, TrainingDivergedError, forward,
                       forward_batch, init_mlp, load_checkpoint, make_optimizer,
                       save_checkpoint, step)
 from .training import EpochMetrics, TrainSchedule, train
@@ -20,7 +20,7 @@ from .voronoi import (LloydResult, Tessellation, centroidal_residual, lloyd, llo
                       quantization_error, tessellate)
 
 __all__ = [
-    "CROSS_ENTROPY", "DEFAULT_TUKEY_C", "EpochMetrics", "L2", "Layer", "LloydResult",
+    "CROSS_ENTROPY", "DEFAULT_TUKEY_C", "EpochMetrics", "L2", "LloydResult",
     "LossKind", "MetaLossConfig", "MlpModel", "OptimizerState", "Tessellation",
     "TrainSchedule", "TrainingDivergedError", "assign_batch", "centroidal_residual",
     "draw_dropout", "forward", "forward_batch", "hypothesis_targets", "init_mlp", "lloyd",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,13 +49,14 @@ def param_views(shapes, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]
         end = pos + out * ind
         views.append((flat[pos:end].reshape(out, ind), flat[end:end + out]))
         pos = end + out
-    if pos != len(flat):
-        raise ValueError(f"{len(flat)} values for {pos} parameters")
+    if flat.shape != (pos,):
+        raise ValueError(f"values of shape {flat.shape} for {pos} parameters")
     return views
 
 
-@dataclass
-class Layer:
+class Layer(NamedTuple):
+    """One layer of a model: views into its ``params``, and the layer's activation."""
+
     weights: np.ndarray  # (out, in)
     biases: np.ndarray   # (out,)
     activation: str      # "relu" | "identity"
@@ -64,60 +66,63 @@ class Layer:
 class MlpModel:
     """Weights of the shared-trunk, multi-headed predictor.
 
-    The final layer has ``num_hypotheses * output_dim`` units with identity
-    activation; adjacent layer dimensions must chain. The given layers' values
-    are copied into ``params``, and the model's own layers are views into it.
+    ``params`` is copied, in the layout :func:`param_views` gives ``shapes``, the (out, in) of
+    each layer's weights. The final layer has ``num_hypotheses * output_dim`` units with identity
+    activation; adjacent layer dimensions must chain. ``layers`` are views into ``params``.
     """
 
-    layers: list[Layer]
+    params: np.ndarray
+    shapes: tuple[tuple[int, int], ...]
+    activations: tuple[str, ...]
     output_dim: int
     num_hypotheses: int
     seed: int | None = None
     extras: dict = field(default_factory=dict)
-    params: np.ndarray = field(init=False, repr=False)
-    # (out, in) of each layer's weights, read once: the layers are views into ``params``
-    shapes: tuple[tuple[int, int], ...] = field(init=False, repr=False)
+    layers: tuple[Layer, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.params = np.array(self.params, dtype=np.float64)
+        self.shapes, self.activations = tuple(map(tuple, self.shapes)), tuple(self.activations)
         self.validate()
-        self.shapes = tuple(np.shape(l.weights) for l in self.layers)
-        self.params = np.empty(sum(out * (ind + 1) for out, ind in self.shapes))
-        views = param_views(self.shapes, self.params)
-        for layer, (w, b) in zip(self.layers, views):
-            w[...], b[...] = layer.weights, layer.biases
-        self.layers = [Layer(w, b, l.activation) for l, (w, b) in zip(self.layers, views)]
+        self.layers = tuple(Layer(w, b, act) for (w, b), act in
+                            zip(param_views(self.shapes, self.params), self.activations))
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0].weights.shape[1]
+        return self.shapes[0][1]
 
     def validate(self) -> None:
-        if not self.layers:
+        if not self.shapes:
             raise ValueError("model needs at least one layer")
+        if len(self.activations) != len(self.shapes):
+            raise ValueError(f"{len(self.activations)} activations for {len(self.shapes)} layers")
         if self.output_dim < 1 or self.num_hypotheses < 1:
             raise ValueError("output_dim and num_hypotheses must be positive")
         prev = None
-        for k, layer in enumerate(self.layers):
-            w, b = np.asarray(layer.weights), np.asarray(layer.biases)
-            if w.ndim != 2 or b.ndim != 1 or b.shape[0] != w.shape[0]:
-                raise ValueError(f"layer {k}: weights (out,in) and biases (out,) required")
-            if 0 in w.shape:
-                raise ValueError(f"layer {k}: weights of shape {w.shape} have a zero dimension")
-            if prev is not None and w.shape[1] != prev:
-                raise ValueError(f"layer {k}: in-dim {w.shape[1]} != previous out-dim {prev}")
-            if layer.activation not in ACTIVATIONS:
-                raise ValueError(f"layer {k}: unknown activation {layer.activation!r}")
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ValueError(f"layer {k}: non-finite parameters")
-            prev = w.shape[0]
+        for k, ((out, ind), act) in enumerate(zip(self.shapes, self.activations)):
+            if min(out, ind) < 1:
+                raise ValueError(f"layer {k}: shape {(out, ind)} has a negative or zero dimension")
+            if prev is not None and ind != prev:
+                raise ValueError(f"layer {k}: in-dim {ind} != previous out-dim {prev}")
+            if act not in ACTIVATIONS:
+                raise ValueError(f"layer {k}: unknown activation {act!r}")
+            prev = out
         if prev != self.num_hypotheses * self.output_dim:
             raise ValueError(
                 f"final layer width {prev} != num_hypotheses*output_dim "
                 f"{self.num_hypotheses * self.output_dim}")
-        if self.layers[-1].activation != "identity":
+        if self.activations[-1] != "identity":
             raise ValueError("final layer activation must be identity")
+        if (k := _first_non_finite_layer(self.shapes, np.isfinite(self.params))) is not None:
+            raise ValueError(f"layer {k}: non-finite parameters")
         if not isinstance(self.extras, dict):
             raise ValueError(f"extras must be a JSON object, got {self.extras!r}")
+
+
+def _first_non_finite_layer(shapes, finite: np.ndarray) -> int | None:
+    """The first layer where the (P,) mask ``finite`` is False, or None."""
+    return next((k for k, (w, b) in enumerate(param_views(shapes, finite))
+                 if not (w.all() and b.all())), None)
 
 
 def init_mlp(input_dim: int, hidden_dims, output_dim: int, num_hypotheses: int,
@@ -130,24 +135,22 @@ def init_mlp(input_dim: int, hidden_dims, output_dim: int, num_hypotheses: int,
     independent N(0, 0.01^2) noise to weights and biases, so heads start
     near-identical but break symmetry under the winner-takes-all weighting.
     """
-    layers: list[Layer] = []
-    prev = int(input_dim)
-    widths = [int(h) for h in hidden_dims]
-    if prev < 1:
+    dims = [int(input_dim), *(int(h) for h in hidden_dims)]
+    if dims[0] < 1:
         raise ValueError("input_dim must be positive")
-    if any(h < 1 for h in widths):
-        raise ValueError(f"hidden layer widths must be >= 1, got {widths}")
-    for h in widths:
-        w = rng.normal(0.0, np.sqrt(2.0 / prev), size=(h, prev))
-        layers.append(Layer(w, np.zeros(h), "relu"))
-        prev = h
-    base = rng.normal(0.0, np.sqrt(2.0 / prev), size=(output_dim, prev))
-    head_w = np.tile(base, (num_hypotheses, 1))
-    head_w = head_w + rng.normal(0.0, HEAD_INIT_STD, size=head_w.shape)
-    head_b = rng.normal(0.0, HEAD_INIT_STD, size=num_hypotheses * output_dim)
-    layers.append(Layer(head_w, head_b, "identity"))
-    return MlpModel(layers, output_dim, num_hypotheses, seed=seed,
-                    extras=dict(extras or {}))
+    if any(h < 1 for h in dims[1:]):
+        raise ValueError(f"hidden layer widths must be >= 1, got {dims[1:]}")
+    shapes = [*zip(dims[1:], dims), (num_hypotheses * output_dim, dims[-1])]
+    params = np.zeros(sum(out * (ind + 1) for out, ind in shapes))
+    *hidden, (head_w, head_b) = param_views(shapes, params)
+    for w, _ in hidden:
+        w[...] = rng.normal(0.0, np.sqrt(2.0 / w.shape[1]), size=w.shape)
+    base = rng.normal(0.0, np.sqrt(2.0 / dims[-1]), size=(output_dim, dims[-1]))
+    head_w[...] = np.tile(base, (num_hypotheses, 1))
+    head_w += rng.normal(0.0, HEAD_INIT_STD, size=head_w.shape)
+    head_b[...] = rng.normal(0.0, HEAD_INIT_STD, size=head_b.shape)
+    return MlpModel(params, shapes, ["relu"] * len(hidden) + ["identity"], output_dim,
+                    num_hypotheses, seed=seed, extras=dict(extras or {}))
 
 
 def _check_batch_input(model: MlpModel, X: np.ndarray) -> np.ndarray:
@@ -261,14 +264,6 @@ def make_optimizer(kind: str, model: MlpModel, learning_rate: float,
     return OptimizerState(kind, float(learning_rate), float(momentum), np.zeros_like(model.params))
 
 
-def _require_finite(model: MlpModel, values: np.ndarray, what: str) -> None:
-    """TrainingDivergedError at the first layer where (P,) or (k, P) ``values`` are not finite."""
-    if not np.isfinite(values).all():
-        bad = ~np.isfinite(values).reshape(-1, model.params.size).all(axis=0)
-        k = next(k for k, (w, b) in enumerate(param_views(model.shapes, bad)) if w.any() or b.any())
-        raise TrainingDivergedError(f"non-finite {what} in layer {k}", layer_index=k)
-
-
 def step(state: OptimizerState, model: MlpModel, grad) -> None:
     """Apply one update to ``model.params`` in place, or change nothing.
 
@@ -300,8 +295,9 @@ def step(state: OptimizerState, model: MlpModel, grad) -> None:
             np.subtract(model.params, lr * g / np.sqrt(buffer + RMSPROP_EPS), out=params)
             total = np.add.reduce(new, axis=None)
     if not np.isfinite(total):
-        _require_finite(model, g, "gradient")
-        _require_finite(model, new, "update")
+        for finite, what in ((np.isfinite(g), "gradient"), (np.isfinite(new).all(0), "update")):
+            if (k := _first_non_finite_layer(model.shapes, finite)) is not None:
+                raise TrainingDivergedError(f"non-finite {what} in layer {k}", layer_index=k)
     state.buffer[...] = buffer
     model.params[...] = params
 
@@ -324,8 +320,8 @@ def save_checkpoint(path, model: MlpModel, optimizer: OptimizerState | None = No
     """Write the model (and optional optimizer state) as one JSON document."""
     doc = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
-        "layer_dims": [[l.weights.shape[1], l.weights.shape[0]] for l in model.layers],
-        "activations": [l.activation for l in model.layers],
+        "layer_dims": [[ind, out] for out, ind in model.shapes],
+        "activations": list(model.activations),
         "M": model.num_hypotheses,
         "output_dim": model.output_dim,
         "seed": model.seed,
@@ -348,12 +344,15 @@ def load_checkpoint(path) -> tuple[MlpModel, OptimizerState | None]:
     if (version := get(doc, "schema_version", read_int)) != CHECKPOINT_SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint schema {version!r}")
     shapes = get(doc, "layer_dims", lambda dims: [(read_int(o), read_int(i)) for i, o in dims])
-    params = get(doc, "parameters", lambda v: _read_pairs(shapes, v))
-    layers = get(doc, "activations", lambda acts: [Layer(w, b, act) for (w, b), act in zip(
-        param_views(shapes, params), read_list(read_str)(acts), strict=True)])
-    model = MlpModel(layers, get(doc, "output_dim", read_int), get(doc, "M", read_int),
-                     seed=get(doc, "seed", lambda v: v if v is None else read_seed(v), None),
-                     extras=get(doc, "extras", lambda v: v, {}))
+    fields = (get(doc, "parameters", lambda v: _read_pairs(shapes, v)), shapes,
+              get(doc, "activations", read_list(read_str, len(shapes))),
+              get(doc, "output_dim", read_int), get(doc, "M", read_int),
+              get(doc, "seed", lambda v: v if v is None else read_seed(v), None),
+              get(doc, "extras", lambda v: v, {}))
+    try:
+        model = MlpModel(*fields)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
     o = get(doc, "optimizer", lambda v: v, None)
     opt_get = functools.partial(read_field, o, where=f"{path}: optimizer")
     opt = None if o is None else OptimizerState(

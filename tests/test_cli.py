@@ -784,11 +784,14 @@ class TestCorruptCheckpoint:
         ("parameters.1.biases.0", "1.5", "'biases'"),
         ("parameters.1.weights", nested_weights, "'weights'"),
         ("activations", [1, 2], "'activations'"),
+        ("activations", ["relu", "identity"], "expected 3 entries"),
+        ("activations", ["relu"] * 3 + ["identity"], "expected 3 entries"),
         ("optimizer.kind", 5, "'kind'"),
         ("optimizer", {}, "'kind'"),
         ("extras.task", [1], "'task'"),
-    ], ids=["weight_true", "bias_str", "nested_weights", "activations_ints", "kind_int",
-            "optimizer_empty", "extras_task_list"])
+    ], ids=["weight_true", "bias_str", "nested_weights", "activations_ints",
+            "activations_too_few", "activations_too_many", "kind_int", "optimizer_empty",
+            "extras_task_list"])
     @pytest.mark.parametrize("command", ["eval", "tessellate"])
     def test_array_activation_optimizer_and_extras_fields_are_named(
             self, good, field, value, name, command, tmp_path, capsys):
@@ -803,6 +806,17 @@ class TestCorruptCheckpoint:
                     "--samples", "50", "--out", str(tmp_path / "cells")]
         capsys.readouterr()
         usage_error(capsys, argv, name)
+
+    def test_refused_baseline_checkpoint_is_named(self, good, tmp_path, capsys):
+        ckpt, bad = tmp_path / "checkpoint.json", tmp_path / "bad.json"
+        ckpt.write_text(json.dumps(good))
+        doc = json.loads(json.dumps(good))
+        doc["activations"][-1] = "relu"
+        bad.write_text(json.dumps(doc))
+        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(gen(tmp_path, "temporal2d")),
+                "--baseline-checkpoint", str(bad)]
+        capsys.readouterr()
+        usage_error(capsys, argv, f"error: {bad}: final layer activation must be identity")
 
     def test_nested_weights_message_is_one_short_line(self, good, tmp_path, capsys):
         doc = json.loads(json.dumps(good))

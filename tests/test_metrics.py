@@ -13,15 +13,16 @@ from mhp.losses import CROSS_ENTROPY, L2, hypothesis_targets, loss_values
 from mhp.meta_loss import MetaLossConfig
 from mhp.metrics import (dataset_hypothesis_variance, dataset_sharpness, multilabel_scores,
                          oracle_min_loss, oracle_min_loss_nested)
-from mhp.network import Layer, MlpModel, forward_batch
+from mhp.network import forward_batch
 from mhp.training import TrainSchedule, train
+from model_helpers import model_of
 
 
 def constant_model(hyps):
     """Model that outputs the given (M, d) hypotheses for any input."""
     hyps = np.asarray(hyps, dtype=np.float64)
     m, d = hyps.shape
-    return MlpModel([Layer(np.zeros((m * d, 1)), hyps.ravel(), "identity")], d, m)
+    return model_of([(np.zeros((m * d, 1)), hyps.ravel(), "identity")], d, m)
 
 
 ONE_INPUT = np.zeros((1, 1))  # a one-row dataset for a constant_model

@@ -7,10 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mhp.network import (Layer, MlpModel, TrainingDivergedError, backward_batch, forward,
+from mhp.network import (MlpModel, TrainingDivergedError, backward_batch, forward,
                          forward_batch, init_mlp, load_checkpoint, make_optimizer,
                          param_views, save_checkpoint, step)
 from mhp.network import OptimizerState
+from model_helpers import model_of
 
 # Output of the seeded reference model below at x = 0.25, recorded once and
 # cross-checked against the scalar oracle in test_golden_forward.
@@ -43,15 +44,15 @@ def scalar_forward(model, x):
 
 class TestForward:
     def test_zero_model_maps_to_zero(self):
-        layers = [Layer(np.zeros((4, 3)), np.zeros(4), "relu"),
-                  Layer(np.zeros((6, 4)), np.zeros(6), "identity")]
-        model = MlpModel(layers, output_dim=2, num_hypotheses=3)
+        layers = [(np.zeros((4, 3)), np.zeros(4), "relu"),
+                  (np.zeros((6, 4)), np.zeros(6), "identity")]
+        model = model_of(layers, output_dim=2, num_hypotheses=3)
         out = forward(model, np.array([1.0, -2.0, 0.5]))
         assert out.shape == (3, 2)
         assert np.all(out == 0.0)
 
     def test_identity_layer(self):
-        model = MlpModel([Layer(np.eye(2), np.zeros(2), "identity")], 2, 1)
+        model = model_of([(np.eye(2), np.zeros(2), "identity")], 2, 1)
         out = forward(model, np.array([0.3, -0.7]))
         np.testing.assert_array_equal(out, [[0.3, -0.7]])
 
@@ -70,7 +71,7 @@ class TestForward:
 
     def test_head_slicing_is_contiguous(self):
         w = np.arange(6, dtype=float).reshape(6, 1)
-        model = MlpModel([Layer(w, np.zeros(6), "identity")], 2, 3)
+        model = model_of([(w, np.zeros(6), "identity")], 2, 3)
         out = forward(model, np.array([1.0]))
         np.testing.assert_array_equal(out, [[0, 1], [2, 3], [4, 5]])
 
@@ -93,7 +94,7 @@ class TestForward:
 
     def test_finite_inputs_whose_sum_overflows_pass(self):
         # one identity layer of small weights, so that only a sum of the inputs overflows
-        model = MlpModel([Layer(np.array([[0.5], [0.25]]), np.zeros(2), "identity")], 1, 2)
+        model = model_of([(np.array([[0.5], [0.25]]), np.zeros(2), "identity")], 1, 2)
         hyps = forward_batch(model, np.array([[1e308], [1e308]]))
         assert hyps.tolist() == [[[5e307], [2.5e307]]] * 2
 
@@ -130,38 +131,63 @@ class TestForward:
         assert after[-1, -1] == pytest.approx(before[-1, -1] + 1.0, rel=1e-12)
         assert np.array_equal(after.ravel()[:-1], before.ravel()[:-1])
 
-    def test_models_built_from_the_same_layers_are_independent(self):
-        m1 = reference_model()
-        m2 = MlpModel(m1.layers, m1.output_dim, m1.num_hypotheses)
+    def test_models_built_from_the_same_vector_are_independent(self):
+        ref = reference_model()
+        vector = ref.params.copy()
+        m1, m2 = (MlpModel(vector, ref.shapes, ref.activations, ref.output_dim,
+                           ref.num_hypotheses) for _ in range(2))
         x = np.array([0.25])
         before = forward(m1, x)
         step(make_optimizer("sgd_momentum", m1, 0.1), m1, np.ones_like(m1.params))
         assert not np.array_equal(forward(m1, x), before)
         assert np.array_equal(forward(m2, x), before)
-        assert not any(np.shares_memory(a.weights, b.weights)
-                       for a, b in zip(m1.layers, m2.layers))
+        assert np.array_equal(vector, ref.params)
+        assert not any(np.shares_memory(a, b) for a, b in
+                       [(m1.params, m2.params), (m1.params, vector), (m2.params, vector)])
 
 
 class TestModelValidation:
     def test_dimension_chain_enforced(self):
-        layers = [Layer(np.zeros((4, 3)), np.zeros(4), "relu"),
-                  Layer(np.zeros((2, 5)), np.zeros(2), "identity")]
+        layers = [(np.zeros((4, 3)), np.zeros(4), "relu"),
+                  (np.zeros((2, 5)), np.zeros(2), "identity")]
         with pytest.raises(ValueError):
-            MlpModel(layers, 2, 1)
+            model_of(layers, 2, 1)
 
     def test_final_width_must_match_heads(self):
         with pytest.raises(ValueError):
-            MlpModel([Layer(np.zeros((5, 2)), np.zeros(5), "identity")], 2, 2)
+            model_of([(np.zeros((5, 2)), np.zeros(5), "identity")], 2, 2)
 
     def test_final_activation_identity(self):
         with pytest.raises(ValueError):
-            MlpModel([Layer(np.zeros((2, 2)), np.zeros(2), "relu")], 2, 1)
+            model_of([(np.zeros((2, 2)), np.zeros(2), "relu")], 2, 1)
 
     def test_nonfinite_parameters_rejected(self):
         w = np.zeros((2, 2))
         w[0, 0] = np.inf
         with pytest.raises(ValueError):
-            MlpModel([Layer(w, np.zeros(2), "identity")], 2, 1)
+            model_of([(w, np.zeros(2), "identity")], 2, 1)
+
+    @pytest.mark.parametrize("activations", [["identity"] * 2, []])
+    def test_one_activation_per_layer(self, activations):
+        with pytest.raises(ValueError, match=f"^{len(activations)} activations for 1 layers$"):
+            MlpModel(np.zeros(6), [(2, 2)], activations, 2, 1)
+
+    @pytest.mark.parametrize("params", [np.zeros(5), np.zeros(7), np.zeros((6, 1))])
+    def test_params_must_be_one_vector_of_the_layout_size(self, params):
+        with pytest.raises(ValueError, match=r"values of shape \(.*\) for 6 parameters"):
+            MlpModel(params, [(2, 2)], ["identity"], 2, 1)
+
+    @pytest.mark.parametrize("shape", [(2, -1), (-2, -1), (0, 3)])
+    def test_negative_or_zero_dimension_refused(self, shape):
+        with pytest.raises(ValueError, match="^layer 0: .* negative or zero dimension$"):
+            MlpModel(np.zeros(4), [shape], ["identity"], 2, 1)
+
+    def test_layers_are_made_once_from_the_vector(self):
+        model = reference_model()
+        assert [layer.activation for layer in model.layers] == list(model.activations)
+        for layer, (w, b) in zip(model.layers, param_views(model.shapes, model.params)):
+            assert layer.weights.base is model.params and layer.biases.base is model.params
+            assert np.array_equal(layer.weights, w) and np.array_equal(layer.biases, b)
 
 
 def batch_grad(model, X, upstream):
@@ -177,7 +203,7 @@ class TestBackward:
 
     def test_single_linear_layer_outer_product(self):
         w = np.array([[1.0, 2.0], [3.0, 4.0]])
-        model = MlpModel([Layer(w, np.zeros(2), "identity")], 2, 1)
+        model = model_of([(w, np.zeros(2), "identity")], 2, 1)
         x = np.array([0.5, -1.5])
         g = np.array([[2.0, -1.0]])
         (dw, db), = param_views(model.shapes, batch_grad(model, x[None], g[None]))
@@ -228,7 +254,7 @@ class TestBackward:
     def test_cached_activations_match_recompute_bitwise(self, activations):
         rng = np.random.default_rng(7)
         dims = [3, 9, 7, 4 * 2]
-        model = MlpModel([Layer(rng.normal(size=(o, i)), rng.normal(size=o), a)
+        model = model_of([(rng.normal(size=(o, i)), rng.normal(size=o), a)
                           for i, o, a in zip(dims, dims[1:], activations)], 2, 4)
         X = rng.normal(size=(11, 3))
         hyps, acts = forward_batch(model, X, return_activations=True)
@@ -245,7 +271,7 @@ class TestBackward:
 
 class TestOptimizers:
     def one_param_model(self, theta=1.0):
-        return MlpModel([Layer(np.array([[theta]]), np.zeros(1), "identity")], 1, 1)
+        return model_of([(np.array([[theta]]), np.zeros(1), "identity")], 1, 1)
 
     def test_plain_sgd_step(self):
         model = self.one_param_model(1.0)
@@ -325,6 +351,21 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "a.json", model)
         save_checkpoint(tmp_path / "b.json", model)
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    @pytest.mark.parametrize("kind, dims, size", [
+        ("sgd_momentum", (64, [50, 50], 64, 10), 38_440),  # the grid M=10 acceptance network
+        ("rmsprop", (1, [50, 50], 2, 4), 3_058),
+    ])
+    def test_save_load_save_writes_the_same_bytes(self, kind, dims, size, tmp_path):
+        rng = np.random.default_rng(8)
+        model = init_mlp(*dims, rng, seed=8, extras={"scale": 0.5})
+        assert model.params.size == size
+        opt = make_optimizer(kind, model, 0.05)
+        step(opt, model, rng.normal(size=size))  # a nonzero buffer
+        save_checkpoint(tmp_path / "first.json", model, opt)
+        loaded, loaded_opt = load_checkpoint(tmp_path / "first.json")
+        save_checkpoint(tmp_path / "second.json", loaded, loaded_opt)
+        assert (tmp_path / "second.json").read_bytes() == (tmp_path / "first.json").read_bytes()
 
     def test_document_that_does_not_encode_writes_nothing(self, tmp_path):
         path = tmp_path / "ckpt.json"
@@ -439,7 +480,7 @@ class TestOnePassStepCheck:
 
     @pytest.mark.parametrize("kind", ["sgd_momentum", "rmsprop"])
     def test_finite_values_whose_sum_overflows_still_step(self, kind):
-        model = MlpModel([Layer(np.array([[1e308]]), np.array([1e308]), "identity")], 1, 1)
+        model = model_of([(np.array([[1e308]]), np.array([1e308]), "identity")], 1, 1)
         opt = make_optimizer(kind, model, 0.5, momentum=0.5)
         grad = np.array([1.0, 2.0])
         buffer, params = reference_step(opt, model, grad)

@@ -3,7 +3,7 @@
 import mhp
 
 REMOVED = ("AssignmentResult", "assign", "meta_loss", "meta_loss_upstream_grads", "loss",
-           "loss_grad", "backward")
+           "loss_grad", "backward", "Layer")
 
 
 def test_every_exported_name_resolves():
