@@ -113,13 +113,21 @@ def _seed_flag(text: str) -> int:
 # ---------------------------------------------------------------------------
 # gen
 
+# Each gen flag that sizes a task, by its argparse dest: the _task keys it sets.
+_GEN_FLAGS = {"t": ["t"], "classes": ["num_classes"], "set_size": ["set_size"],
+              "terminals": ["terminals"], "grid_size": ["width", "height"]}
+
+
 def cmd_gen(args) -> None:
     run = _Run("gen")
+    ds = {"task": args.task}
+    for flag, keys in _GEN_FLAGS.items():
+        if (value := getattr(args, flag)) is not None:
+            if not set(keys) <= _DATASET_KEYS.get(args.task, set()):
+                raise ValueError(f"--task {args.task} does not read --{flag.replace('_', '-')}")
+            ds.update(dict.fromkeys(keys, value))
     rng = np.random.default_rng(args.seed)
-    sampler, spec, inputs, targets = _task(
-        {"task": args.task, "t": args.t, "num_classes": args.classes,
-         "set_size": args.set_size, "terminals": args.terminals,
-         "width": args.grid_size, "height": args.grid_size}, rng)
+    sampler, spec, inputs, targets = _task(ds, rng)
     X, Y = sampler(rng, args.n)  # each sampler rejects n < 1
     run.wrote(*write_dataset(args.out, X, Y, task=args.task, spec=spec, seed=args.seed,
                              input_names=inputs, target_names=targets))
@@ -383,10 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--t", type=float, default=None,
                    help="fix the temporal2d time input (default: uniform per sample)")
-    p.add_argument("--classes", type=int, default=6)
-    p.add_argument("--set-size", type=int, default=2)
-    p.add_argument("--terminals", type=int, default=3)
-    p.add_argument("--grid-size", type=int, default=8)
+    p.add_argument("--classes", type=int, help="multilabel only")
+    p.add_argument("--set-size", type=int, help="multilabel only")
+    p.add_argument("--terminals", type=int, help="gridframe only")
+    p.add_argument("--grid-size", type=int, help="gridframe only: its width and height")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train", help="train a model from a JSON config")

@@ -48,17 +48,14 @@ def _draw(p, n: int, rng: np.random.Generator) -> np.ndarray:
     or (n, k).
 
     A uniform u draws the number of entries of the CDF ``cumsum(p)[..., :-1]`` that are <= u.
-    A fixed ``p`` counts them with one binary search per uniform. Per-row ``p`` runs the
-    CDF as a column sum, one column add and one compare per category, so it takes the bits
-    of ``cumsum`` (the same sequential adds) without a reduction along the short rows.
+    The CDF runs as a column sum, one column add and one compare per category, so it takes
+    the bits of ``cumsum`` (the same sequential adds) without a reduction along short rows.
     """
     u = rng.random(n)
     p = np.asarray(p)
-    if p.ndim == 1:
-        return np.searchsorted(np.cumsum(p)[:-1], u, side="right")
     cdf, index = np.zeros(n), np.zeros(n, dtype=np.intp)
-    for k in range(p.shape[1] - 1):
-        cdf += p[:, k]
+    for k in range(p.shape[-1] - 1):
+        cdf += p[..., k]
         index += u >= cdf
     return index
 
@@ -245,7 +242,7 @@ def sample_gaussian_mixture(means, covs, weights, n: int, rng: np.random.Generat
     w = np.asarray(weights, dtype=np.float64)
     if mu.ndim != 2 or len(w) != len(mu):
         raise ValueError("means must be (k, d) with one weight per component")
-    if (w < 0).any() or abs(w.sum() - 1.0) > 1e-9:
+    if not (w >= 0).all() or not abs(w.sum() - 1.0) <= 1e-9:  # NaN fails both
         raise ValueError("weights must be nonnegative and sum to 1")
     sig = np.asarray(covs, dtype=np.float64)
     if sig.shape != (len(mu), mu.shape[1], mu.shape[1]):
@@ -266,7 +263,7 @@ def sample_gaussian_mixture(means, covs, weights, n: int, rng: np.random.Generat
 # ---------------------------------------------------------------------------
 # Dataset files: data.csv (inputs..., targets...) plus a data.json sidecar.
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
     X: np.ndarray
     Y: np.ndarray

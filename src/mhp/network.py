@@ -62,7 +62,7 @@ class Layer(NamedTuple):
     activation: str      # "relu" | "identity"
 
 
-@dataclass
+@dataclass(eq=False)
 class MlpModel:
     """Weights of the shared-trunk, multi-headed predictor.
 
@@ -239,7 +239,7 @@ def backward_batch(model: MlpModel, upstream_grads, activations: list[np.ndarray
     return grad
 
 
-@dataclass
+@dataclass(eq=False)
 class OptimizerState:
     """First-order optimizer state; ``buffer`` is (P,), like the parameters."""
 
@@ -349,13 +349,12 @@ def load_checkpoint(path) -> tuple[MlpModel, OptimizerState | None]:
               get(doc, "output_dim", read_int), get(doc, "M", read_int),
               get(doc, "seed", lambda v: v if v is None else read_seed(v), None),
               get(doc, "extras", lambda v: v, {}))
-    try:
-        model = MlpModel(*fields)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
     o = get(doc, "optimizer", lambda v: v, None)
     opt_get = functools.partial(read_field, o, where=f"{path}: optimizer")
-    opt = None if o is None else OptimizerState(
+    opt_fields = None if o is None else (
         opt_get("kind", read_str), opt_get("learning_rate", read_number),
         opt_get("momentum", read_number), opt_get("buffers", lambda v: _read_pairs(shapes, v)))
-    return model, opt
+    try:
+        return MlpModel(*fields), None if opt_fields is None else OptimizerState(*opt_fields)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ _CHUNK = 1 << 17  # the summation block of _mean_loss
 _SEARCH_TILE = 1 << 14  # the rows of one _nearest step
 
 
-@dataclass
+@dataclass(eq=False)
 class Tessellation:
     """Each sample's cell and each cell's empirical statistics; NaN entries flag empty cells."""
 
@@ -161,7 +162,7 @@ def quantization_error(generators, loss: LossKind, samples) -> float:
     return _mean_loss(_nearest(gens, loss, samples)[1])
 
 
-@dataclass
+@dataclass(eq=False)
 class LloydResult:
     generators: np.ndarray
     iterations: int
@@ -282,48 +283,30 @@ def lloyd_best_of(samples, m: int, restarts: int, rng: np.random.Generator, *,
     drawn from ``rng`` in restart order; no Lloyd pass reads ``rng``, so these
     are the starts that one ``lloyd(samples, m, rng=rng)`` call per restart
     would draw. The restarts are then independent: each runs as ``lloyd``
-    from its start, on ``io_utils.worker_count(restarts)`` threads, the calling
-    thread among them, and the result does not depend on how many. Once a
-    restart raises, no further restart starts; when every thread has
-    finished, the error of the first failed restart propagates.
+    from its start, as one job of a ``concurrent.futures.ThreadPoolExecutor``
+    with ``io_utils.worker_count(restarts)`` threads, and the result does not
+    depend on how many. Once a restart raises, no further restart starts; when
+    every thread has finished, the error of the first failed restart propagates.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     pts = _lloyd_samples(samples, m, max_iters, tol)
     with _squares_checked():
         starts = [_kmeanspp_init(pts, m, rng) for _ in range(restarts)]
-    outcomes: list = [None] * restarts
-    order = iter(range(restarts))
-    lock, stop = threading.Lock(), threading.Event()
+    stop = threading.Event()
 
-    def run_restarts() -> None:
-        while not stop.is_set():
-            with lock:
-                i = next(order, None)
-            if i is None:
-                return
-            try:
-                outcomes[i] = lloyd(pts, m, init_generators=starts[i], max_iters=max_iters,
-                                    tol=tol)
-            except BaseException as err:  # raised by the calling thread below
-                outcomes[i] = err
-                stop.set()
+    def restart(start: np.ndarray) -> LloydResult | None:
+        if stop.is_set():  # the pool takes jobs in order: any failed restart came first
+            return None
+        try:
+            return lloyd(pts, m, init_generators=start, max_iters=max_iters, tol=tol)
+        except BaseException:
+            stop.set()
+            raise
 
-    helpers = [threading.Thread(target=run_restarts)
-               for _ in range(worker_count(restarts) - 1)]
-    try:
-        for helper in helpers:
-            helper.start()
-        run_restarts()
-    finally:
-        stop.set()  # however this thread left, the helpers start no further restart
-        for helper in helpers:
-            if helper.is_alive():  # a helper that failed to start has nothing to join
-                helper.join()
-    best: LloydResult | None = None
-    for outcome in outcomes:
-        if isinstance(outcome, BaseException):
-            raise outcome
-        if best is None or outcome.quantization_error < best.quantization_error:
-            best = outcome
-    return best
+    with ThreadPoolExecutor(worker_count(restarts)) as pool:
+        try:
+            runs = [pool.submit(restart, start) for start in starts]
+            return min((run.result() for run in runs), key=lambda run: run.quantization_error)
+        finally:
+            stop.set()  # however this call leaves, no further restart starts

@@ -129,6 +129,20 @@ class TestGen:
         usage_error(capsys, ["gen", *flags, "--n", "10", "--out", str(tmp_path / "d")], message)
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("task, flags, flag", [
+        ("temporal2d", ["--terminals", "5"], "--terminals"),
+        ("temporal2d", ["--classes", "9"], "--classes"),
+        ("multilabel", ["--grid-size", "10"], "--grid-size"),
+        ("gridframe", ["--set-size", "3"], "--set-size"),
+        ("gmm", ["--t", "0.5"], "--t"),
+    ], ids=["temporal2d_terminals", "temporal2d_classes", "multilabel_grid_size",
+            "gridframe_set_size", "gmm_t"])
+    def test_flag_its_task_does_not_read_is_usage_error(self, tmp_path, capsys, task, flags,
+                                                        flag):
+        usage_error(capsys, ["gen", "--task", task, *flags, "--n", "10",
+                             "--out", str(tmp_path / "d")], f"does not read {flag}")
+        assert not (tmp_path / "d").exists()
+
     def test_fixed_t_flag(self, tmp_path):
         out = tmp_path / "d"
         assert main(["gen", "--task", "temporal2d", "--n", "400", "--seed", "5",
@@ -817,6 +831,20 @@ class TestCorruptCheckpoint:
                 "--baseline-checkpoint", str(bad)]
         capsys.readouterr()
         usage_error(capsys, argv, f"error: {bad}: final layer activation must be identity")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("kind", "adam", "unknown optimizer 'adam'"),
+        ("learning_rate", 0.0, "learning_rate must be positive and finite"),
+        ("momentum", 1.0, "momentum/decay must lie in [0, 1)"),
+    ], ids=["kind", "learning_rate", "momentum"])
+    def test_refused_optimizer_is_named(self, good, field, value, message, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        doc = json.loads(json.dumps(good))
+        doc["optimizer"][field] = value
+        bad.write_text(json.dumps(doc))
+        argv = ["eval", "--checkpoint", str(bad), "--data", str(gen(tmp_path, "temporal2d"))]
+        capsys.readouterr()
+        usage_error(capsys, argv, f"error: {bad}: {message}")
 
     def test_nested_weights_message_is_one_short_line(self, good, tmp_path, capsys):
         doc = json.loads(json.dumps(good))

@@ -296,6 +296,13 @@ class TestGaussianMixture:
             sample_gaussian_mixture([[0.0], [1.0]], [np.eye(1)] * 2, [0.5, 0.6],
                                     10, np.random.default_rng(22))
 
+    @pytest.mark.parametrize("weights", [[np.nan, np.nan], [np.nan, 1.0], [0.5, np.inf]],
+                             ids=["nan_nan", "nan_one", "inf"])
+    def test_non_finite_weights_rejected(self, weights):
+        with pytest.raises(ValueError, match="nonnegative and sum to 1"):
+            sample_gaussian_mixture([[0.0], [1.0]], [np.eye(1)] * 2, weights,
+                                    5, np.random.default_rng(22))
+
 
 class TestDatasetFiles:
     def test_roundtrip(self, tmp_path):

@@ -288,24 +288,29 @@ class TestConcurrentRestarts:
         assert all(state == "raise" for states in seen.values() for state in states)
 
     def test_failed_restart_raises_after_every_thread_finished(self, monkeypatch):
+        # restart 0 runs until restart 1 has raised, so the two run at once
         self.threads(monkeypatch, 2)
-        caller, real_lloyd = threading.current_thread(), voronoi.lloyd
-        helper_failed = threading.Event()
-        raised = []
+        pts, real_lloyd = uniform_square(2000, seed=44), voronoi.lloyd
+        rng = np.random.default_rng(45)
+        first, second = (voronoi._kmeanspp_init(np.asfortranarray(pts), 3, rng) for _ in range(2))
+        second_failed = threading.Event()
+        calls, raised = [], []
 
-        def fail_off_the_calling_thread(*args, **kwargs):
-            if threading.current_thread() is caller:
-                assert helper_failed.wait(30)
-                return real_lloyd(*args, **kwargs)
-            raised.append(ValueError("restart failed"))
-            helper_failed.set()
-            raise raised[-1]
-        monkeypatch.setattr(voronoi, "lloyd", fail_off_the_calling_thread)
+        def second_restart_fails(samples, m, *, init_generators, **kwargs):
+            calls.append(init_generators)
+            if np.array_equal(init_generators, second):
+                raised.append(ValueError("restart failed"))
+                second_failed.set()
+                raise raised[-1]
+            if np.array_equal(init_generators, first):
+                assert second_failed.wait(30)
+            return real_lloyd(samples, m, init_generators=init_generators, **kwargs)
+        monkeypatch.setattr(voronoi, "lloyd", second_restart_fails)
         running = threading.active_count()
         with pytest.raises(ValueError, match="^restart failed$") as info:
-            lloyd_best_of(uniform_square(2000, seed=44), 3, 4, np.random.default_rng(45))
+            lloyd_best_of(pts, 3, 4, np.random.default_rng(45))
         assert info.value is raised[0]
-        assert len(raised) == 1  # no restart started after the failure
+        assert len(calls) == 2  # no restart started after the failure
         assert threading.active_count() == running
 
     def test_first_failed_restart_in_order_raises(self, monkeypatch):
