@@ -26,6 +26,10 @@ logger = logging.getLogger(__name__)
 
 _CHUNK = 1 << 17  # the summation block of _mean_loss
 _SEARCH_TILE = 1 << 14  # the rows of one _nearest step
+# a bounded search skips a sample only while its gap clears these; see _nearest
+_GAP_SLACK = 2.0 ** -20   # relative, a share of the second-nearest distance
+_GAP_FLOOR = 2.0 ** -500  # absolute, a distance
+_GAP_PASSES = 1 << 16     # lloyd passes a gap is carried at most before every sample is searched
 
 
 @dataclass(eq=False)
@@ -55,7 +59,8 @@ def _as_samples(loss: LossKind, samples) -> np.ndarray:
 
 
 def _nearest(gens: np.ndarray, loss: LossKind, samples,
-             out: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
+             out: tuple[np.ndarray, np.ndarray] | None = None,
+             moves: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Index of and loss against the loss-minimizing generator per sample.
 
     Works sample-major, one generator at a time: each tile of
@@ -69,20 +74,98 @@ def _nearest(gens: np.ndarray, loss: LossKind, samples,
     from a row-major sum. The strict ``<`` keeps ties on the lowest index,
     as ``argmin`` does. ``out``, an (index, loss) pair of (n,) int64 and
     float64 arrays, receives the result instead of fresh arrays.
+
+    With ``moves`` the search is bounded, for ``lloyd``'s passes (squared-error
+    loss, ``out`` given). ``out``'s index array then holds each sample's cell
+    from the previous search and its loss array a *gap*: a lower bound on how
+    much farther, as a distance r = sqrt(2 * loss), the sample's second-nearest
+    generator lies than its own. ``moves`` (M,) gives the distance each
+    generator moved since. By the triangle inequality the distance to the own
+    generator grows by at most its move, and the distance to any other shrinks
+    by at most the largest move, so every gap first loses both. A sample whose
+    gap is still above 0 keeps its cell and is not searched. Every other
+    sample, a NaN gap included (no bound yet), is searched as a full search
+    would and gets the fresh gap ``(1 - _GAP_SLACK) * r2 - r1 - _GAP_FLOOR``
+    from its least and second-least computed losses (r2 is infinite for M = 1).
+
+    Why a skipped sample's cell is the full search's, bit for bit: for
+    d < 2^28 a computed loss, and a computed move, is within (d + 2) ulp of
+    the true value, 2^-25 relative, plus at most d steps of 2^-1074 where
+    squares are subnormal. The square roots, the slack product and the sums
+    and subtractions of the gap add a few ulp of r2 per pass, at most 2^-35 r2
+    over the ``_GAP_PASSES`` passes a gap is carried, and the subnormal steps
+    at most 2^-505 to a distance. The slack and the floor exceed all of this,
+    so the own generator stays nearer than any other by more than
+    ``_GAP_SLACK / 2`` of r2 plus ``_GAP_FLOOR / 2``. That is more than twice
+    the computed losses' own error, relative and absolute, so the own computed
+    loss is the strictly least and the full search's strict ``<`` picks it
+    whatever its index. The floor also keeps every sample whose second-nearest
+    distance is below 2^-500, where losses may be subnormal, searched on every
+    pass. A re-searched sample gets the full search's arithmetic: its tile's
+    rows are taken sample-major, and a lone row with a neighbour, since numpy
+    sums a single row's d values pairwise from d = 8.
     """
     n = len(samples)
     index, best = (np.empty(n, dtype=np.int64), np.empty(n)) if out is None else out
+    shrink = None if moves is None else moves + moves.max()
     for lo in range(0, n, _SEARCH_TILE):
         block = samples[lo:lo + _SEARCH_TILE]
-        t = np.asfortranarray(hypothesis_targets(loss, block, len(block), gens.shape[1])[:, 0])
         idx, low = index[lo:lo + _SEARCH_TILE], best[lo:lo + _SEARCH_TILE]
-        idx.fill(0)
-        low[:] = loss_values(loss, gens[0], t)
-        for j in range(1, len(gens)):
-            values = loss_values(loss, gens[j], t)
-            np.copyto(idx, j, where=values < low)
-            np.minimum(low, values, out=low)
+        if shrink is None:
+            _search_tile(gens, loss, block, idx, low)
+        else:
+            _bounded_tile(gens, block, idx, low, shrink)
     return index, best
+
+
+def _bounded_tile(gens: np.ndarray, block, idx: np.ndarray, gaps: np.ndarray,
+                  shrink: np.ndarray) -> None:
+    """One tile of a bounded ``_nearest``: each gap loses ``shrink`` at its sample's cell,
+    and the samples whose gap is then not above 0 are searched and get a fresh cell and gap."""
+    gaps -= shrink.take(idx)
+    rows = np.flatnonzero(~(gaps > 0))  # a NaN gap fails the test too
+    if len(rows) == 1 < len(block):  # a lone row takes a neighbour (see _nearest)
+        rows = np.append(rows, (rows[0] + 1) % len(block))
+    if not len(rows):
+        return
+    whole = len(rows) == len(block)
+    if whole:
+        cells, low = idx, gaps
+    else:  # taken along the transpose's sample axis: one sample-major copy of the rows
+        block = block.T.take(rows, axis=1).T
+        cells, low = np.empty(len(rows), dtype=np.int64), np.empty(len(rows))
+    second = np.empty(len(rows))
+    _search_tile(gens, L2, block, cells, low, second)
+    # the gap, in place: (1 - slack) * r2 - r1 - floor, with r = sqrt(2 * loss)
+    low += low
+    np.sqrt(low, out=low)
+    second += second
+    np.sqrt(second, out=second)
+    second *= 1.0 - _GAP_SLACK
+    np.subtract(second, low, out=low)
+    low -= _GAP_FLOOR
+    if not whole:
+        idx[rows], gaps[rows] = cells, low
+
+
+def _search_tile(gens: np.ndarray, loss: LossKind, block, idx: np.ndarray, low: np.ndarray,
+                 second: np.ndarray | None = None) -> None:
+    """One tile of ``_nearest``'s search: each sample's least loss into ``low`` and its
+    generator into ``idx``, and its second-least loss into ``second`` when given."""
+    t = np.asfortranarray(hypothesis_targets(loss, block, len(block), gens.shape[1])[:, 0])
+    idx.fill(0)
+    low[:] = loss_values(loss, gens[0], t)
+    if second is not None:
+        second.fill(np.inf)
+    for j in range(1, len(gens)):
+        values = loss_values(loss, gens[j], t)
+        # every index so far is below j, so a maximum sets j where values < low, without
+        # the branches of a masked store
+        np.maximum(idx, (values < low) * j, out=idx)
+        if second is not None:  # min(second, max(low, values)), in place
+            np.minimum(second, values, out=second)
+            np.maximum(second, low, out=second)
+        np.minimum(low, values, out=low)
 
 
 def _cell_sums(assignments: np.ndarray, values: np.ndarray, m: int) -> np.ndarray:
@@ -228,7 +311,11 @@ def lloyd(samples, m: int, *, init_generators=None, max_iters: int = 100,
     distance-weighted draw from the samples (requires ``rng``). Samples whose
     squared distances, or a sum of them, overflow float64 raise ValueError, and
     so do samples whose squared distances underflow to 0 where a draw or a
-    reseed needs them.
+    reseed needs them. A pass re-searches only the samples whose cell may have
+    changed: a sample whose bounds (see ``_nearest``) prove its cell unchanged
+    is not searched, and every result is bitwise what one full search per
+    pass gives. The reported error is the mean of one exact search of the
+    returned generators.
     """
     pts = _lloyd_samples(samples, m, max_iters, tol)
     if init_generators is not None:
@@ -244,34 +331,48 @@ def lloyd(samples, m: int, *, init_generators=None, max_iters: int = 100,
 
 
 def _lloyd_passes(pts: np.ndarray, gens: np.ndarray, max_iters: int, tol: float) -> LloydResult:
-    """The iterations of ``lloyd`` from ``gens``, which they update in place."""
+    """The iterations of ``lloyd`` from ``gens``, which they update in place.
+
+    Each pass's search is bounded (see ``_nearest``): it re-searches only the
+    samples whose gap no longer proves their cell unchanged, and its
+    assignments are bitwise those of a full search. Meanwhile ``near`` holds
+    gaps, not losses; wherever it is read, before a reseed and for the
+    returned generators' error, an exact search of the same generators fills
+    it with losses first.
+    """
     m = len(gens)
     converged = False
     # every search writes into this one (index, loss) pair: allocated once per run, so a
     # restart's thread does not page in fresh arrays each pass
-    found = np.empty(len(pts), dtype=np.int64), np.empty(len(pts))
+    found = assignments, near = np.zeros(len(pts), dtype=np.int64), np.empty(len(pts))
+    moves = np.zeros(m)
     for iterations in range(max_iters + 1):
-        # the last pass searches the returned generators; that search gives their error
-        assignments, near = _nearest(gens, L2, pts, found)
         if iterations == max_iters:
             break
+        if iterations % _GAP_PASSES == 0:
+            near.fill(np.nan)  # no gap yet, or one carried long enough: search every sample
+        _nearest(gens, L2, pts, found, moves)
         counts = np.bincount(assignments, minlength=m)
         empty = np.flatnonzero(counts == 0)
         if empty.size:
+            _nearest(gens, L2, pts, found)  # the reseed reads each sample's least loss
             for j in empty:
                 _refuse_underflow(near)
                 idx = int(near.argmax())
                 logger.info("reseeding empty cell %d at sample %d", j, idx)
                 gens[j] = pts[idx]
                 np.minimum(near, loss_values(L2, pts, gens[j]), out=near)
+            near.fill(np.nan)  # the next pass searches every sample
             continue
         means = _cell_sums(assignments, pts, m)
         means /= counts[:, None]
-        movement = np.linalg.norm(gens - means, axis=1).max()
-        if movement < tol:
+        moves = np.linalg.norm(gens - means, axis=1)
+        if moves.max() < tol:
             converged = True
             break
         gens = means
+    # the one search of the returned generators after the passes: it gives their error
+    _nearest(gens, L2, pts, found)
     return LloydResult(gens, iterations, converged, _mean_loss(near))
 
 

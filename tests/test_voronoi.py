@@ -225,19 +225,24 @@ class TestLloyd:
     ], ids=["converged", "capped", "max_iters_0", "reseeded"])
     def test_reported_error_is_the_returned_generators(self, monkeypatch, kwargs,
                                                         iterations, converged):
-        # the loop's last search, and no other, gives the reported error
+        # the run's last search is exact, of the returned generators, and gives the reported
+        # error; nothing searches after it
         pts = uniform_square(20_000, seed=26)
         searches = []
 
-        def counted(*args):
-            searches.append(args[0].copy())
-            return _nearest(*args)
-        monkeypatch.setattr(voronoi, "_nearest", counted)
+        def recorded(gens, *args):
+            index, best = _nearest(gens, *args)
+            bounded = len(args) > 3 and args[3] is not None
+            searches.append((gens.copy(), bounded, voronoi._mean_loss(best)))
+            return index, best
+        monkeypatch.setattr(voronoi, "_nearest", recorded)
         result = lloyd(pts, 3, rng=np.random.default_rng(27), **kwargs)
         monkeypatch.undo()
         assert (result.iterations, result.converged) == (iterations, converged)
-        assert len(searches) == result.iterations + 1
-        assert searches[-1].tobytes() == result.generators.tobytes()
+        last_gens, last_bounded, last_error = searches[-1]
+        assert not last_bounded
+        assert last_gens.tobytes() == result.generators.tobytes()
+        assert last_error == result.quantization_error
         assert result.quantization_error == quantization_error(result.generators, L2, pts)
 
     def test_restarts_pick_best(self):
@@ -271,8 +276,11 @@ class TestConcurrentRestarts:
             assert got.quantization_error == want.quantization_error
 
     def test_every_thread_searches_with_overflow_raising(self, monkeypatch):
+        # every search computes its losses in _search_tile: the exact ones and a bounded
+        # pass's re-searches (given an array for the second-least loss)
         self.threads(monkeypatch, 2)
         both_started = threading.Barrier(2, timeout=30)
+        real_search_tile = voronoi._search_tile
         seen = {}
 
         def spy(*args):
@@ -280,12 +288,15 @@ class TestConcurrentRestarts:
             if me not in seen:
                 seen[me] = []
                 both_started.wait()  # two restarts at once, or a BrokenBarrierError
-            seen[me].append(np.geterr()["over"])
-            return _nearest(*args)
-        monkeypatch.setattr(voronoi, "_nearest", spy)
+            bounded = len(args) > 5 and args[5] is not None
+            seen[me].append((bounded, np.geterr()["over"]))
+            return real_search_tile(*args)
+        monkeypatch.setattr(voronoi, "_search_tile", spy)
         lloyd_best_of(uniform_square(5000, seed=42), 4, 4, np.random.default_rng(43))
         assert len(seen) >= 2
-        assert all(state == "raise" for states in seen.values() for state in states)
+        for searches in seen.values():
+            assert {bounded for bounded, _ in searches} == {False, True}
+            assert all(state == "raise" for _, state in searches)
 
     def test_failed_restart_raises_after_every_thread_finished(self, monkeypatch):
         # restart 0 runs until restart 1 has raised, so the two run at once
@@ -324,6 +335,126 @@ class TestConcurrentRestarts:
         first = voronoi._kmeanspp_init(np.asfortranarray(pts), 3, np.random.default_rng(47))
         with pytest.raises(ValueError, match=re.escape(f"restart at {first[0].tolist()}")):
             lloyd_best_of(pts, 3, 4, np.random.default_rng(47))
+
+
+def lloyd_passes_reference(pts, gens, max_iters, tol):
+    """``lloyd``'s passes with one full search each, as they ran before the bounded
+    re-searches: a run through them is what ``lloyd`` must return, bit for bit."""
+    m = len(gens)
+    converged = False
+    found = np.empty(len(pts), dtype=np.int64), np.empty(len(pts))
+    for iterations in range(max_iters + 1):
+        assignments, near = _nearest(gens, L2, pts, found)
+        if iterations == max_iters:
+            break
+        counts = np.bincount(assignments, minlength=m)
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            for j in empty:
+                voronoi._refuse_underflow(near)
+                idx = int(near.argmax())
+                gens[j] = pts[idx]
+                np.minimum(near, loss_values(L2, pts, gens[j]), out=near)
+            continue
+        means = _cell_sums(assignments, pts, m)
+        means /= counts[:, None]
+        movement = np.linalg.norm(gens - means, axis=1).max()
+        if movement < tol:
+            converged = True
+            break
+        gens = means
+    return voronoi.LloydResult(gens, iterations, converged, voronoi._mean_loss(near))
+
+
+def lloyd_both_ways(monkeypatch, samples, m, seed=0, **kwargs):
+    """``lloyd``'s outcome with its own passes and with the reference passes: the result's
+    bytes, iterations, convergence and error, or the message of the ValueError raised."""
+    outcomes = []
+    for passes in (voronoi._lloyd_passes, lloyd_passes_reference):
+        monkeypatch.setattr(voronoi, "_lloyd_passes", passes)
+        try:
+            result = lloyd(samples, m, rng=np.random.default_rng(seed), **kwargs)
+            outcomes.append((result.generators.tobytes(), result.iterations, result.converged,
+                             result.quantization_error))
+        except ValueError as error:
+            outcomes.append(str(error))
+    monkeypatch.undo()
+    return outcomes
+
+
+class TestBoundedPasses:
+    """``lloyd`` re-searches only the samples whose cell may have changed; it must return
+    what one full search per pass returns, on data that stresses the bounds."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    @pytest.mark.parametrize("m", [1, 2, 4, 10, 40])
+    def test_tie_heavy_rounded_data(self, monkeypatch, d, m):
+        # coordinates on a 1/8 grid: many samples sit exactly on a cell boundary
+        pts = np.round(np.random.default_rng(50 + d).normal(size=(3000, d)) * 8) / 8
+        own, reference = lloyd_both_ways(monkeypatch, pts, m, seed=m, tol=1e-8)
+        assert own == reference
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-140, 1e140, 1e160])
+    @pytest.mark.parametrize("start", ["kmeanspp", "init_generators"])
+    def test_extreme_scales_with_the_same_refusals(self, monkeypatch, scale, start):
+        # 1e-140 and 1e140 run; 1e-170 underflows and 1e160 overflows, and both ways refuse
+        pts = np.random.default_rng(51).normal(size=(4000, 2)) * scale
+        kwargs = {"init_generators": pts[:4]} if start == "init_generators" else {}
+        own, reference = lloyd_both_ways(monkeypatch, pts, 4, **kwargs)
+        assert own == reference
+        assert isinstance(own, str) == (scale in (1e-170, 1e160))
+
+    @pytest.mark.parametrize("seed", [2, 3, 4])
+    def test_subnormal_losses_are_searched(self, monkeypatch, seed):
+        # at 1e-162 squared distances are subnormal, their computed losses far from exact:
+        # every such sample sits below the floor and is searched on every pass
+        pts = np.random.default_rng(seed).normal(size=(3000, 2)) * 1e-162
+        own, reference = lloyd_both_ways(monkeypatch, pts, 4, seed=seed, tol=0.0, max_iters=30)
+        assert own == reference
+
+    @pytest.mark.parametrize("m", [3, 5, 8])
+    def test_tiny_cluster_beside_unit_clusters(self, monkeypatch, m):
+        rng = np.random.default_rng(52)
+        pts = np.vstack([rng.normal(size=(1500, 2)) + [4.0, 0.0],
+                         rng.normal(size=(1500, 2)) - [4.0, 0.0],
+                         rng.normal(size=(1000, 2)) * 1e-9 + [0.0, 3.0]])
+        own, reference = lloyd_both_ways(monkeypatch, pts, m, seed=m, tol=0.0)
+        assert own == reference
+
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_far_start_reseeds(self, monkeypatch, caplog, d):
+        pts = np.random.default_rng(53).normal(size=(5000, d))
+        init = np.vstack([pts[:3], np.full((2, d), 1e3)])  # two cells start empty
+        with caplog.at_level(logging.INFO, logger="mhp.voronoi"):
+            own, reference = lloyd_both_ways(monkeypatch, pts, 5, init_generators=init)
+        assert own == reference
+        assert any("reseed" in rec.message for rec in caplog.records)
+
+    @pytest.mark.parametrize("max_iters", [0, 1, 3, 100])
+    @pytest.mark.parametrize("tol", [0.0, 1e-4])
+    def test_capped_and_zero_tolerance_runs(self, monkeypatch, max_iters, tol):
+        pts = uniform_square(6000, seed=54)
+        own, reference = lloyd_both_ways(monkeypatch, pts, 6, max_iters=max_iters, tol=tol)
+        assert own == reference
+
+    @pytest.mark.parametrize("n", [_SEARCH_TILE - 1, _SEARCH_TILE + 1, 2 * _SEARCH_TILE + 1])
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_across_search_tiles(self, monkeypatch, n, d):
+        pts = np.random.default_rng(55).normal(size=(n, d))
+        own, reference = lloyd_both_ways(monkeypatch, pts, 4, tol=1e-6)
+        assert own == reference
+
+    def test_passes_search_a_fraction_of_the_samples(self, monkeypatch):
+        pts = uniform_square(20_000, seed=56)
+        real_search_tile, rows = voronoi._search_tile, []
+
+        def counted(gens, loss, block, *args):
+            rows.append(len(block))
+            return real_search_tile(gens, loss, block, *args)
+        monkeypatch.setattr(voronoi, "_search_tile", counted)
+        result = lloyd(pts, 4, rng=np.random.default_rng(57), tol=1e-6)
+        assert result.iterations > 10
+        assert sum(rows) < 0.5 * len(pts) * (result.iterations + 1)
 
 
 class TestCellSums:
@@ -422,6 +553,23 @@ class TestNearest:
             index, best = _nearest(gens, loss, laid_out)
             np.testing.assert_array_equal(index, ref_index)
             np.testing.assert_allclose(best, ref_best, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("d", [2, 8, 33])
+    def test_lone_re_searched_row_gets_the_full_search_bits(self, d):
+        # numpy sums one row's d losses pairwise from d = 8 but a tile's in sequence: a row
+        # re-searched alone must still get the gap that searching its whole tile gives
+        gens, samples = nearest_case(L2, d, 5, n=300, seed=3)
+        samples = np.asfortranarray(samples)
+        full = np.zeros(300, dtype=np.int64), np.full(300, np.nan)
+        _nearest(gens, L2, samples, full, np.zeros(5))
+        assert full[0].tobytes() == _nearest(gens, L2, samples)[0].tobytes()
+        for row in range(0, 300, 7):
+            gaps = np.full(300, np.inf)
+            gaps[row] = np.nan
+            alone = np.zeros(300, dtype=np.int64), gaps
+            _nearest(gens, L2, samples, alone, np.zeros(5))
+            assert alone[0][row] == full[0][row]
+            assert alone[1][row].tobytes() == full[1][row].tobytes()
 
     def test_lloyd_same_for_c_and_f_ordered_points(self):
         pts = np.random.default_rng(5).normal(size=(3000, 3))
