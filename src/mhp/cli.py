@@ -27,7 +27,9 @@ from .io_utils import (read_field, read_int, read_json, read_list, read_number, 
                        read_str, write_csv_atomic, write_json_atomic, write_text_atomic)
 from .losses import LossKind
 from .meta_loss import MetaLossConfig
-from .metrics import (dataset_hypothesis_variance, dataset_sharpness,
+# dataset_hypothesis_variance is bound here for the benchmark's tracing, which times the
+# metric calls made through this module
+from .metrics import (dataset_hypothesis_variance, dataset_metrics,
                       multilabel_scores, oracle_min_loss)
 from .network import (TrainingDivergedError, forward, init_mlp, load_checkpoint,
                       make_optimizer, save_checkpoint)
@@ -265,40 +267,56 @@ def _read_extras(model, checkpoint, grid=None) -> tuple[str, LossKind, list[int]
             get("output_shape", read_shape, None))
 
 
-def cmd_eval(args) -> None:
-    run = _Run("eval")
-    model, _ = load_checkpoint(args.checkpoint)
-    dataset = load_dataset(args.data)
+def _read_metrics(args) -> list[str]:
+    """The ``--metrics`` names, each known and named once. A flag that only ``oracle_min``
+    reads, given without it, is refused."""
     wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
     unknown = [m for m in wanted if m not in _METRIC_NAMES]
     if unknown or not wanted:
         raise ValueError((f"unknown metrics {unknown}" if unknown else "--metrics names no metric")
                          + f"; choose from {_METRIC_NAMES}")
+    repeated = sorted({m for m in wanted if wanted.count(m) > 1})
+    if repeated:
+        raise ValueError(f"--metrics names {repeated} more than once")
+    for flag in ("loss", "baseline_checkpoint"):
+        if getattr(args, flag) is not None and "oracle_min" not in wanted:
+            raise ValueError(f"--{flag.replace('_', '-')} is read by --metrics oracle_min only")
+    return wanted
+
+
+def cmd_eval(args) -> None:
+    run = _Run("eval")
+    model, _ = load_checkpoint(args.checkpoint)
+    dataset = load_dataset(args.data)
+    wanted = _read_metrics(args)
     grid = [dataset.spec.height, dataset.spec.width, 1] if dataset.task == "gridframe" else None
     _, base, shape = _read_extras(model, args.checkpoint, grid)
-    base = LossKind.parse(args.loss) if args.loss else base
+    base = LossKind.parse(args.loss) if args.loss is not None else base
+    if "sharpness" in wanted and not shape:
+        raise ValueError("sharpness requires a checkpoint trained on grid-shaped outputs")
+    if "multilabel" in wanted and dataset.task != "multilabel":
+        raise ValueError(f"multilabel scores need a multilabel dataset, not {dataset.task!r}")
+    baseline = (None if args.baseline_checkpoint is None
+                else load_checkpoint(args.baseline_checkpoint)[0])
+    targets = (dataset.Y, base) if "oracle_min" in wanted else (None, None)
+    image = (shape[1], shape[0], shape[2]) if "sharpness" in wanted else None
+    result = dataset_metrics(model, dataset.X, *targets, spread="hypothesis_variance" in wanted,
+                             image=image)
     report: dict = {}
     exports: dict[str, np.ndarray] = {}
     if "oracle_min" in wanted:
-        report["oracle_min_loss"] = oracle_min_loss(model, dataset.X, dataset.Y, base)
-        if args.baseline_checkpoint:
-            baseline, _ = load_checkpoint(args.baseline_checkpoint)
-            report["shp_baseline_loss"] = oracle_min_loss(
-                baseline, dataset.X, dataset.Y, base)
+        report["oracle_min_loss"] = result.oracle_min_loss
+        if baseline is not None:
+            report["shp_baseline_loss"] = oracle_min_loss(baseline, dataset.X, dataset.Y, base)
     if "hypothesis_variance" in wanted:
-        spread, per_dim = dataset_hypothesis_variance(model, dataset.X)
-        report["hypothesis_variance_mean"] = spread
-        report["per_hypothesis_variance"] = per_dim.tolist()
+        report["hypothesis_variance_mean"] = result.hypothesis_spread
+        report["per_hypothesis_variance"] = result.per_dim_variance.tolist()
         exports["hypotheses.csv"] = forward(model, dataset.X[0])
         if shape:
-            exports["variance_map.csv"] = per_dim.reshape(shape[0], shape[1])
+            exports["variance_map.csv"] = result.per_dim_variance.reshape(shape[0], shape[1])
     if "sharpness" in wanted:
-        if not shape:
-            raise ValueError("sharpness requires a checkpoint trained on grid-shaped outputs")
-        report["sharpness"] = dataset_sharpness(model, dataset.X, shape[1], shape[0], shape[2])
+        report["sharpness"] = result.sharpness
     if "multilabel" in wanted:
-        if dataset.task != "multilabel":
-            raise ValueError(f"multilabel scores need a multilabel dataset, not {dataset.task!r}")
         recall, precision = multilabel_scores(model, [it.features for it in dataset.spec.items],
                                               [it.labels for it in dataset.spec.items])
         report["label_recall_at_M"] = recall

@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mhp import io_utils
+from mhp import io_utils, network
 from mhp.cli import main
 from mhp.datagen import load_dataset, write_dataset
 from mhp.losses import L2, LossKind
 from mhp.metrics import oracle_min_loss
-from mhp.network import load_checkpoint
+from mhp.network import forward_batch, load_checkpoint
 
 TRAIN_CFG = {
     "M": 2,
@@ -345,6 +345,67 @@ class TestEval:
         ds = load_dataset(data)
         assert report["oracle_min_loss"] == oracle_min_loss(model, ds.X, ds.Y,
                                                             LossKind.parse("tukey:1.5"))
+
+    @pytest.fixture()
+    def two_heads(self, tmp_path):
+        cfg = write_cfg(tmp_path, epochs=1)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "mhp")]) == 0
+        return tmp_path / "mhp" / "checkpoint.json"
+
+    @pytest.mark.parametrize("flags, name", [
+        (["--loss", "cross_entropy"], "--loss"),
+        (["--baseline-checkpoint", "missing.json"], "--baseline-checkpoint"),
+        (["--baseline-checkpoint", "missing.json", "--loss", "cross_entropy"], "--loss"),
+    ], ids=["loss", "baseline", "both"])
+    def test_oracle_min_flag_without_oracle_min_is_usage_error(self, trained, two_heads,
+                                                               tmp_path, capsys, flags, name):
+        _, data = trained
+        argv = ["eval", "--checkpoint", str(two_heads), "--data", str(data),
+                "--metrics", "hypothesis_variance", "--out", str(tmp_path / "r")]
+        usage_error(capsys, [*argv, *flags], name, "oracle_min")
+        assert not (tmp_path / "r").exists()
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize("metrics", ["oracle_min,oracle_min",
+                                         "oracle_min, hypothesis_variance,oracle_min"])
+    def test_repeated_metric_is_usage_error(self, trained, two_heads, tmp_path, capsys, metrics):
+        _, data = trained
+        usage_error(capsys, ["eval", "--checkpoint", str(two_heads), "--data", str(data),
+                             "--metrics", metrics, "--out", str(tmp_path / "r")],
+                    "'oracle_min'", "more than once")
+        assert not (tmp_path / "r").exists()
+
+    def test_metric_order_does_not_change_the_report(self, trained, two_heads, tmp_path, capsys):
+        _, data = trained
+        reports = []
+        for metrics in ("oracle_min,hypothesis_variance", "hypothesis_variance,oracle_min"):
+            out = tmp_path / metrics.replace(",", "_")
+            assert main(["eval", "--checkpoint", str(two_heads), "--data", str(data),
+                         "--metrics", metrics, "--out", str(out)]) == 0
+            reports.append((out / "report.json").read_bytes())
+        capsys.readouterr()
+        assert reports[0] == reports[1]
+
+    def test_one_forward_pass_per_row_tile_serves_every_metric(self, tmp_path, capsys,
+                                                               monkeypatch):
+        cfg = write_cfg(tmp_path, epochs=1, hidden_layers=[8],
+                        dataset={"task": "gridframe", "n": 256})
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        data = tmp_path / "grid"
+        assert main(["gen", "--task", "gridframe", "--n", "5000", "--seed", "4",
+                     "--out", str(data)]) == 0
+        rows = []
+
+        def counted(model, X):
+            rows.append(len(X))
+            return forward_batch(model, X)
+
+        monkeypatch.setattr("mhp.metrics.forward_batch", counted)
+        assert main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
+                     "--data", str(data),
+                     "--metrics", "oracle_min,hypothesis_variance,sharpness"]) == 0
+        capsys.readouterr()
+        assert rows == [tile.stop - tile.start for tile in network._row_tiles(5000)]
 
 
 class TestLloyd:

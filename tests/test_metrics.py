@@ -290,6 +290,67 @@ class TestRowTiles:
                               float(np.mean(energy / (64 * m))))
 
 
+SCALES = [1e-150, 1.0, 1e150]
+
+
+def reference_spread(hyps):
+    """Distances to the set mean and per-dimension variances, from numpy's own reductions."""
+    return np.linalg.norm(hyps - hyps.mean(1, keepdims=True), axis=2), hyps.var(axis=1)
+
+
+class TestSpreadHeadSums:
+    """The spread adds the heads' slices one at a time; its bits are numpy's reductions'."""
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_equals_numpys_reductions_bitwise(self, m):
+        rng = np.random.default_rng(m)
+        for d in range(1, 71):  # d = 1 with m >= 8 is where numpy sums the heads pairwise
+            for scale in SCALES:
+                hyps = rng.normal(size=(int(rng.integers(1, 6)), m, d)) * scale
+                dist, var = metrics._spread(hyps)
+                want_dist, want_var = reference_spread(hyps)
+                assert same_bytes(dist, want_dist) and same_bytes(var, want_var), (d, scale)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("m, d", [(8, 1), (12, 1), (3, 2), (10, 16)])
+    def test_dataset_spread_across_a_tile_boundary(self, m, d, scale):
+        rng = np.random.default_rng(m * d)
+        model = mhp.init_mlp(2, [8], d, m, rng)
+        for part in (model.layers[-1].weights, model.layers[-1].biases):
+            np.multiply(part, scale, out=part)
+        X = rng.random((2 * T + 1, 2))
+        dist, var = reference_spread(forward_batch(model, X))
+        spread, per_dim = dataset_hypothesis_variance(model, X)
+        assert same_bytes(spread, float(dist.mean())) and same_bytes(per_dim, var.mean(axis=0))
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("n", [T - 1, 2 * T + 1])
+    @pytest.mark.parametrize("kind", [L2, CROSS_ENTROPY], ids=["l2", "cross_entropy"])
+    def test_one_metric_calls_equal_a_multi_metric_pass(self, kind, n):
+        rng = np.random.default_rng(n)
+        model = mhp.init_mlp(3, [16], 6, 3, rng)
+        X = rng.random((n, 3))
+        Y = rng.integers(0, 6, n) if kind == CROSS_ENTROPY else rng.normal(size=(n, 6))
+        every = metrics.dataset_metrics(model, X, Y, kind, spread=True, image=(3, 2, 1))
+        assert same_bytes(every.oracle_min_loss, oracle_min_loss(model, X, Y, kind))
+        spread, per_dim = dataset_hypothesis_variance(model, X)
+        assert same_bytes(every.hypothesis_spread, spread)
+        assert same_bytes(every.per_dim_variance, per_dim)
+        assert same_bytes(every.sharpness, dataset_sharpness(model, X, 3, 2))
+
+    def test_no_metric_runs_no_pass(self, monkeypatch):
+        monkeypatch.setattr(metrics, "forward_batch", None)
+        result = metrics.dataset_metrics(constant_model(np.zeros((2, 4))), np.zeros((3, 1)))
+        assert (result.oracle_min_loss, result.hypothesis_spread, result.per_dim_variance,
+                result.sharpness) == (None, None, None, None)
+
+    @pytest.mark.parametrize("Y, kind", [(np.zeros((3, 4)), None), (None, L2)])
+    def test_targets_and_loss_come_together(self, Y, kind):
+        with pytest.raises(ValueError, match="both targets and a base loss"):
+            metrics.dataset_metrics(constant_model(np.zeros((2, 4))), np.zeros((3, 1)), Y, kind)
+
+
 class TestEmptyDataset:
     @pytest.mark.parametrize("metric", [
         lambda model, X, Y: oracle_min_loss(model, X, Y, L2),
