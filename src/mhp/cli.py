@@ -286,9 +286,9 @@ def _read_metrics(args) -> list[str]:
 
 def cmd_eval(args) -> None:
     run = _Run("eval")
+    wanted = _read_metrics(args)
     model, _ = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
-    wanted = _read_metrics(args)
     grid = [dataset.spec.height, dataset.spec.width, 1] if dataset.task == "gridframe" else None
     _, base, shape = _read_extras(model, args.checkpoint, grid)
     base = LossKind.parse(args.loss) if args.loss is not None else base

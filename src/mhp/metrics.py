@@ -40,7 +40,9 @@ def _per_hypothesis_losses(model: MlpModel, X, Y, kind: LossKind) -> np.ndarray:
 
 def _head_sum(values: np.ndarray) -> np.ndarray:
     """Sum over the head axis of (n, M, d) values, adding the (n, d) slices in head order:
-    the order ``np.add.reduce(values, axis=1)`` adds them in while d > 1."""
+    the order ``np.add.reduce(values, axis=1)`` adds them in while d > 1. On short rows it
+    is the faster of the two: on a (2048, 4, 2) tile, :func:`_spread` takes about half the
+    time with it, because numpy's reduction runs its inner loop over the d values."""
     total = values[:, 0].copy()
     for head in range(1, values.shape[1]):
         total += values[:, head]

@@ -375,6 +375,11 @@ class TestEval:
                     "'oracle_min'", "more than once")
         assert not (tmp_path / "r").exists()
 
+    def test_metric_list_is_read_before_any_file(self, tmp_path, capsys):
+        usage_error(capsys, ["eval", "--checkpoint", str(tmp_path / "missing.json"),
+                             "--data", str(tmp_path / "missing"),
+                             "--metrics", "oracle_min,oracle_min"], "more than once")
+
     def test_metric_order_does_not_change_the_report(self, trained, two_heads, tmp_path, capsys):
         _, data = trained
         reports = []
