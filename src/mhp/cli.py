@@ -328,7 +328,8 @@ def cmd_eval(args) -> None:
         run.wrote(write_json_atomic(out / "report.json", report))
         for name, matrix in exports.items():
             run.wrote(write_csv_atomic(out / name, None, matrix))
-        run.finish({"checkpoint": args.checkpoint, "data": args.data, "metrics": wanted}, None)
+        run.finish({"checkpoint": args.checkpoint, "data": args.data, "metrics": wanted,
+                    "loss": args.loss, "baseline_checkpoint": args.baseline_checkpoint}, None)
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +352,8 @@ def cmd_lloyd(args) -> None:
         "restarts": args.restarts,
         "tol": args.tol,
     }))
-    run.finish({"data": args.data, "m": args.m, "restarts": args.restarts, "tol": args.tol},
-               args.seed)
+    run.finish({"data": args.data, "m": args.m, "restarts": args.restarts, "tol": args.tol,
+                "max_iters": args.max_iters}, args.seed)
 
 
 # ---------------------------------------------------------------------------

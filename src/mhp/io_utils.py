@@ -1,7 +1,7 @@
 """Small shared I/O helpers: atomic text, JSON and CSV writes, :func:`read_json`, the one
 reader of a config, sidecar, checkpoint or generators file, :func:`read_field`, the one
-reader for a field of it, and :func:`worker_count`, the one rule for how many workers run
-independent jobs."""
+reader for a field of it, and :func:`worker_count`, the number of workers that format the
+row parts of a large CSV table."""
 
 from __future__ import annotations
 

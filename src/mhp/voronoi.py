@@ -12,14 +12,11 @@ trained hypothesis heads are compared against.
 from __future__ import annotations
 
 import logging
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .io_utils import worker_count
 from .losses import L2, LossKind, hypothesis_targets, loss_values
 
 logger = logging.getLogger(__name__)
@@ -274,8 +271,8 @@ def _kmeanspp_init(samples: np.ndarray, m: int, rng: np.random.Generator) -> np.
 def _squares_checked():
     """``np.errstate(over="raise")``, whose overflow ends as a ValueError naming it.
 
-    numpy keeps the error state per thread, so every thread that squares
-    samples enters this itself."""
+    ``lloyd`` enters it around its start and passes, and ``lloyd_best_of`` around
+    its start draws."""
     try:
         with np.errstate(over="raise"):
             yield
@@ -343,7 +340,7 @@ def _lloyd_passes(pts: np.ndarray, gens: np.ndarray, max_iters: int, tol: float)
     m = len(gens)
     converged = False
     # every search writes into this one (index, loss) pair: allocated once per run, so a
-    # restart's thread does not page in fresh arrays each pass
+    # pass does not page in fresh arrays
     found = assignments, near = np.zeros(len(pts), dtype=np.int64), np.empty(len(pts))
     moves = np.zeros(m)
     for iterations in range(max_iters + 1):
@@ -383,31 +380,15 @@ def lloyd_best_of(samples, m: int, restarts: int, rng: np.random.Generator, *,
     The arguments are checked once, then every restart's seeded start is
     drawn from ``rng`` in restart order; no Lloyd pass reads ``rng``, so these
     are the starts that one ``lloyd(samples, m, rng=rng)`` call per restart
-    would draw. The restarts are then independent: each runs as ``lloyd``
-    from its start, as one job of a ``concurrent.futures.ThreadPoolExecutor``
-    with ``io_utils.worker_count(restarts)`` threads, and the result does not
-    depend on how many. Once a restart raises, no further restart starts; when
-    every thread has finished, the error of the first failed restart propagates.
+    would draw. The restarts then run in order on the calling thread, each as
+    ``lloyd`` from its start; the first that raises propagates its error, and
+    no later restart starts.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     pts = _lloyd_samples(samples, m, max_iters, tol)
     with _squares_checked():
         starts = [_kmeanspp_init(pts, m, rng) for _ in range(restarts)]
-    stop = threading.Event()
-
-    def restart(start: np.ndarray) -> LloydResult | None:
-        if stop.is_set():  # the pool takes jobs in order: any failed restart came first
-            return None
-        try:
-            return lloyd(pts, m, init_generators=start, max_iters=max_iters, tol=tol)
-        except BaseException:
-            stop.set()
-            raise
-
-    with ThreadPoolExecutor(worker_count(restarts)) as pool:
-        try:
-            runs = [pool.submit(restart, start) for start in starts]
-            return min((run.result() for run in runs), key=lambda run: run.quantization_error)
-        finally:
-            stop.set()  # however this call leaves, no further restart starts
+    runs = (lloyd(pts, m, init_generators=start, max_iters=max_iters, tol=tol)
+            for start in starts)
+    return min(runs, key=lambda run: run.quantization_error)

@@ -289,6 +289,20 @@ class TestEval:
         assert (out / "report.json").exists()
         assert (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("flagged", [False, True], ids=["defaults", "given"])
+    def test_manifest_records_loss_and_baseline_checkpoint(self, trained, tmp_path, capsys,
+                                                           flagged):
+        ckpt, data = trained
+        flags = ["--loss", "tukey:1.5", "--baseline-checkpoint", str(ckpt)] if flagged else []
+        out = tmp_path / "report"
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data), *flags,
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config == {"checkpoint": str(ckpt), "data": str(data), "metrics": ["oracle_min"],
+                          "loss": "tukey:1.5" if flagged else None,
+                          "baseline_checkpoint": str(ckpt) if flagged else None}
+
     def test_variance_on_single_hypothesis_is_usage_error(self, trained, capsys):
         ckpt, data = trained
         usage_error(capsys, ["eval", "--checkpoint", str(ckpt), "--data", str(data),
@@ -496,6 +510,17 @@ class TestLloyd:
         assert doc["iterations"] == iterations
         if converged is not None:
             assert doc["converged"] is converged
+
+    @pytest.mark.parametrize("flags, max_iters", [([], 200), (["--max-iters", "7"], 7)],
+                             ids=["default", "given"])
+    def test_manifest_records_max_iters(self, tmp_path, flags, max_iters):
+        data = gen(tmp_path, "temporal2d", "--t", "0.5", n=500)
+        out = tmp_path / "l"
+        assert main(["lloyd", "--data", str(data), "--m", "2", "--restarts", "1", *flags,
+                     "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config == {"data": str(data), "m": 2, "restarts": 1, "tol": 1e-4,
+                          "max_iters": max_iters}
 
 
 class TestOracleBytes:

@@ -253,81 +253,59 @@ class TestLloyd:
         assert best <= single + 1e-12
 
 
-class TestConcurrentRestarts:
-    """``lloyd_best_of`` runs its restarts on several threads; nothing it returns may show it."""
-
-    @staticmethod
-    def threads(monkeypatch, count):
-        monkeypatch.setattr(voronoi, "worker_count", lambda restarts: min(count, restarts))
+class TestRestartsInOrder:
+    """``lloyd_best_of`` runs its restarts in order on the calling thread, each as one
+    ``lloyd`` call from a start drawn before any of them runs."""
 
     @pytest.mark.parametrize("d, m", [(2, 4), (64, 3)])
-    def test_result_does_not_depend_on_the_thread_count(self, monkeypatch, d, m):
+    def test_result_equals_one_lloyd_call_per_restart(self, d, m):
         pts = np.random.default_rng(40).normal(size=(3000, d))
         restarts = 5
         # one plain lloyd call per restart, all drawing from one generator
         rng = np.random.default_rng(41)
         runs = [lloyd(pts, m, rng=rng, tol=1e-6) for _ in range(restarts)]
         want = min(runs, key=lambda r: r.quantization_error)
-        for count in (1, 2, restarts):
-            self.threads(monkeypatch, count)
-            got = lloyd_best_of(pts, m, restarts, np.random.default_rng(41), tol=1e-6)
-            assert got.generators.tobytes() == want.generators.tobytes()
-            assert (got.iterations, got.converged) == (want.iterations, want.converged)
-            assert got.quantization_error == want.quantization_error
+        got = lloyd_best_of(pts, m, restarts, np.random.default_rng(41), tol=1e-6)
+        assert got.generators.tobytes() == want.generators.tobytes()
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
+        assert got.quantization_error == want.quantization_error
 
-    def test_every_thread_searches_with_overflow_raising(self, monkeypatch):
+    def test_every_search_runs_with_overflow_raising(self, monkeypatch):
         # every search computes its losses in _search_tile: the exact ones and a bounded
         # pass's re-searches (given an array for the second-least loss)
-        self.threads(monkeypatch, 2)
-        both_started = threading.Barrier(2, timeout=30)
         real_search_tile = voronoi._search_tile
-        seen = {}
+        searches = []
 
         def spy(*args):
-            me = threading.get_ident()
-            if me not in seen:
-                seen[me] = []
-                both_started.wait()  # two restarts at once, or a BrokenBarrierError
             bounded = len(args) > 5 and args[5] is not None
-            seen[me].append((bounded, np.geterr()["over"]))
+            searches.append((bounded, np.geterr()["over"]))
             return real_search_tile(*args)
         monkeypatch.setattr(voronoi, "_search_tile", spy)
         lloyd_best_of(uniform_square(5000, seed=42), 4, 4, np.random.default_rng(43))
-        assert len(seen) >= 2
-        for searches in seen.values():
-            assert {bounded for bounded, _ in searches} == {False, True}
-            assert all(state == "raise" for _, state in searches)
+        assert {bounded for bounded, _ in searches} == {False, True}
+        assert all(state == "raise" for _, state in searches)
 
-    def test_failed_restart_raises_after_every_thread_finished(self, monkeypatch):
-        # restart 0 runs until restart 1 has raised, so the two run at once
-        self.threads(monkeypatch, 2)
+    def test_failed_restart_raises_and_no_later_restart_starts(self, monkeypatch):
         pts, real_lloyd = uniform_square(2000, seed=44), voronoi.lloyd
         rng = np.random.default_rng(45)
         first, second = (voronoi._kmeanspp_init(np.asfortranarray(pts), 3, rng) for _ in range(2))
-        second_failed = threading.Event()
         calls, raised = [], []
 
         def second_restart_fails(samples, m, *, init_generators, **kwargs):
             calls.append(init_generators)
             if np.array_equal(init_generators, second):
                 raised.append(ValueError("restart failed"))
-                second_failed.set()
                 raise raised[-1]
-            if np.array_equal(init_generators, first):
-                assert second_failed.wait(30)
             return real_lloyd(samples, m, init_generators=init_generators, **kwargs)
         monkeypatch.setattr(voronoi, "lloyd", second_restart_fails)
-        running = threading.active_count()
         with pytest.raises(ValueError, match="^restart failed$") as info:
             lloyd_best_of(pts, 3, 4, np.random.default_rng(45))
         assert info.value is raised[0]
-        assert len(calls) == 2  # no restart started after the failure
-        assert threading.active_count() == running
+        assert len(calls) == 2  # restarts 0 and 1; none started after the failure
+        assert np.array_equal(calls[0], first)
 
-    def test_first_failed_restart_in_order_raises(self, monkeypatch):
-        # every restart fails; the first one's error is the one a sequential loop would raise
-        self.threads(monkeypatch, 2)
-
+    def test_first_failed_restart_raises(self, monkeypatch):
+        # every restart fails; the first one's error is raised
         def fail(samples, m, *, init_generators, **kwargs):
             raise ValueError(f"restart at {init_generators[0].tolist()}")
         monkeypatch.setattr(voronoi, "lloyd", fail)
@@ -335,6 +313,18 @@ class TestConcurrentRestarts:
         first = voronoi._kmeanspp_init(np.asfortranarray(pts), 3, np.random.default_rng(47))
         with pytest.raises(ValueError, match=re.escape(f"restart at {first[0].tolist()}")):
             lloyd_best_of(pts, 3, 4, np.random.default_rng(47))
+
+    def test_every_restart_runs_on_the_calling_thread(self, monkeypatch):
+        real_lloyd, threads = voronoi.lloyd, []
+
+        def spy(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return real_lloyd(*args, **kwargs)
+        monkeypatch.setattr(voronoi, "lloyd", spy)
+        running = threading.active_count()
+        lloyd_best_of(uniform_square(2000, seed=48), 3, 4, np.random.default_rng(49))
+        assert threads == [threading.get_ident()] * 4
+        assert threading.active_count() == running
 
 
 def lloyd_passes_reference(pts, gens, max_iters, tol):
