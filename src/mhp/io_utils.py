@@ -135,8 +135,13 @@ def write_text_atomic(path, text: str) -> Path:
 
 def write_json_atomic(path, obj, *, indent: int | None = 2) -> Path:
     """Serialize ``obj`` to ``path`` atomically, with a trailing newline. The whole text is
-    encoded before the temp file is opened, so a document that does not encode writes nothing."""
-    return write_text_atomic(path, json.dumps(obj, indent=indent) + "\n")
+    encoded before the temp file is opened, so a document that does not encode, such as one
+    holding a NaN or an infinity (strict JSON has neither), writes nothing."""
+    try:
+        text = json.dumps(obj, indent=indent, allow_nan=False)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+    return write_text_atomic(path, text + "\n")
 
 
 def _column_text(column: np.ndarray) -> list[str]:

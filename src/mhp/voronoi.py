@@ -56,8 +56,9 @@ def _as_samples(loss: LossKind, samples) -> np.ndarray:
 
 
 def _nearest(gens: np.ndarray, loss: LossKind, samples,
-             out: tuple[np.ndarray, np.ndarray] | None = None,
-             moves: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+             out: tuple[np.ndarray, np.ndarray] | None = None, moves: np.ndarray | None = None,
+             scratch: np.ndarray | None = None,
+             counts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Index of and loss against the loss-minimizing generator per sample.
 
     Works sample-major, one generator at a time: each tile of
@@ -79,11 +80,16 @@ def _nearest(gens: np.ndarray, loss: LossKind, samples,
     generator lies than its own. ``moves`` (M,) gives the distance each
     generator moved since. By the triangle inequality the distance to the own
     generator grows by at most its move, and the distance to any other shrinks
-    by at most the largest move, so every gap first loses both. A sample whose
-    gap is still above 0 keeps its cell and is not searched. Every other
-    sample, a NaN gap included (no bound yet), is searched as a full search
-    would and gets the fresh gap ``(1 - _GAP_SLACK) * r2 - r1 - _GAP_FLOOR``
+    by at most the largest move, so every gap first loses both, in one sweep
+    over all n samples through ``scratch``, an (n,) float64 array the caller
+    owns. The samples whose gap is then not above 0, a NaN gap included (no
+    bound yet), are flagged in one ``flatnonzero`` and searched as a full search
+    would; each gets the fresh gap ``(1 - _GAP_SLACK) * r2 - r1 - _GAP_FLOOR``
     from its least and second-least computed losses (r2 is infinite for M = 1).
+    Every other sample keeps its cell and is not searched. ``counts`` (M,)
+    int64, each cell's number of samples, follows the re-searched samples: each
+    leaves its old cell and joins its new one. A pass that flags every sample
+    searches them in place, tile by tile, and counts them afresh.
 
     Why a skipped sample's cell is the full search's, bit for bit: for
     d < 2^28 a computed loss, and a computed move, is within (d + 2) ulp of
@@ -98,42 +104,60 @@ def _nearest(gens: np.ndarray, loss: LossKind, samples,
     loss is the strictly least and the full search's strict ``<`` picks it
     whatever its index. The floor also keeps every sample whose second-nearest
     distance is below 2^-500, where losses may be subnormal, searched on every
-    pass. A re-searched sample gets the full search's arithmetic: its tile's
-    rows are taken sample-major, and a lone row with a neighbour, since numpy
-    sums a single row's d values pairwise from d = 8.
+    pass. A re-searched sample gets the full search's arithmetic: the flagged
+    rows are gathered sample-major, ``_SEARCH_TILE`` at a time, and since numpy
+    sums a single row's d values pairwise from d = 8, a lone row in the last
+    chunk is searched beside a copy of itself, while the one row that the full
+    search takes as a tile of its own (the last, when n % ``_SEARCH_TILE`` is 1)
+    is searched alone.
     """
     n = len(samples)
     index, best = (np.empty(n, dtype=np.int64), np.empty(n)) if out is None else out
-    shrink = None if moves is None else moves + moves.max()
-    for lo in range(0, n, _SEARCH_TILE):
-        block = samples[lo:lo + _SEARCH_TILE]
-        idx, low = index[lo:lo + _SEARCH_TILE], best[lo:lo + _SEARCH_TILE]
-        if shrink is None:
-            _search_tile(gens, loss, block, idx, low)
-        else:
-            _bounded_tile(gens, block, idx, low, shrink)
-    return index, best
-
-
-def _bounded_tile(gens: np.ndarray, block, idx: np.ndarray, gaps: np.ndarray,
-                  shrink: np.ndarray) -> None:
-    """One tile of a bounded ``_nearest``: each gap loses ``shrink`` at its sample's cell,
-    and the samples whose gap is then not above 0 are searched and get a fresh cell and gap."""
-    gaps -= shrink.take(idx)
+    if moves is None:
+        for lo in range(0, n, _SEARCH_TILE):
+            hi = lo + _SEARCH_TILE
+            _search_tile(gens, loss, samples[lo:hi], index[lo:hi], best[lo:hi])
+        return index, best
+    gaps = best
+    # every index is a cell, so "clip" takes without raise mode's bounds checks and buffer
+    (moves + moves.max()).take(index, out=scratch, mode="clip")
+    gaps -= scratch
     rows = np.flatnonzero(~(gaps > 0))  # a NaN gap fails the test too
-    if len(rows) == 1 < len(block):  # a lone row takes a neighbour (see _nearest)
-        rows = np.append(rows, (rows[0] + 1) % len(block))
-    if not len(rows):
-        return
-    whole = len(rows) == len(block)
-    if whole:
-        cells, low = idx, gaps
-    else:  # taken along the transpose's sample axis: one sample-major copy of the rows
-        block = block.T.take(rows, axis=1).T
-        cells, low = np.empty(len(rows), dtype=np.int64), np.empty(len(rows))
-    second = np.empty(len(rows))
-    _search_tile(gens, L2, block, cells, low, second)
-    # the gap, in place: (1 - slack) * r2 - r1 - floor, with r = sqrt(2 * loss)
+    k = len(rows)
+    if k == n:
+        for lo in range(0, n, _SEARCH_TILE):
+            hi = lo + _SEARCH_TILE
+            _search_tile(gens, L2, samples[lo:hi], index[lo:hi], gaps[lo:hi], scratch[lo:hi])
+        _fresh_gaps(gaps, scratch)
+        counts[:] = np.bincount(index, minlength=len(gens))
+        return index, gaps
+    if not k:
+        return index, gaps
+    # one slot to spare, for the copy beside a lone row; the second-least losses go into
+    # scratch, whose shrinks are spent
+    cells, low, second = np.empty(k + 1, dtype=np.int64), np.empty(k + 1), scratch[:k + 1]
+    alone = n % _SEARCH_TILE == 1 and rows[-1] == n - 1
+    for lo in range(0, k - alone, _SEARCH_TILE):
+        chunk = rows[lo:min(lo + _SEARCH_TILE, k - alone)]
+        if len(chunk) == 1:
+            chunk = chunk.repeat(2)
+        hi = lo + len(chunk)
+        # taken along the transpose's sample axis: one sample-major copy of the rows
+        block = samples.T.take(chunk, axis=1, mode="clip").T
+        _search_tile(gens, L2, block, cells[lo:hi], low[lo:hi], second[lo:hi])
+    if alone:  # after any copy, whose slot it takes
+        _search_tile(gens, L2, samples[n - 1:], cells[k - 1:k], low[k - 1:k], second[k - 1:k])
+    cells, low = cells[:k], low[:k]
+    _fresh_gaps(low, second[:k])
+    counts -= np.bincount(index[rows], minlength=len(gens))
+    counts += np.bincount(cells, minlength=len(gens))
+    index[rows], gaps[rows] = cells, low
+    return index, gaps
+
+
+def _fresh_gaps(low: np.ndarray, second: np.ndarray) -> None:
+    """Each sample's gap from its least and second-least loss, in place in ``low``, which
+    ``second`` is spent on: ``(1 - _GAP_SLACK) * r2 - r1 - _GAP_FLOOR``, r = sqrt(2 * loss)."""
     low += low
     np.sqrt(low, out=low)
     second += second
@@ -141,15 +165,15 @@ def _bounded_tile(gens: np.ndarray, block, idx: np.ndarray, gaps: np.ndarray,
     second *= 1.0 - _GAP_SLACK
     np.subtract(second, low, out=low)
     low -= _GAP_FLOOR
-    if not whole:
-        idx[rows], gaps[rows] = cells, low
 
 
 def _search_tile(gens: np.ndarray, loss: LossKind, block, idx: np.ndarray, low: np.ndarray,
                  second: np.ndarray | None = None) -> None:
     """One tile of ``_nearest``'s search: each sample's least loss into ``low`` and its
-    generator into ``idx``, and its second-least loss into ``second`` when given."""
-    t = np.asfortranarray(hypothesis_targets(loss, block, len(block), gens.shape[1])[:, 0])
+    generator into ``idx``, and its second-least loss into ``second`` when given.
+
+    ``gens`` is (M, d), or (1, rows, d) with one candidate per row of ``block``."""
+    t = np.asfortranarray(hypothesis_targets(loss, block, len(block), gens.shape[-1])[:, 0])
     idx.fill(0)
     low[:] = loss_values(loss, gens[0], t)
     if second is not None:
@@ -287,8 +311,8 @@ def _lloyd_samples(samples, m: int, max_iters: int, tol: float) -> np.ndarray:
     pts = np.asfortranarray(_as_points(samples, "samples"))
     if m < 1:
         raise ValueError("m must be >= 1")
-    if not tol >= 0:  # also refuses NaN, which would never stop the loop
-        raise ValueError(f"tol must be a nonnegative number, got {tol}")
+    if not 0 <= tol < np.inf:  # also refuses NaN, which would never stop the loop
+        raise ValueError(f"tol must be a finite nonnegative number, got {tol}")
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     distinct = _distinct_rows(pts, m)
@@ -311,8 +335,9 @@ def lloyd(samples, m: int, *, init_generators=None, max_iters: int = 100,
     reseed needs them. A pass re-searches only the samples whose cell may have
     changed: a sample whose bounds (see ``_nearest``) prove its cell unchanged
     is not searched, and every result is bitwise what one full search per
-    pass gives. The reported error is the mean of one exact search of the
-    returned generators.
+    pass gives. The run's last pass searches the returned generators, so the
+    reported error is the mean of each sample's loss against its own cell's
+    generator: bitwise the least loss an exact search of them gives.
     """
     pts = _lloyd_samples(samples, m, max_iters, tol)
     if init_generators is not None:
@@ -330,26 +355,25 @@ def lloyd(samples, m: int, *, init_generators=None, max_iters: int = 100,
 def _lloyd_passes(pts: np.ndarray, gens: np.ndarray, max_iters: int, tol: float) -> LloydResult:
     """The iterations of ``lloyd`` from ``gens``, which they update in place.
 
-    Each pass's search is bounded (see ``_nearest``): it re-searches only the
-    samples whose gap no longer proves their cell unchanged, and its
-    assignments are bitwise those of a full search. Meanwhile ``near`` holds
-    gaps, not losses; wherever it is read, before a reseed and for the
-    returned generators' error, an exact search of the same generators fills
-    it with losses first.
+    Each pass's search is bounded (see ``_nearest``), with its sweep's ``scratch``
+    and the cell ``counts`` it keeps allocated once per run; its assignments are
+    bitwise those of a full search. ``near`` holds gaps, not losses; before a
+    reseed, which reads losses, an exact search of the same generators fills it.
+    The last pass, at ``max_iters`` or the one that converges, searches the
+    returned generators, so their error is read from each sample's own cell.
     """
-    m = len(gens)
+    n, m = len(pts), len(gens)
     converged = False
-    # every search writes into this one (index, loss) pair: allocated once per run, so a
-    # pass does not page in fresh arrays
-    found = assignments, near = np.zeros(len(pts), dtype=np.int64), np.empty(len(pts))
-    moves = np.zeros(m)
+    # every search writes into these: allocated once per run, so a pass does not page in
+    # fresh arrays
+    found = assignments, near = np.zeros(n, dtype=np.int64), np.empty(n)
+    scratch, counts, moves = np.empty(n), np.zeros(m, dtype=np.int64), np.zeros(m)
     for iterations in range(max_iters + 1):
-        if iterations == max_iters:
-            break
         if iterations % _GAP_PASSES == 0:
             near.fill(np.nan)  # no gap yet, or one carried long enough: search every sample
-        _nearest(gens, L2, pts, found, moves)
-        counts = np.bincount(assignments, minlength=m)
+        _nearest(gens, L2, pts, found, moves, scratch, counts)
+        if iterations == max_iters:
+            break
         empty = np.flatnonzero(counts == 0)
         if empty.size:
             _nearest(gens, L2, pts, found)  # the reseed reads each sample's least loss
@@ -368,9 +392,25 @@ def _lloyd_passes(pts: np.ndarray, gens: np.ndarray, max_iters: int, tol: float)
             converged = True
             break
         gens = means
-    # the one search of the returned generators after the passes: it gives their error
-    _nearest(gens, L2, pts, found)
-    return LloydResult(gens, iterations, converged, _mean_loss(near))
+    error = _own_cell_error(gens, pts, assignments, scratch)
+    return LloydResult(gens, iterations, converged, error)
+
+
+def _own_cell_error(gens: np.ndarray, pts: np.ndarray, cells: np.ndarray,
+                    losses: np.ndarray) -> float:
+    """Mean loss of each sample against its own cell's generator, each written into ``losses``.
+
+    Each tile of the exact search is one ``_search_tile`` whose one candidate per row is
+    that row's own generator, laid out sample-major as the tile is, so every loss adds its
+    dimensions in the exact search's order: where ``cells`` are the exact search's, the
+    losses, and so the mean, are bitwise its least losses.
+    """
+    spare = np.empty(min(len(pts), _SEARCH_TILE), dtype=np.int64)  # _search_tile's index
+    for lo in range(0, len(pts), _SEARCH_TILE):
+        hi = lo + _SEARCH_TILE
+        own = gens.T.take(cells[lo:hi], axis=1, mode="clip").T
+        _search_tile(own[None], L2, pts[lo:hi], spare[:len(own)], losses[lo:hi])
+    return _mean_loss(losses)
 
 
 def lloyd_best_of(samples, m: int, restarts: int, rng: np.random.Generator, *,

@@ -459,9 +459,12 @@ class TestLloyd:
         assert main(["lloyd", "--data", str(data), "--m", "11",
                      "--out", str(tmp_path / "l")]) == 2
 
-    @pytest.mark.parametrize("flag, value", [("tol", "nan"), ("tol", "-1"), ("max_iters", "-1"),
+    # an infinite tol, also 1e400 as argparse reads it, has no strict JSON form
+    @pytest.mark.parametrize("flag, value", [("tol", "nan"), ("tol", "-1"), ("tol", "inf"),
+                                             ("tol", "1e400"), ("max_iters", "-1"),
                                              ("m", "0"), ("restarts", "0")],
-                             ids=["nan", "-1", "max_iters_-1", "m_0", "restarts_0"])
+                             ids=["nan", "-1", "inf", "1e400", "max_iters_-1", "m_0",
+                                  "restarts_0"])
     def test_nan_or_negative_tol_is_usage_error(self, tmp_path, capsys, flag, value):
         data = gen(tmp_path, "temporal2d", n=50)
         out = tmp_path / "l"

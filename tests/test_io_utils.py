@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -27,6 +28,20 @@ def test_json_bytes_are_dumps_plus_newline(tmp_path):
         path = write_json_atomic(tmp_path / f"doc{indent}.json", doc, indent=indent)
         assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=indent) + "\n"
         assert json.loads(path.read_text(encoding="utf-8")) == doc
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_json_refuses_nan_and_infinity_and_writes_nothing(tmp_path, value):
+    # strict JSON has neither; the document is refused before any file is opened
+    path = tmp_path / "doc.json"
+    with pytest.raises(ValueError, match="^" + re.escape(str(path)) + ": .*not JSON compliant"):
+        write_json_atomic(path, {"ok": 1.5, "nested": [[value]]})
+    assert not list(tmp_path.iterdir())
+    path.write_text("old\n")
+    with pytest.raises(ValueError):
+        write_json_atomic(path, [value])
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
 
 def reference_csv(header, *blocks) -> str:

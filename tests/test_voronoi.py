@@ -148,9 +148,10 @@ class TestLloyd:
         with pytest.raises(ValueError):
             lloyd(pts, 3, rng=np.random.default_rng(0))
 
-    @pytest.mark.parametrize("tol", [np.nan, -1.0, -np.inf])
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, -np.inf, np.inf])
     def test_nan_or_negative_tol_rejected(self, tol):
-        # a NaN tol never stops the loop, a negative one can never be met
+        # a NaN tol never stops the loop, a negative one can never be met, and an infinite
+        # one has no strict JSON form
         pts = uniform_square(100, seed=3)
         with pytest.raises(ValueError, match="tol"):
             lloyd(pts, 2, rng=np.random.default_rng(0), tol=tol)
@@ -225,24 +226,21 @@ class TestLloyd:
     ], ids=["converged", "capped", "max_iters_0", "reseeded"])
     def test_reported_error_is_the_returned_generators(self, monkeypatch, kwargs,
                                                         iterations, converged):
-        # the run's last search is exact, of the returned generators, and gives the reported
-        # error; nothing searches after it
+        # the run's last search is a bounded pass of the returned generators; the error is
+        # read from each sample's own cell, and is bitwise the exact search's
         pts = uniform_square(20_000, seed=26)
         searches = []
 
         def recorded(gens, *args):
-            index, best = _nearest(gens, *args)
-            bounded = len(args) > 3 and args[3] is not None
-            searches.append((gens.copy(), bounded, voronoi._mean_loss(best)))
-            return index, best
+            searches.append((gens.copy(), len(args) > 3 and args[3] is not None))
+            return _nearest(gens, *args)
         monkeypatch.setattr(voronoi, "_nearest", recorded)
         result = lloyd(pts, 3, rng=np.random.default_rng(27), **kwargs)
         monkeypatch.undo()
         assert (result.iterations, result.converged) == (iterations, converged)
-        last_gens, last_bounded, last_error = searches[-1]
-        assert not last_bounded
+        last_gens, last_bounded = searches[-1]
+        assert last_bounded
         assert last_gens.tobytes() == result.generators.tobytes()
-        assert last_error == result.quantization_error
         assert result.quantization_error == quantization_error(result.generators, L2, pts)
 
     def test_restarts_pick_best(self):
@@ -447,6 +445,138 @@ class TestBoundedPasses:
         assert sum(rows) < 0.5 * len(pts) * (result.iterations + 1)
 
 
+def searches(monkeypatch):
+    """A list that records, in order, each ``_nearest`` call, as ("pass", n) when bounded
+    and ("exact", n) otherwise, and each ``_search_tile`` call, as ("rows", rows) for a
+    bounded pass's search, ("own", rows) with one candidate per row (the own-cell error)
+    and ("tile", rows) otherwise."""
+    real_nearest, real_search_tile, events = voronoi._nearest, voronoi._search_tile, []
+
+    def nearest(gens, loss, samples, out=None, moves=None, *args):
+        events.append(("pass" if moves is not None else "exact", len(samples)))
+        return real_nearest(gens, loss, samples, out, moves, *args)
+
+    def search_tile(gens, loss, block, idx, low, second=None):
+        kind = "own" if gens.ndim == 3 else "tile" if second is None else "rows"
+        events.append((kind, len(block)))
+        return real_search_tile(gens, loss, block, idx, low, second)
+    monkeypatch.setattr(voronoi, "_nearest", nearest)
+    monkeypatch.setattr(voronoi, "_search_tile", search_tile)
+    return events
+
+
+class TestOneSweepPasses:
+    """A bounded pass takes every gap's shrink in one sweep, searches only the flagged rows,
+    gathered ``_SEARCH_TILE`` at a time, and keeps each cell's count from the searched rows;
+    the run reads its error from each sample's own cell. All of it must return what one
+    full search per pass returns."""
+
+    @pytest.mark.parametrize("d", [8, 9])
+    @pytest.mark.parametrize("n, flagged", [
+        (_SEARCH_TILE + 300, np.arange(_SEARCH_TILE + 1)),
+        (2 * _SEARCH_TILE + 1, np.r_[5:2 * _SEARCH_TILE:3, 2 * _SEARCH_TILE]),
+        (2 * _SEARCH_TILE + 1, np.r_[:_SEARCH_TILE + 1, 2 * _SEARCH_TILE]),
+    ], ids=["lone_last_chunk", "last_tile_alone", "both"])
+    def test_flagged_rows_get_the_full_search_bits(self, d, n, flagged):
+        # from d = 8 numpy sums a lone row's losses pairwise: a lone row in the last chunk
+        # is searched beside a copy of itself, and the last sample, which the full search
+        # takes as a tile of its own when n % _SEARCH_TILE == 1, is searched alone. At
+        # seed 13 that sample's pairwise and in-sequence sums differ, at d = 8 and 9
+        m = 5
+        gens, samples = nearest_case(L2, d, m, n=n, seed=13)
+        samples = np.asfortranarray(samples)
+        full, full_counts = (np.zeros(n, dtype=np.int64), np.full(n, np.nan)), np.zeros(m, int)
+        _nearest(gens, L2, samples, full, np.zeros(m), np.empty(n), full_counts)
+        assert full[0].tobytes() == _nearest(gens, L2, samples)[0].tobytes()
+        assert full_counts.tolist() == np.bincount(full[0], minlength=m).tolist()
+        # a pass that flags only `flagged`, whose cells are stale
+        index, gaps = full[0].copy(), np.full(n, np.inf)
+        index[flagged] = (index[flagged] + 1) % m
+        gaps[flagged] = np.nan
+        counts = np.bincount(index, minlength=m)
+        _nearest(gens, L2, samples, (index, gaps), np.zeros(m), np.empty(n), counts)
+        assert index.tobytes() == full[0].tobytes()
+        assert gaps[flagged].tobytes() == full[1][flagged].tobytes()
+        assert (np.delete(gaps, flagged) == np.inf).all()
+        assert counts.tolist() == full_counts.tolist()
+
+    @pytest.mark.parametrize("d", [8, 9])
+    def test_lone_rows_of_small_chunks(self, monkeypatch, d):
+        # with 4-row chunks, passes often leave a lone row in the last chunk, and with
+        # n % 4 == 1 the last sample is a tile of its own
+        monkeypatch.setattr(voronoi, "_SEARCH_TILE", 4)
+        real_search_tile, copies = voronoi._search_tile, []
+
+        def spy(gens, loss, block, idx, low, second=None):
+            if second is not None and len(block) == 2:
+                copies.append(np.array_equal(block[0], block[1]))
+            return real_search_tile(gens, loss, block, idx, low, second)
+        monkeypatch.setattr(voronoi, "_search_tile", spy)
+        pts = np.random.default_rng(60 + d).normal(size=(601, d))
+        own, reference = lloyd_both_ways(monkeypatch, pts, 5, tol=0.0, max_iters=40)
+        assert own == reference
+        assert any(copies)
+
+    @pytest.mark.parametrize("d, seed", [(2, 61), (8, 63), (9, 62)])
+    def test_max_iters_0(self, monkeypatch, d, seed):
+        # the one pass starts from NaN gaps and searches every row in place; 2 tiles and a
+        # lone row, whose own-cell loss must be summed as the full search sums it: pairwise
+        # from d = 8. The lone row lies far out, so its loss shows in the mean's last bits,
+        # and at these seeds its pairwise and in-sequence sums differ
+        pts = np.random.default_rng(seed).normal(size=(2 * _SEARCH_TILE + 1, d))
+        pts[-1] *= 1e3
+        own, reference = lloyd_both_ways(monkeypatch, pts, 4, init_generators=pts[:4],
+                                         max_iters=0)
+        assert own == reference
+        assert own[1:3] == (0, False)
+
+    def test_reseed_on_the_pass_before_max_iters(self, monkeypatch, caplog):
+        # pass 0 reseeds two empty cells, so the last pass, at max_iters, starts from NaN gaps
+        pts = np.random.default_rng(62).normal(size=(5000, 2))
+        init = np.vstack([pts[:3], np.full((2, 2), 1e3)])
+        with caplog.at_level(logging.INFO, logger="mhp.voronoi"):
+            own, reference = lloyd_both_ways(monkeypatch, pts, 5, init_generators=init,
+                                             max_iters=1)
+        assert own == reference
+        assert own[1:3] == (1, False)
+        assert any("reseed" in rec.message for rec in caplog.records)
+
+    @pytest.mark.parametrize("seed, max_iters", [(314, 3), (314, 200), (1932, 200)])
+    def test_cells_that_empty_after_a_partial_pass(self, monkeypatch, seed, max_iters):
+        # M = 40 on a coarse grid: a pass that searches only some rows empties a cell, which
+        # the incremental counts must find; capped at 3, the reseed is on the pass before
+        rng = np.random.default_rng(seed)
+        pts = np.round(rng.normal(size=(300, 3)) * 1.5) / 1.5
+        init = pts[rng.choice(300, 40)] + rng.normal(size=(40, 3)) * 0.3
+        events = searches(monkeypatch)
+        lloyd(pts, 40, init_generators=init, tol=1e-8, max_iters=max_iters)
+        monkeypatch.undo()
+        passes = [[0, False]]
+        for kind, rows in events:
+            if kind == "pass":
+                passes.append([0, False])
+            passes[-1][0] += rows if kind == "rows" else 0
+            passes[-1][1] |= kind == "exact"
+        own, reference = lloyd_both_ways(monkeypatch, pts, 40, init_generators=init,
+                                         tol=1e-8, max_iters=max_iters)
+        assert own == reference
+        assert any(reseeded and flagged < len(pts) for flagged, reseeded in passes)
+
+    def test_converged_run_reads_its_error_without_a_full_search(self, monkeypatch):
+        pts = uniform_square(20_000, seed=58)
+        events = searches(monkeypatch)
+        result = lloyd(pts, 4, rng=np.random.default_rng(59), tol=1e-6)
+        monkeypatch.undo()
+        assert result.converged and result.iterations > 10
+        last = max(i for i, (kind, _) in enumerate(events) if kind == "pass")
+        after = events[last + 1:]
+        kinds = [kind for kind, _ in after]
+        assert kinds == sorted(kinds, key=["rows", "own"].index)  # the pass, then the error
+        assert sum(rows for kind, rows in after if kind == "rows") < len(pts)
+        assert sum(rows for kind, rows in after if kind == "own") == len(pts)
+        assert result.quantization_error == quantization_error(result.generators, L2, pts)
+
+
 class TestCellSums:
     @pytest.mark.parametrize("shape", [(1000,), (1000, 1), (1000, 3)])
     def test_bitwise_equal_to_add_at_with_empty_cells(self, shape):
@@ -551,13 +681,14 @@ class TestNearest:
         gens, samples = nearest_case(L2, d, 5, n=300, seed=3)
         samples = np.asfortranarray(samples)
         full = np.zeros(300, dtype=np.int64), np.full(300, np.nan)
-        _nearest(gens, L2, samples, full, np.zeros(5))
+        _nearest(gens, L2, samples, full, np.zeros(5), np.empty(300), np.zeros(5, dtype=np.int64))
         assert full[0].tobytes() == _nearest(gens, L2, samples)[0].tobytes()
         for row in range(0, 300, 7):
             gaps = np.full(300, np.inf)
             gaps[row] = np.nan
             alone = np.zeros(300, dtype=np.int64), gaps
-            _nearest(gens, L2, samples, alone, np.zeros(5))
+            _nearest(gens, L2, samples, alone, np.zeros(5), np.empty(300),
+                     np.zeros(5, dtype=np.int64))
             assert alone[0][row] == full[0][row]
             assert alone[1][row].tobytes() == full[1][row].tobytes()
 
