@@ -14,11 +14,18 @@ given it. Tasks:
   to one of K terminal cells with given probabilities; frames are rasterized
   as a bright pixel smoothed by a fixed 3x3 kernel.
 * ``gmm`` - ancestral sampling from a Gaussian mixture.
+
+A dataset directory holds ``data.csv`` (the table a user reads and may edit), its
+``data.json`` sidecar, and ``data.npz``, a binary copy of the table that spares
+:func:`load_dataset` the text parse. The copy carries the SHA-256 of the ``data.csv`` bytes
+it was written beside and is read only while they still match, so ``data.csv`` stays the
+file that counts.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import warnings
 from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
@@ -26,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .io_utils import (read_bool, read_field, read_int, read_json, read_list, read_number,
-                       read_str, write_csv_atomic, write_json_atomic)
+                       read_str, write_csv_atomic, write_json_atomic, write_npz_atomic)
 
 # Quadrant bounds, ordered: lower-left, upper-left, lower-right, upper-right.
 # Lower bounds are inclusive, zero-boundaries exclusive on the negative side.
@@ -261,7 +268,8 @@ def sample_gaussian_mixture(means, covs, weights, n: int, rng: np.random.Generat
 
 
 # ---------------------------------------------------------------------------
-# Dataset files: data.csv (inputs..., targets...) plus a data.json sidecar.
+# Dataset files: data.csv (inputs..., targets...), its data.npz table cache and a data.json
+# sidecar.
 
 @dataclass(eq=False)
 class Dataset:
@@ -296,12 +304,29 @@ def _read_spec(task: str, n_out: int, doc):
     return doc
 
 
+def _sha256(path: Path) -> bytes:
+    """The SHA-256 digest of the file at ``path``, read in blocks, not whole."""
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").digest()
+
+
 def write_dataset(outdir, X, Y, *, task: str, spec, seed: int, input_names, target_names):
-    """Write data.csv plus its data.json sidecar (an integer Y as integer targets)."""
+    """Write data.csv, then data.npz, then the data.json sidecar (an integer Y as integer
+    targets); returns the three paths in that order.
+
+    data.npz holds ``table``, the CSV's columns (X, then Y) as one C-order float64 (n, k)
+    array, and ``csv_sha256``, the 32-byte SHA-256 of the data.csv bytes just written (read
+    back from the file), as uint8. The CSV's text round-trips every finite float64, so the
+    table holds the bits a parse of the CSV gives.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    csv_path = write_csv_atomic(outdir / "data.csv", [*input_names, *target_names],
-                                np.asarray(X, dtype=np.float64), Y)
+    X, Y = np.asarray(X, dtype=np.float64), np.asarray(Y)
+    csv_path = write_csv_atomic(outdir / "data.csv", [*input_names, *target_names], X, Y)
+    table = np.concatenate([b[:, None] if b.ndim == 1 else b for b in (X, Y)], axis=1,
+                           dtype=np.float64)
+    npz_path = write_npz_atomic(outdir / "data.npz", table=table,
+                                csv_sha256=np.frombuffer(_sha256(csv_path), dtype=np.uint8))
     sidecar = {
         "task": task,
         "spec": encode_spec(spec),
@@ -309,14 +334,38 @@ def write_dataset(outdir, X, Y, *, task: str, spec, seed: int, input_names, targ
         "n": len(Y),
         "input_columns": list(input_names),
         "target_columns": list(target_names),
-        "int_targets": np.asarray(Y).dtype.kind in "iu",
+        "int_targets": Y.dtype.kind in "iu",
     }
     json_path = write_json_atomic(outdir / "data.json", sidecar)
-    return csv_path, json_path
+    return csv_path, npz_path, json_path
+
+
+def _cached_table(npz_path: Path, csv_digest: bytes, shape: tuple[int, int]):
+    """The ``table`` of the data.npz at ``npz_path`` if it is a valid cache (the rule in
+    :func:`load_dataset`) of a CSV whose digest is ``csv_digest`` and whose table has
+    ``shape``; None for any other file, or none."""
+    try:  # np.load leaves a path it opened unclosed when the zip does not read
+        with open(npz_path, "rb") as fh, np.load(fh, allow_pickle=False) as cache:
+            stamp = cache["csv_sha256"]
+            if stamp.dtype != np.uint8 or stamp.tobytes() != csv_digest:
+                return None
+            table = cache["table"]
+    # a damaged file raises one of many kinds here (BadZipFile, ValueError, EOFError,
+    # KeyError, OSError; TypeError for a plain .npy), and each means: parse the CSV
+    except Exception:
+        return None
+    return table if table.dtype == np.float64 and table.shape == shape else None
 
 
 def load_dataset(path) -> Dataset:
     """Read a dataset directory (or its data.csv path) back into arrays and its spec.
+
+    The table comes from the data.npz beside data.csv when that cache is valid: it loads
+    with ``allow_pickle=False``, holds ``table`` and ``csv_sha256``, its table is a float64
+    array of n rows and the sidecar's column count, and its digest is the SHA-256 of the
+    data.csv bytes, hashed in blocks. Otherwise data.csv is parsed, so an edited CSV is
+    read as edited and a cache never raises. Either way the same checks follow and name
+    data.csv, and both give the same bits.
 
     A sidecar field that is missing or does not read (the spec as its task's), a CSV header
     other than the sidecar's input and target columns, a CSV that has no rows, a row count
@@ -342,10 +391,15 @@ def load_dataset(path) -> Dataset:
         if header != ",".join(inputs + targets):
             raise ValueError(f"header {header!r} is not the columns "
                              f"{','.join(inputs + targets)!r} of {json_path}")
-        with warnings.catch_warnings():
-            # an empty table is refused below, by name, instead of with numpy's warning
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            raw = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2, dtype=np.float64)
+        raw = _cached_table(csv_path.with_name("data.npz"), _sha256(csv_path),
+                            (n, n_in + n_out))
+        if raw is None:
+            with warnings.catch_warnings():
+                # an empty table is refused below, by name, instead of with numpy's warning
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                raw = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2,
+                                 dtype=np.float64)
     except ValueError as err:  # the header, a cell that does not parse, a row too short
         raise ValueError(f"{csv_path}: {err}") from None
     if len(raw) == 0:

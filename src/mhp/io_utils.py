@@ -1,7 +1,7 @@
-"""Small shared I/O helpers: atomic text, JSON and CSV writes, :func:`read_json`, the one
-reader of a config, sidecar, checkpoint or generators file, :func:`read_field`, the one
-reader for a field of it, and :func:`worker_count`, the number of workers that format the
-row parts of a large CSV table."""
+"""Small shared I/O helpers: atomic text, ``.npz``, JSON and CSV writes, :func:`read_json`,
+the one reader of a config, sidecar, checkpoint or generators file, :func:`read_field`, the
+one reader for a field of it, and :func:`worker_count`, the number of workers that format
+the row parts of a large CSV table."""
 
 from __future__ import annotations
 
@@ -111,11 +111,12 @@ def read_field(doc, key: str, read, default=..., *, where: str | None):
 
 
 @contextmanager
-def _replacing(path: Path):
-    """Text handle on a temp sibling of ``path``, renamed over it on success and removed
-    on failure, so that ``path`` keeps its old bytes and nothing else is left."""
+def _replacing(path: Path, binary: bool = False):
+    """Text (or, if ``binary``, bytes) handle on a temp sibling of ``path``, renamed over it
+    on success and removed on failure, so that ``path`` keeps its old bytes and nothing
+    else is left."""
     tmp = path.with_name(path.name + ".tmp")
-    fh = open(tmp, "w", encoding="utf-8")
+    fh = open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8")
     try:
         with fh:
             yield fh
@@ -130,6 +131,16 @@ def write_text_atomic(path, text: str) -> Path:
     path = Path(path)
     with _replacing(path) as fh:
         fh.write(text)
+    return path
+
+
+def write_npz_atomic(path, **arrays) -> Path:
+    """Write ``arrays`` to ``path`` as an uncompressed ``.npz`` archive (``np.savez``, one
+    ``.npy`` member per keyword, in order) via a temp file and rename. zipfile stamps each
+    member with its fixed 1980 default date, so equal arrays write equal bytes."""
+    path = Path(path)
+    with _replacing(path, binary=True) as fh:
+        np.savez(fh, **arrays)
     return path
 
 

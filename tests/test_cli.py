@@ -119,6 +119,29 @@ class TestGen:
         assert hashlib.sha256((out / "data.csv").read_bytes()).hexdigest() == csv_sha
         assert hashlib.sha256((out / "data.json").read_bytes()).hexdigest() == json_sha
 
+    # SHA-256 of data.npz for the same runs: the table and the digest of the data.csv
+    # pinned above. zipfile dates each member 1980-01-01, so no clock reaches the bytes.
+    @pytest.mark.parametrize("task, flags, npz_sha", [
+        ("temporal2d", [], "759d302fe7aba54a1a8e918e6dc5dddbb65bd3f372a3a4937665e5ff74b0afd4"),
+        ("temporal2d", ["--t", "0.3"],
+         "26ac19279976e45b86023e945b03b0eeeddae50a3ee86f3d22cd3bcee7062d98"),
+        ("multilabel", ["--classes", "5", "--set-size", "3"],
+         "3c1607d0e6f29039efe67280c76b09bc46901828721b1339ef93f5d43bdd9e38"),
+        ("gridframe", ["--terminals", "12"],
+         "cab879fdfdfec9f1652be3e39c472e49c6d94df14f159edbee12aa3224361d12"),
+        ("gridframe", ["--terminals", "4", "--grid-size", "10"],
+         "e3e8c122a9899b0a33d769c132c9b8c4af5d84c54355b22daa80a5d6d651c5c9"),
+        ("gmm", [], "70f2c859e9c3de3c868982e49d395a18a82daafd7189d0bf3e188f2f7c8354bf"),
+    ], ids=["temporal2d", "temporal2d_t", "multilabel", "gridframe", "gridframe_10", "gmm"])
+    def test_dataset_cache_bytes_are_pinned(self, tmp_path, task, flags, npz_sha):
+        runs = []
+        for name in ("a", "b"):
+            assert main(["gen", "--task", task, "--n", "1000", "--seed", "5", *flags,
+                         "--out", str(tmp_path / name)]) == 0
+            runs.append((tmp_path / name / "data.npz").read_bytes())
+        assert runs[0] == runs[1]
+        assert hashlib.sha256(runs[0]).hexdigest() == npz_sha
+
     @pytest.mark.parametrize("flags, message", [
         (["--task", "multilabel", "--classes", "1", "--set-size", "1"], "at least 2 classes"),
         (["--task", "multilabel", "--set-size", "0"], "set_size must lie in [1, num_classes]"),
@@ -723,7 +746,7 @@ class TestManifest:
         return root
 
     @pytest.mark.parametrize("argv, outputs", [
-        (["gen", "--task", "temporal2d", "--n", "50"], ["data.csv", "data.json"]),
+        (["gen", "--task", "temporal2d", "--n", "50"], ["data.csv", "data.npz", "data.json"]),
         (["train", "--config", "{in}/config.json"], ["checkpoint.json", "metrics.jsonl"]),
         (["eval", "--checkpoint", "{in}/gridframe_run/checkpoint.json", "--data", "{in}/gridframe",
           "--metrics", "oracle_min,hypothesis_variance"],

@@ -1,5 +1,6 @@
 """Synthetic generators: distribution shape, determinism, file round-trips."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -464,3 +465,147 @@ class TestDatasetFiles:
         (tmp_path / "data.json").write_text("[]")
         with pytest.raises(ValueError):
             load_dataset(tmp_path)
+
+
+def _task_tables(task):
+    """(X, Y, spec, input names, target names) of a 300-row dataset of ``task``."""
+    rng = np.random.default_rng(31)
+    if task == "temporal2d":
+        return (*temporal2d_dataset(300, rng), {"t": None}, ["t"], ["y1", "y2"])
+    if task == "multilabel":
+        spec = make_multilabel_spec(5, 3, rng)
+        return (*sample_multilabel(spec, 300, rng)[:2], spec, ["x1", "x2"], ["label"])
+    if task == "gridframe":
+        spec = default_gridframe_spec(4)
+        return (*sample_gridframe(spec, 300, rng)[:2], spec,
+                [f"in{i}" for i in range(64)], [f"out{i}" for i in range(64)])
+    Y = sample_gaussian_mixture([[-1.5, 0.0], [1.5, 0.0]], [np.eye(2) * 0.09] * 2, [0.5, 0.5],
+                                300, rng)
+    return np.zeros((300, 0)), Y, {}, [], ["y1", "y2"]
+
+
+class TestDatasetCache:
+    """data.npz spares load_dataset the CSV parse only while it carries the digest of the
+    data.csv beside it; any other cache is ignored, and both paths give the same bits."""
+
+    TASKS = ["temporal2d", "multilabel", "gridframe", "gmm"]
+
+    @pytest.fixture()
+    def parses(self, monkeypatch):
+        """The number of CSV parses load_dataset makes, counted at np.loadtxt."""
+        count, loadtxt = [0], np.loadtxt
+
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counted)
+        return count
+
+    @staticmethod
+    def write(path, task):
+        X, Y, spec, inputs, targets = _task_tables(task)
+        return write_dataset(path, X, Y, task=task, spec=spec, seed=31, input_names=inputs,
+                             target_names=targets)
+
+    @staticmethod
+    def csv_only(path):
+        """The dataset at ``path`` loaded from a copy without its data.npz."""
+        copy = path.with_name(path.name + "_csv_only")
+        copy.mkdir()
+        for name in ("data.csv", "data.json"):
+            (copy / name).write_bytes((path / name).read_bytes())
+        return load_dataset(copy)
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert got.X.shape == want.X.shape and got.X.dtype == want.X.dtype == np.float64
+        assert np.array_equal(got.X.view(np.uint64), want.X.view(np.uint64))
+        assert got.Y.dtype == want.Y.dtype and got.Y.shape == want.Y.shape
+        assert np.array_equal(got.Y.view(np.uint64) if got.Y.dtype == np.float64 else got.Y,
+                              want.Y.view(np.uint64) if want.Y.dtype == np.float64 else want.Y)
+
+    def test_writes_the_table_and_the_csv_digest(self, tmp_path):
+        csv, npz, sidecar = self.write(tmp_path, "multilabel")
+        assert [csv.name, npz.name, sidecar.name] == ["data.csv", "data.npz", "data.json"]
+        with np.load(npz, allow_pickle=False) as cache:
+            assert list(cache.keys()) == ["table", "csv_sha256"]
+            table, stamp = cache["table"], cache["csv_sha256"]
+        X, Y = _task_tables("multilabel")[:2]
+        assert table.dtype == np.float64 and table.flags.c_contiguous
+        assert np.array_equal(table, np.column_stack([X, Y]))
+        assert stamp.dtype == np.uint8
+        assert stamp.tobytes() == hashlib.sha256(csv.read_bytes()).digest()
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_cached_load_equals_the_csv_parse(self, tmp_path, parses, task):
+        self.write(tmp_path / "d", task)
+        cached = load_dataset(tmp_path / "d")
+        assert parses[0] == 0
+        parsed = self.csv_only(tmp_path / "d")
+        assert parses[0] == 1
+        self.assert_same_bits(cached, parsed)
+        assert cached.Y.dtype == (np.int64 if task == "multilabel" else np.float64)
+        assert cached.task == parsed.task and cached.spec == parsed.spec
+
+    def test_data_csv_path_reads_the_cache_too(self, tmp_path, parses):
+        self.write(tmp_path / "d", "temporal2d")
+        self.assert_same_bits(load_dataset(tmp_path / "d" / "data.csv"),
+                              load_dataset(tmp_path / "d"))
+        assert parses[0] == 0
+
+    @pytest.mark.parametrize("damage", [
+        "absent", "truncated", "not_a_zip", "a_plain_npy", "no_table", "no_digest",
+        "float32_table", "transposed_table", "flat_table", "another_csvs_digest",
+        "digest_as_int64"])
+    def test_a_bad_cache_loads_the_csv(self, tmp_path, parses, damage):
+        self.write(tmp_path / "d", "temporal2d")
+        npz = tmp_path / "d" / "data.npz"
+        with np.load(npz, allow_pickle=False) as cache:
+            table, stamp = cache["table"], cache["csv_sha256"]
+        other = self.write(tmp_path / "other", "gmm")[0]
+        if damage == "absent":
+            npz.unlink()
+        elif damage == "truncated":
+            whole = npz.read_bytes()
+            npz.write_bytes(whole[:len(whole) // 2])
+        elif damage == "not_a_zip":
+            npz.write_bytes(b"t,y1,y2\n")
+        elif damage == "a_plain_npy":
+            with open(npz, "wb") as fh:
+                np.save(fh, table)
+        else:
+            arrays = {
+                "no_table": dict(csv_sha256=stamp),
+                "no_digest": dict(table=table),
+                "float32_table": dict(table=table.astype(np.float32), csv_sha256=stamp),
+                "transposed_table": dict(table=np.ascontiguousarray(table.T), csv_sha256=stamp),
+                "flat_table": dict(table=table.ravel(), csv_sha256=stamp),
+                "another_csvs_digest": dict(table=table, csv_sha256=np.frombuffer(
+                    hashlib.sha256(other.read_bytes()).digest(), dtype=np.uint8)),
+                "digest_as_int64": dict(table=table, csv_sha256=stamp.view(np.int64)),
+            }[damage]
+            with open(npz, "wb") as fh:
+                np.savez(fh, **arrays)
+        got = load_dataset(tmp_path / "d")
+        assert parses[0] == 1
+        self.assert_same_bits(got, self.csv_only(tmp_path / "d"))
+        np.testing.assert_array_equal(got.X, table[:, :1])
+
+    @pytest.mark.parametrize("task, row, column, value", [
+        ("temporal2d", 3, 2, "0.125"), ("multilabel", 7, 2, "0"), ("gmm", 0, 0, "-2.5")])
+    def test_an_edited_csv_value_is_read(self, tmp_path, parses, task, row, column, value):
+        self.write(tmp_path, task)
+        csv = tmp_path / "data.csv"
+        lines = csv.read_text().splitlines()
+        cells = lines[1 + row].split(",")
+        assert cells[column] != value
+        cells[column] = value
+        lines[1 + row] = ",".join(cells)
+        csv.write_text("\n".join(lines) + "\n")
+        ds = load_dataset(tmp_path)
+        assert parses[0] == 1
+        n_in = ds.X.shape[1]
+        got = ds.X[row, column] if column < n_in else ds.Y.reshape(len(ds.Y), -1)[row,
+                                                                                 column - n_in]
+        assert got == float(value)

@@ -11,7 +11,8 @@ import pytest
 
 from mhp import io_utils
 from mhp.io_utils import (read_bool, read_field, read_int, read_list, read_number, read_seed,
-                          read_str, write_csv_atomic, write_json_atomic, write_text_atomic)
+                          read_str, write_csv_atomic, write_json_atomic, write_npz_atomic,
+                          write_text_atomic)
 
 
 def test_text_write_replaces_and_leaves_no_temp(tmp_path):
@@ -20,6 +21,25 @@ def test_text_write_replaces_and_leaves_no_temp(tmp_path):
     assert write_text_atomic(path, "a,b\n1,2\n") == path
     assert path.read_bytes() == b"a,b\n1,2\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_npz_write_replaces_and_a_failed_one_keeps_the_old_file(tmp_path):
+    class Unconvertible:
+        def __array__(self, dtype=None, copy=None):
+            raise RuntimeError("no array")
+
+    path = tmp_path / "t.npz"
+    path.write_bytes(b"old")
+    table = np.array([[0.1, -0.0], [np.pi, 5e-324]])
+    assert write_npz_atomic(path, table=table, tag=np.arange(3, dtype=np.uint8)) == path
+    with np.load(path, allow_pickle=False) as npz:
+        assert list(npz.keys()) == ["table", "tag"]
+        assert np.array_equal(npz["table"].view(np.uint64), table.view(np.uint64))
+    written = path.read_bytes()
+    with pytest.raises(RuntimeError, match="no array"):  # after the first member is written
+        write_npz_atomic(path, table=table, bad=Unconvertible())
+    assert path.read_bytes() == written
+    assert [p.name for p in tmp_path.iterdir()] == ["t.npz"]
 
 
 def test_json_bytes_are_dumps_plus_newline(tmp_path):
