@@ -10,6 +10,7 @@ training config seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -284,6 +285,16 @@ def _read_metrics(args) -> list[str]:
     return wanted
 
 
+@contextlib.contextmanager
+def _on_data(checkpoint, data):
+    """A ValueError raised inside, where a checkpoint's model meets a dataset, gets both paths
+    as a prefix, so a checkpoint and a dataset that do not fit are named."""
+    try:
+        yield
+    except ValueError as err:
+        raise ValueError(f"{checkpoint} on {data}: {err}") from None
+
+
 def cmd_eval(args) -> None:
     run = _Run("eval")
     wanted = _read_metrics(args)
@@ -300,14 +311,16 @@ def cmd_eval(args) -> None:
                 else load_checkpoint(args.baseline_checkpoint)[0])
     targets = (dataset.Y, base) if "oracle_min" in wanted else (None, None)
     image = (shape[1], shape[0], shape[2]) if "sharpness" in wanted else None
-    result = dataset_metrics(model, dataset.X, *targets, spread="hypothesis_variance" in wanted,
-                             image=image)
+    with _on_data(args.checkpoint, args.data):
+        result = dataset_metrics(model, dataset.X, *targets,
+                                 spread="hypothesis_variance" in wanted, image=image)
     report: dict = {}
     exports: dict[str, np.ndarray] = {}
     if "oracle_min" in wanted:
         report["oracle_min_loss"] = result.oracle_min_loss
         if baseline is not None:
-            report["shp_baseline_loss"] = oracle_min_loss(baseline, dataset.X, dataset.Y, base)
+            with _on_data(args.baseline_checkpoint, args.data):
+                report["shp_baseline_loss"] = oracle_min_loss(baseline, dataset.X, dataset.Y, base)
     if "hypothesis_variance" in wanted:
         report["hypothesis_variance_mean"] = result.hypothesis_spread
         report["per_hypothesis_variance"] = result.per_dim_variance.tolist()
@@ -317,8 +330,10 @@ def cmd_eval(args) -> None:
     if "sharpness" in wanted:
         report["sharpness"] = result.sharpness
     if "multilabel" in wanted:
-        recall, precision = multilabel_scores(model, [it.features for it in dataset.spec.items],
-                                              [it.labels for it in dataset.spec.items])
+        with _on_data(args.checkpoint, args.data):
+            recall, precision = multilabel_scores(
+                model, [it.features for it in dataset.spec.items],
+                [it.labels for it in dataset.spec.items])
         report["label_recall_at_M"] = recall
         report["label_precision"] = precision
 

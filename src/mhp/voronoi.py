@@ -12,7 +12,6 @@ trained hypothesis heads are compared against.
 from __future__ import annotations
 
 import logging
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,8 @@ from .losses import L2, LossKind, hypothesis_targets, loss_values
 logger = logging.getLogger(__name__)
 
 _CHUNK = 1 << 17  # the summation block of _mean_loss
-_SEARCH_TILE = 1 << 14  # the rows of one _nearest step
-# a bounded search skips a sample only while its gap clears these; see _nearest
+_SEARCH_TILE = 1 << 14  # the rows of one _search_tile step
+# a bounded search skips a sample only while its gap clears these; see _lloyd_pass
 _GAP_SLACK = 2.0 ** -20   # relative, a share of the second-nearest distance
 _GAP_FLOOR = 2.0 ** -500  # absolute, a distance
 _GAP_PASSES = 1 << 16     # lloyd passes a gap is carried at most before every sample is searched
@@ -55,10 +54,7 @@ def _as_samples(loss: LossKind, samples) -> np.ndarray:
     return np.asarray(samples) if loss.name == "cross_entropy" else _as_points(samples, "samples")
 
 
-def _nearest(gens: np.ndarray, loss: LossKind, samples,
-             out: tuple[np.ndarray, np.ndarray] | None = None, moves: np.ndarray | None = None,
-             scratch: np.ndarray | None = None,
-             counts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _nearest(gens: np.ndarray, loss: LossKind, samples) -> tuple[np.ndarray, np.ndarray]:
     """Index of and loss against the loss-minimizing generator per sample.
 
     Works sample-major, one generator at a time: each tile of
@@ -70,24 +66,34 @@ def _nearest(gens: np.ndarray, loss: LossKind, samples,
     O(tile * d). That sum adds the dimensions in sequence; from d = 8 numpy
     would sum a contiguous row pairwise, so there the last bit can differ
     from a row-major sum. The strict ``<`` keeps ties on the lowest index,
-    as ``argmin`` does. ``out``, an (index, loss) pair of (n,) int64 and
-    float64 arrays, receives the result instead of fresh arrays.
+    as ``argmin`` does.
+    """
+    n = len(samples)
+    index, best = np.empty(n, dtype=np.int64), np.empty(n)
+    for lo in range(0, n, _SEARCH_TILE):
+        hi = lo + _SEARCH_TILE
+        _search_tile(gens, loss, samples[lo:hi], index[lo:hi], best[lo:hi])
+    return index, best
 
-    With ``moves`` the search is bounded, for ``lloyd``'s passes (squared-error
-    loss, ``out`` given). ``out``'s index array then holds each sample's cell
-    from the previous search and its loss array a *gap*: a lower bound on how
-    much farther, as a distance r = sqrt(2 * loss), the sample's second-nearest
-    generator lies than its own. ``moves`` (M,) gives the distance each
-    generator moved since. By the triangle inequality the distance to the own
-    generator grows by at most its move, and the distance to any other shrinks
-    by at most the largest move, so every gap first loses both, in one sweep
-    over all n samples through ``scratch``, an (n,) float64 array the caller
-    owns. The samples whose gap is then not above 0, a NaN gap included (no
-    bound yet), are flagged in one ``flatnonzero`` and searched as a full search
-    would; each gets the fresh gap ``(1 - _GAP_SLACK) * r2 - r1 - _GAP_FLOOR``
-    from its least and second-least computed losses (r2 is infinite for M = 1).
-    Every other sample keeps its cell and is not searched. ``counts`` (M,)
-    int64, each cell's number of samples, follows the re-searched samples: each
+
+def _lloyd_pass(gens: np.ndarray, pts: np.ndarray, cells: np.ndarray, gaps: np.ndarray,
+                moves: np.ndarray, scratch: np.ndarray, counts: np.ndarray) -> None:
+    """One of ``lloyd``'s searches, bounded: ``cells``, ``gaps`` and ``counts`` in place.
+
+    ``cells`` (n,) holds each sample's cell from the previous search and
+    ``gaps`` (n,) a lower bound on how much farther, as a distance
+    r = sqrt(2 * loss), the sample's second-nearest generator lies than its
+    own. ``moves`` (M,) gives the distance each generator moved since. By the
+    triangle inequality the distance to the own generator grows by at most
+    its move, and the distance to any other shrinks by at most the largest
+    move, so every gap first loses both, in one sweep over all n samples
+    through ``scratch``, an (n,) float64 array the caller owns. The samples
+    whose gap is then not above 0, a NaN gap included (no bound yet), are
+    flagged in one ``flatnonzero`` and searched as ``_nearest`` would; each
+    gets the fresh gap ``(1 - _GAP_SLACK) * r2 - r1 - _GAP_FLOOR`` from its
+    least and second-least computed losses (r2 is infinite for M = 1). Every
+    other sample keeps its cell and is not searched. ``counts`` (M,) int64,
+    each cell's number of samples, follows the re-searched samples: each
     leaves its old cell and joins its new one. A pass that flags every sample
     searches them in place, tile by tile, and counts them afresh.
 
@@ -111,31 +117,24 @@ def _nearest(gens: np.ndarray, loss: LossKind, samples,
     search takes as a tile of its own (the last, when n % ``_SEARCH_TILE`` is 1)
     is searched alone.
     """
-    n = len(samples)
-    index, best = (np.empty(n, dtype=np.int64), np.empty(n)) if out is None else out
-    if moves is None:
-        for lo in range(0, n, _SEARCH_TILE):
-            hi = lo + _SEARCH_TILE
-            _search_tile(gens, loss, samples[lo:hi], index[lo:hi], best[lo:hi])
-        return index, best
-    gaps = best
+    n = len(pts)
     # every index is a cell, so "clip" takes without raise mode's bounds checks and buffer
-    (moves + moves.max()).take(index, out=scratch, mode="clip")
+    (moves + moves.max()).take(cells, out=scratch, mode="clip")
     gaps -= scratch
     rows = np.flatnonzero(~(gaps > 0))  # a NaN gap fails the test too
     k = len(rows)
     if k == n:
         for lo in range(0, n, _SEARCH_TILE):
             hi = lo + _SEARCH_TILE
-            _search_tile(gens, L2, samples[lo:hi], index[lo:hi], gaps[lo:hi], scratch[lo:hi])
+            _search_tile(gens, L2, pts[lo:hi], cells[lo:hi], gaps[lo:hi], scratch[lo:hi])
         _fresh_gaps(gaps, scratch)
-        counts[:] = np.bincount(index, minlength=len(gens))
-        return index, gaps
+        counts[:] = np.bincount(cells, minlength=len(gens))
+        return
     if not k:
-        return index, gaps
+        return
     # one slot to spare, for the copy beside a lone row; the second-least losses go into
     # scratch, whose shrinks are spent
-    cells, low, second = np.empty(k + 1, dtype=np.int64), np.empty(k + 1), scratch[:k + 1]
+    found, low, second = np.empty(k + 1, dtype=np.int64), np.empty(k + 1), scratch[:k + 1]
     alone = n % _SEARCH_TILE == 1 and rows[-1] == n - 1
     for lo in range(0, k - alone, _SEARCH_TILE):
         chunk = rows[lo:min(lo + _SEARCH_TILE, k - alone)]
@@ -143,16 +142,15 @@ def _nearest(gens: np.ndarray, loss: LossKind, samples,
             chunk = chunk.repeat(2)
         hi = lo + len(chunk)
         # taken along the transpose's sample axis: one sample-major copy of the rows
-        block = samples.T.take(chunk, axis=1, mode="clip").T
-        _search_tile(gens, L2, block, cells[lo:hi], low[lo:hi], second[lo:hi])
+        block = pts.T.take(chunk, axis=1, mode="clip").T
+        _search_tile(gens, L2, block, found[lo:hi], low[lo:hi], second[lo:hi])
     if alone:  # after any copy, whose slot it takes
-        _search_tile(gens, L2, samples[n - 1:], cells[k - 1:k], low[k - 1:k], second[k - 1:k])
-    cells, low = cells[:k], low[:k]
+        _search_tile(gens, L2, pts[n - 1:], found[k - 1:k], low[k - 1:k], second[k - 1:k])
+    found, low = found[:k], low[:k]
     _fresh_gaps(low, second[:k])
-    counts -= np.bincount(index[rows], minlength=len(gens))
-    counts += np.bincount(cells, minlength=len(gens))
-    index[rows], gaps[rows] = cells, low
-    return index, gaps
+    counts -= np.bincount(cells[rows], minlength=len(gens))
+    counts += np.bincount(found, minlength=len(gens))
+    cells[rows], gaps[rows] = found, low
 
 
 def _fresh_gaps(low: np.ndarray, second: np.ndarray) -> None:
@@ -169,11 +167,9 @@ def _fresh_gaps(low: np.ndarray, second: np.ndarray) -> None:
 
 def _search_tile(gens: np.ndarray, loss: LossKind, block, idx: np.ndarray, low: np.ndarray,
                  second: np.ndarray | None = None) -> None:
-    """One tile of ``_nearest``'s search: each sample's least loss into ``low`` and its
-    generator into ``idx``, and its second-least loss into ``second`` when given.
-
-    ``gens`` is (M, d), or (1, rows, d) with one candidate per row of ``block``."""
-    t = np.asfortranarray(hypothesis_targets(loss, block, len(block), gens.shape[-1])[:, 0])
+    """One tile of a search of the (M, d) ``gens``: each sample's least loss into ``low`` and
+    its generator into ``idx``, and its second-least loss into ``second`` when given."""
+    t = np.asfortranarray(hypothesis_targets(loss, block, len(block), gens.shape[1])[:, 0])
     idx.fill(0)
     low[:] = loss_values(loss, gens[0], t)
     if second is not None:
@@ -291,19 +287,6 @@ def _kmeanspp_init(samples: np.ndarray, m: int, rng: np.random.Generator) -> np.
     return np.array(gens)
 
 
-@contextmanager
-def _squares_checked():
-    """``np.errstate(over="raise")``, whose overflow ends as a ValueError naming it.
-
-    ``lloyd`` enters it around its start and passes, and ``lloyd_best_of`` around
-    its start draws."""
-    try:
-        with np.errstate(over="raise"):
-            yield
-    except FloatingPointError:
-        raise ValueError("samples too far apart: squared distances overflow float64") from None
-
-
 def _lloyd_samples(samples, m: int, max_iters: int, tol: float) -> np.ndarray:
     """The checked arguments of a Lloyd run; its samples as a sample-major array, so that the
     cell sums read contiguous columns and every squared distance adds its dimensions in
@@ -333,11 +316,12 @@ def lloyd(samples, m: int, *, init_generators=None, max_iters: int = 100,
     squared distances, or a sum of them, overflow float64 raise ValueError, and
     so do samples whose squared distances underflow to 0 where a draw or a
     reseed needs them. A pass re-searches only the samples whose cell may have
-    changed: a sample whose bounds (see ``_nearest``) prove its cell unchanged
-    is not searched, and every result is bitwise what one full search per
-    pass gives. The run's last pass searches the returned generators, so the
-    reported error is the mean of each sample's loss against its own cell's
-    generator: bitwise the least loss an exact search of them gives.
+    changed: a sample whose bounds (see ``_lloyd_pass``) prove its cell
+    unchanged is not searched, and every result is bitwise what one full
+    search per pass gives. The run's last pass searches the returned
+    generators, so the reported error is the mean of each sample's loss
+    against its own cell's generator: bitwise the least loss an exact search
+    of them gives.
     """
     pts = _lloyd_samples(samples, m, max_iters, tol)
     if init_generators is not None:
@@ -347,36 +331,40 @@ def lloyd(samples, m: int, *, init_generators=None, max_iters: int = 100,
     elif rng is None:
         raise ValueError("rng required for seeded initialization")
     # finite samples can still lie too far apart to square; every overflow refuses them
-    with _squares_checked():
-        gens = _kmeanspp_init(pts, m, rng) if init_generators is None else start
-        return _lloyd_passes(pts, gens, max_iters, tol)
+    try:
+        with np.errstate(over="raise"):
+            gens = _kmeanspp_init(pts, m, rng) if init_generators is None else start
+            return _lloyd_passes(pts, gens, max_iters, tol)
+    except FloatingPointError:
+        raise ValueError("samples too far apart: squared distances overflow float64") from None
 
 
 def _lloyd_passes(pts: np.ndarray, gens: np.ndarray, max_iters: int, tol: float) -> LloydResult:
     """The iterations of ``lloyd`` from ``gens``, which they update in place.
 
-    Each pass's search is bounded (see ``_nearest``), with its sweep's ``scratch``
-    and the cell ``counts`` it keeps allocated once per run; its assignments are
-    bitwise those of a full search. ``near`` holds gaps, not losses; before a
-    reseed, which reads losses, an exact search of the same generators fills it.
-    The last pass, at ``max_iters`` or the one that converges, searches the
-    returned generators, so their error is read from each sample's own cell.
+    Each pass is one ``_lloyd_pass``, with its sweep's ``scratch`` and the cell
+    ``counts`` it keeps allocated once per run; its assignments are bitwise
+    those of a full search. ``near`` holds gaps, not losses; before a reseed,
+    which reads losses, each sample's loss against its own cell's generator
+    fills it, bitwise its least loss. The last pass, at ``max_iters`` or the
+    one that converges, searches the returned generators, so their error is
+    read from each sample's own cell too.
     """
     n, m = len(pts), len(gens)
     converged = False
-    # every search writes into these: allocated once per run, so a pass does not page in
+    # every pass writes into these: allocated once per run, so a pass does not page in
     # fresh arrays
-    found = assignments, near = np.zeros(n, dtype=np.int64), np.empty(n)
+    assignments, near = np.zeros(n, dtype=np.int64), np.empty(n)
     scratch, counts, moves = np.empty(n), np.zeros(m, dtype=np.int64), np.zeros(m)
     for iterations in range(max_iters + 1):
         if iterations % _GAP_PASSES == 0:
             near.fill(np.nan)  # no gap yet, or one carried long enough: search every sample
-        _nearest(gens, L2, pts, found, moves, scratch, counts)
+        _lloyd_pass(gens, pts, assignments, near, moves, scratch, counts)
         if iterations == max_iters:
             break
         empty = np.flatnonzero(counts == 0)
         if empty.size:
-            _nearest(gens, L2, pts, found)  # the reseed reads each sample's least loss
+            _own_cell_losses(gens, pts, assignments, near)
             for j in empty:
                 _refuse_underflow(near)
                 idx = int(near.argmax())
@@ -392,43 +380,37 @@ def _lloyd_passes(pts: np.ndarray, gens: np.ndarray, max_iters: int, tol: float)
             converged = True
             break
         gens = means
-    error = _own_cell_error(gens, pts, assignments, scratch)
+    error = _mean_loss(_own_cell_losses(gens, pts, assignments, scratch))
     return LloydResult(gens, iterations, converged, error)
 
 
-def _own_cell_error(gens: np.ndarray, pts: np.ndarray, cells: np.ndarray,
-                    losses: np.ndarray) -> float:
-    """Mean loss of each sample against its own cell's generator, each written into ``losses``.
+def _own_cell_losses(gens: np.ndarray, pts: np.ndarray, cells: np.ndarray,
+                     losses: np.ndarray) -> np.ndarray:
+    """Each sample's loss against its own cell's generator, written into ``losses``.
 
-    Each tile of the exact search is one ``_search_tile`` whose one candidate per row is
-    that row's own generator, laid out sample-major as the tile is, so every loss adds its
-    dimensions in the exact search's order: where ``cells`` are the exact search's, the
-    losses, and so the mean, are bitwise its least losses.
+    One ``loss_values`` call per tile of the exact search, on the tile's samples and own
+    generators, both laid out sample-major as ``_search_tile`` lays out its targets, so every
+    loss adds its dimensions in the exact search's order: where ``cells`` are the exact
+    search's, the losses are bitwise its least losses.
     """
-    spare = np.empty(min(len(pts), _SEARCH_TILE), dtype=np.int64)  # _search_tile's index
     for lo in range(0, len(pts), _SEARCH_TILE):
         hi = lo + _SEARCH_TILE
         own = gens.T.take(cells[lo:hi], axis=1, mode="clip").T
-        _search_tile(own[None], L2, pts[lo:hi], spare[:len(own)], losses[lo:hi])
-    return _mean_loss(losses)
+        losses[lo:hi] = loss_values(L2, own, np.asfortranarray(pts[lo:hi]))
+    return losses
 
 
 def lloyd_best_of(samples, m: int, restarts: int, rng: np.random.Generator, *,
                   max_iters: int = 100, tol: float = 1e-4) -> LloydResult:
-    """Best of several seeded ``lloyd`` runs by quantization error, the first on ties.
+    """Best of ``restarts`` seeded ``lloyd`` runs by quantization error, the first on ties.
 
-    The arguments are checked once, then every restart's seeded start is
-    drawn from ``rng`` in restart order; no Lloyd pass reads ``rng``, so these
-    are the starts that one ``lloyd(samples, m, rng=rng)`` call per restart
-    would draw. The restarts then run in order on the calling thread, each as
-    ``lloyd`` from its start; the first that raises propagates its error, and
-    no later restart starts.
+    The arguments are checked once; then each restart is one
+    ``lloyd(samples, m, rng=rng)`` call, in order on the calling thread, so
+    each draws its start from ``rng`` just before its passes. The first that
+    raises propagates its error, and no later restart starts.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     pts = _lloyd_samples(samples, m, max_iters, tol)
-    with _squares_checked():
-        starts = [_kmeanspp_init(pts, m, rng) for _ in range(restarts)]
-    runs = (lloyd(pts, m, init_generators=start, max_iters=max_iters, tol=tol)
-            for start in starts)
+    runs = (lloyd(pts, m, rng=rng, max_iters=max_iters, tol=tol) for _ in range(restarts))
     return min(runs, key=lambda run: run.quantization_error)

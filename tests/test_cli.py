@@ -373,6 +373,32 @@ class TestEval:
         alone = json.loads(capsys.readouterr().out)
         assert report["shp_baseline_loss"] == alone["oracle_min_loss"]
 
+    @pytest.mark.parametrize("task, metrics", [
+        ("multilabel", "oracle_min"), ("multilabel", "multilabel"),
+        ("gridframe", "oracle_min"), ("gridframe", "hypothesis_variance"),
+    ])
+    def test_checkpoint_that_does_not_fit_the_data_is_named(self, trained, two_heads, tmp_path,
+                                                            capsys, task, metrics):
+        # a temporal2d model reads (n, 1) inputs and gives (n, 2) targets; these sets differ
+        data = tmp_path / task
+        assert main(["gen", "--task", task, "--n", "300", "--seed", "3", "--out", str(data)]) == 0
+        usage_error(capsys, ["eval", "--checkpoint", str(two_heads), "--data", str(data),
+                             "--metrics", metrics, "--out", str(tmp_path / "r")],
+                    f"{two_heads} on {data}: ")
+        assert not (tmp_path / "r").exists()
+
+    def test_baseline_checkpoint_that_does_not_fit_the_data_is_named(self, trained, two_heads,
+                                                                     tmp_path, capsys):
+        _, data = trained
+        cfg = write_cfg(tmp_path, epochs=1, hidden_layers=[8],
+                        dataset={"task": "gridframe", "n": 64})
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "grid")]) == 0
+        baseline = tmp_path / "grid" / "checkpoint.json"
+        usage_error(capsys, ["eval", "--checkpoint", str(two_heads), "--data", str(data),
+                             "--baseline-checkpoint", str(baseline)],
+                    f"{baseline} on {data}: ", "targets must have shape")
+        assert main(["eval", "--checkpoint", str(two_heads), "--data", str(data)]) == 0
+
     def test_loss_flag_overrides_the_checkpoints_base_loss(self, trained, capsys):
         ckpt, data = trained
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data),

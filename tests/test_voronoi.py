@@ -10,8 +10,9 @@ import pytest
 
 from mhp import voronoi
 from mhp.losses import CROSS_ENTROPY, L2, LossKind, hypothesis_targets, loss_values
-from mhp.voronoi import (_CHUNK, _SEARCH_TILE, _cell_sums, _nearest, centroidal_residual, lloyd,
-                         lloyd_best_of, membership, quantization_error, tessellate)
+from mhp.voronoi import (_CHUNK, _SEARCH_TILE, _cell_sums, _lloyd_pass, _nearest,
+                         centroidal_residual, lloyd, lloyd_best_of, membership, quantization_error,
+                         tessellate)
 
 QUADRANT_CENTERS = np.array([[-0.5, -0.5], [-0.5, 0.5], [0.5, -0.5], [0.5, 0.5]])
 
@@ -231,10 +232,13 @@ class TestLloyd:
         pts = uniform_square(20_000, seed=26)
         searches = []
 
-        def recorded(gens, *args):
-            searches.append((gens.copy(), len(args) > 3 and args[3] is not None))
-            return _nearest(gens, *args)
-        monkeypatch.setattr(voronoi, "_nearest", recorded)
+        def recorded(search, bounded):
+            def spy(gens, *args):
+                searches.append((gens.copy(), bounded))
+                return search(gens, *args)
+            return spy
+        monkeypatch.setattr(voronoi, "_nearest", recorded(_nearest, False))
+        monkeypatch.setattr(voronoi, "_lloyd_pass", recorded(_lloyd_pass, True))
         result = lloyd(pts, 3, rng=np.random.default_rng(27), **kwargs)
         monkeypatch.undo()
         assert (result.iterations, result.converged) == (iterations, converged)
@@ -253,7 +257,7 @@ class TestLloyd:
 
 class TestRestartsInOrder:
     """``lloyd_best_of`` runs its restarts in order on the calling thread, each as one
-    ``lloyd`` call from a start drawn before any of them runs."""
+    seeded ``lloyd`` call that draws its start from the shared ``rng``."""
 
     @pytest.mark.parametrize("d, m", [(2, 4), (64, 3)])
     def test_result_equals_one_lloyd_call_per_restart(self, d, m):
@@ -269,47 +273,90 @@ class TestRestartsInOrder:
         assert got.quantization_error == want.quantization_error
 
     def test_every_search_runs_with_overflow_raising(self, monkeypatch):
-        # every search computes its losses in _search_tile: the exact ones and a bounded
-        # pass's re-searches (given an array for the second-least loss)
-        real_search_tile = voronoi._search_tile
+        # a run computes its losses in a bounded pass's _search_tile calls (given an array for
+        # the second-least loss) and in the own-cell losses of its reseeds and its error
+        real_search_tile, real_own = voronoi._search_tile, voronoi._own_cell_losses
         searches = []
 
         def spy(*args):
-            bounded = len(args) > 5 and args[5] is not None
-            searches.append((bounded, np.geterr()["over"]))
+            kind = "pass" if len(args) > 5 and args[5] is not None else "exact"
+            searches.append((kind, np.geterr()["over"]))
             return real_search_tile(*args)
+
+        def own(*args):
+            searches.append(("own", np.geterr()["over"]))
+            return real_own(*args)
         monkeypatch.setattr(voronoi, "_search_tile", spy)
+        monkeypatch.setattr(voronoi, "_own_cell_losses", own)
         lloyd_best_of(uniform_square(5000, seed=42), 4, 4, np.random.default_rng(43))
-        assert {bounded for bounded, _ in searches} == {False, True}
+        assert {kind for kind, _ in searches} == {"pass", "own"}
         assert all(state == "raise" for _, state in searches)
+
+    @pytest.mark.parametrize("run", ["reseeding_lloyd", "lloyd_best_of"])
+    def test_every_search_tile_belongs_to_a_bounded_pass(self, monkeypatch, caplog, run):
+        # no exact search under lloyd: a reseed and the reported error read each sample's
+        # own cell, so every _search_tile call is given an array for the second-least loss
+        real_search_tile, seconds = voronoi._search_tile, []
+
+        def spy(gens, loss, block, idx, low, second=None):
+            seconds.append(second is not None)
+            return real_search_tile(gens, loss, block, idx, low, second)
+        monkeypatch.setattr(voronoi, "_search_tile", spy)
+        with caplog.at_level(logging.INFO, logger="mhp.voronoi"):
+            if run == "reseeding_lloyd":
+                pts = np.random.default_rng(53).normal(size=(5000, 2))
+                init = np.vstack([pts[:3], np.full((2, 2), 1e3)])  # two cells start empty
+                lloyd(pts, 5, init_generators=init)
+            else:
+                lloyd_best_of(uniform_square(5000, seed=42), 4, 4, np.random.default_rng(43))
+        assert seconds and all(seconds)
+        if run == "reseeding_lloyd":
+            assert any("reseed" in rec.message for rec in caplog.records)
+
+    def test_start_draws_alternate_with_runs(self, monkeypatch):
+        real_draw, real_passes, events = voronoi._kmeanspp_init, voronoi._lloyd_passes, []
+
+        def draw(*args):
+            events.append("draw")
+            return real_draw(*args)
+
+        def passes(*args):
+            events.append("passes")
+            return real_passes(*args)
+        monkeypatch.setattr(voronoi, "_kmeanspp_init", draw)
+        monkeypatch.setattr(voronoi, "_lloyd_passes", passes)
+        lloyd_best_of(uniform_square(2000, seed=48), 3, 4, np.random.default_rng(49))
+        assert events == ["draw", "passes"] * 4
 
     def test_failed_restart_raises_and_no_later_restart_starts(self, monkeypatch):
         pts, real_lloyd = uniform_square(2000, seed=44), voronoi.lloyd
         rng = np.random.default_rng(45)
-        first, second = (voronoi._kmeanspp_init(np.asfortranarray(pts), 3, rng) for _ in range(2))
+        first = lloyd(pts, 3, rng=np.random.default_rng(45))
         calls, raised = [], []
 
-        def second_restart_fails(samples, m, *, init_generators, **kwargs):
-            calls.append(init_generators)
-            if np.array_equal(init_generators, second):
+        def second_restart_fails(samples, m, *, rng, **kwargs):
+            calls.append(rng)
+            if len(calls) == 2:
                 raised.append(ValueError("restart failed"))
                 raise raised[-1]
-            return real_lloyd(samples, m, init_generators=init_generators, **kwargs)
+            run = real_lloyd(samples, m, rng=rng, **kwargs)
+            assert run.generators.tobytes() == first.generators.tobytes()
+            return run
         monkeypatch.setattr(voronoi, "lloyd", second_restart_fails)
         with pytest.raises(ValueError, match="^restart failed$") as info:
-            lloyd_best_of(pts, 3, 4, np.random.default_rng(45))
+            lloyd_best_of(pts, 3, 4, rng)
         assert info.value is raised[0]
         assert len(calls) == 2  # restarts 0 and 1; none started after the failure
-        assert np.array_equal(calls[0], first)
+        assert all(given is rng for given in calls)
 
     def test_first_failed_restart_raises(self, monkeypatch):
-        # every restart fails; the first one's error is raised
-        def fail(samples, m, *, init_generators, **kwargs):
-            raise ValueError(f"restart at {init_generators[0].tolist()}")
+        # every restart fails, each after its own draw from rng; the first one's error is raised
+        def fail(samples, m, *, rng, **kwargs):
+            raise ValueError(f"restart drew {rng.random()}")
         monkeypatch.setattr(voronoi, "lloyd", fail)
         pts = uniform_square(2000, seed=46)
-        first = voronoi._kmeanspp_init(np.asfortranarray(pts), 3, np.random.default_rng(47))
-        with pytest.raises(ValueError, match=re.escape(f"restart at {first[0].tolist()}")):
+        first = np.random.default_rng(47).random()
+        with pytest.raises(ValueError, match=re.escape(f"restart drew {first}")):
             lloyd_best_of(pts, 3, 4, np.random.default_rng(47))
 
     def test_every_restart_runs_on_the_calling_thread(self, monkeypatch):
@@ -330,9 +377,8 @@ def lloyd_passes_reference(pts, gens, max_iters, tol):
     re-searches: a run through them is what ``lloyd`` must return, bit for bit."""
     m = len(gens)
     converged = False
-    found = np.empty(len(pts), dtype=np.int64), np.empty(len(pts))
     for iterations in range(max_iters + 1):
-        assignments, near = _nearest(gens, L2, pts, found)
+        assignments, near = _nearest(gens, L2, pts)
         if iterations == max_iters:
             break
         counts = np.bincount(assignments, minlength=m)
@@ -446,21 +492,24 @@ class TestBoundedPasses:
 
 
 def searches(monkeypatch):
-    """A list that records, in order, each ``_nearest`` call, as ("pass", n) when bounded
-    and ("exact", n) otherwise, and each ``_search_tile`` call, as ("rows", rows) for a
-    bounded pass's search, ("own", rows) with one candidate per row (the own-cell error)
-    and ("tile", rows) otherwise."""
-    real_nearest, real_search_tile, events = voronoi._nearest, voronoi._search_tile, []
+    """A list that records, in order, each ``_lloyd_pass`` call, as ("pass", n), each exact
+    ``_nearest`` call, as ("exact", n), each ``_own_cell_losses`` call, as ("own", n), and
+    each ``_search_tile`` call, as ("rows", rows) for a bounded pass's search and
+    ("tile", rows) otherwise."""
+    real_search_tile, events = voronoi._search_tile, []
 
-    def nearest(gens, loss, samples, out=None, moves=None, *args):
-        events.append(("pass" if moves is not None else "exact", len(samples)))
-        return real_nearest(gens, loss, samples, out, moves, *args)
+    def recorded(kind, real, samples_at):
+        def spy(*args):
+            events.append((kind, len(args[samples_at])))
+            return real(*args)
+        return spy
 
     def search_tile(gens, loss, block, idx, low, second=None):
-        kind = "own" if gens.ndim == 3 else "tile" if second is None else "rows"
-        events.append((kind, len(block)))
+        events.append(("tile" if second is None else "rows", len(block)))
         return real_search_tile(gens, loss, block, idx, low, second)
-    monkeypatch.setattr(voronoi, "_nearest", nearest)
+    monkeypatch.setattr(voronoi, "_lloyd_pass", recorded("pass", voronoi._lloyd_pass, 1))
+    monkeypatch.setattr(voronoi, "_nearest", recorded("exact", voronoi._nearest, 2))
+    monkeypatch.setattr(voronoi, "_own_cell_losses", recorded("own", voronoi._own_cell_losses, 1))
     monkeypatch.setattr(voronoi, "_search_tile", search_tile)
     return events
 
@@ -486,7 +535,7 @@ class TestOneSweepPasses:
         gens, samples = nearest_case(L2, d, m, n=n, seed=13)
         samples = np.asfortranarray(samples)
         full, full_counts = (np.zeros(n, dtype=np.int64), np.full(n, np.nan)), np.zeros(m, int)
-        _nearest(gens, L2, samples, full, np.zeros(m), np.empty(n), full_counts)
+        _lloyd_pass(gens, samples, *full, np.zeros(m), np.empty(n), full_counts)
         assert full[0].tobytes() == _nearest(gens, L2, samples)[0].tobytes()
         assert full_counts.tolist() == np.bincount(full[0], minlength=m).tolist()
         # a pass that flags only `flagged`, whose cells are stale
@@ -494,7 +543,7 @@ class TestOneSweepPasses:
         index[flagged] = (index[flagged] + 1) % m
         gaps[flagged] = np.nan
         counts = np.bincount(index, minlength=m)
-        _nearest(gens, L2, samples, (index, gaps), np.zeros(m), np.empty(n), counts)
+        _lloyd_pass(gens, samples, index, gaps, np.zeros(m), np.empty(n), counts)
         assert index.tobytes() == full[0].tobytes()
         assert gaps[flagged].tobytes() == full[1][flagged].tobytes()
         assert (np.delete(gaps, flagged) == np.inf).all()
@@ -556,11 +605,12 @@ class TestOneSweepPasses:
             if kind == "pass":
                 passes.append([0, False])
             passes[-1][0] += rows if kind == "rows" else 0
-            passes[-1][1] |= kind == "exact"
+            passes[-1][1] |= kind == "own"
         own, reference = lloyd_both_ways(monkeypatch, pts, 40, init_generators=init,
                                          tol=1e-8, max_iters=max_iters)
         assert own == reference
-        assert any(reseeded and flagged < len(pts) for flagged, reseeded in passes)
+        # a reseed reads the own-cell losses after its pass; so does the error, after the last
+        assert any(reseeded and flagged < len(pts) for flagged, reseeded in passes[:-1])
 
     def test_converged_run_reads_its_error_without_a_full_search(self, monkeypatch):
         pts = uniform_square(20_000, seed=58)
@@ -654,12 +704,6 @@ class TestNearest:
         index, best = _nearest(gens, loss, samples)
         assert index.tobytes() == ref_index.tobytes()
         assert best.tobytes() == ref_best.tobytes()
-        # written into a given pair, whatever it held before
-        out = np.full(n, 7, dtype=np.int64), np.full(n, np.nan)
-        index, best = _nearest(gens, loss, samples, out)
-        assert index is out[0] and best is out[1]
-        assert index.tobytes() == ref_index.tobytes()
-        assert best.tobytes() == ref_best.tobytes()
 
     @pytest.mark.parametrize("loss", NEAREST_LOSSES, ids=lambda k: k.spec())
     @pytest.mark.parametrize("d", [8, 64])
@@ -681,14 +725,14 @@ class TestNearest:
         gens, samples = nearest_case(L2, d, 5, n=300, seed=3)
         samples = np.asfortranarray(samples)
         full = np.zeros(300, dtype=np.int64), np.full(300, np.nan)
-        _nearest(gens, L2, samples, full, np.zeros(5), np.empty(300), np.zeros(5, dtype=np.int64))
+        _lloyd_pass(gens, samples, *full, np.zeros(5), np.empty(300), np.zeros(5, dtype=np.int64))
         assert full[0].tobytes() == _nearest(gens, L2, samples)[0].tobytes()
         for row in range(0, 300, 7):
             gaps = np.full(300, np.inf)
             gaps[row] = np.nan
             alone = np.zeros(300, dtype=np.int64), gaps
-            _nearest(gens, L2, samples, alone, np.zeros(5), np.empty(300),
-                     np.zeros(5, dtype=np.int64))
+            _lloyd_pass(gens, samples, *alone, np.zeros(5), np.empty(300),
+                        np.zeros(5, dtype=np.int64))
             assert alone[0][row] == full[0][row]
             assert alone[1][row].tobytes() == full[1][row].tobytes()
 
