@@ -393,6 +393,12 @@ def cmd_tessellate(args) -> None:
             raise ValueError("tessellate samples temporal2d targets; the checkpoint was "
                              f"trained on {task!r}")
         generators = forward(model, np.array([args.t]))
+    source = args.generators or args.checkpoint
+    if generators.ndim != 2 or generators.shape[1] != 2 or not len(generators):
+        raise ValueError(f"{source}: the generators of 2-D samples must form a nonempty "
+                         f"(M, 2) array, got shape {generators.shape}")
+    if base.name == "cross_entropy":
+        raise ValueError(f"{source}: a cross_entropy loss cannot tessellate 2-D samples")
     cells = membership(generators, base, samples)
 
     out = _outdir(args.out)

@@ -19,8 +19,8 @@ import numpy as np
 from . import _csv_rows
 
 _CSV_CHUNK_ROWS = 4096
-# the type code and dtype a helper reads an int column as, by dtype kind; any other
-# column goes as float64, code "d"
+# the type code and dtype an int column is formatted as, by dtype kind; any other column
+# is formatted as float64, code "d"
 _CSV_RAW = {"i": ("q", np.int64), "u": ("Q", np.uint64)}
 
 
@@ -112,11 +112,11 @@ def read_field(doc, key: str, read, default=..., *, where: str | None):
 
 @contextmanager
 def _replacing(path: Path, binary: bool = False):
-    """Text (or, if ``binary``, bytes) handle on a temp sibling of ``path``, renamed over it
-    on success and removed on failure, so that ``path`` keeps its old bytes and nothing
-    else is left."""
+    """Text handle ending each line in LF on every platform (or, if ``binary``, bytes handle)
+    on a temp sibling of ``path``, renamed over it on success and removed on failure, so
+    that ``path`` keeps its old bytes and nothing else is left."""
     tmp = path.with_name(path.name + ".tmp")
-    fh = open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8")
+    fh = open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="\n")
     try:
         with fh:
             yield fh
@@ -155,36 +155,26 @@ def write_json_atomic(path, obj, *, indent: int | None = 2) -> Path:
     return write_text_atomic(path, text + "\n")
 
 
-def _column_text(column: np.ndarray) -> list[str]:
-    if column.dtype.kind in "iu":
-        return _csv_rows.cells(column.tolist(), True)
-    return _csv_rows.cells(column.astype(np.float64, copy=False).tolist(), False)
+def _part(columns: list, start: int, stop: int) -> list:
+    """Rows [start, stop) of each ``(column, (type code, dtype))`` as ``write_rows`` takes
+    them: the values as the dtype, with the type code."""
+    return [(np.asarray(column[start:stop], dtype), code) for column, (code, dtype) in columns]
 
 
-def _write_rows(fh, columns: list, start: int, stop: int) -> None:
-    """Format rows [start, stop) in this process, a chunk at a time."""
-    if not columns:  # rows without cells: an empty line each
-        fh.write("\n" * (stop - start))
-        return
-    for lo in range(start, stop, _CSV_CHUNK_ROWS):
-        hi = min(lo + _CSV_CHUNK_ROWS, stop)
-        fh.write(_csv_rows.rows([_column_text(column[lo:hi]) for column in columns]))
-
-
-def _start_helper(helpers: ExitStack, columns: list, start: int, stop: int):
-    """A helper process formatting rows [start, stop) into an unnamed temp file, as
-    ``(process, file)``; None if no process could be started. ``helpers`` kills and
-    reaps the process and closes its files."""
-    raw = [_CSV_RAW.get(column.dtype.kind, ("d", np.float64)) for column in columns]
+def _start_helper(helpers: ExitStack, part: list):
+    """A helper process formatting ``part`` into an unnamed temp file, as ``(process,
+    file)``; None if no process could be started. ``helpers`` kills and reaps the process
+    and closes its files."""
     stdin = helpers.enter_context(tempfile.TemporaryFile())
-    stdin.write(f"{stop - start} {_CSV_CHUNK_ROWS} {''.join(c for c, _ in raw)}\n".encode())
-    for column, (_, dtype) in zip(columns, raw):
-        stdin.write(np.ascontiguousarray(column[start:stop], dtype=dtype))
+    for values, _ in part:
+        stdin.write(np.ascontiguousarray(values))
     stdin.seek(0)  # flushes, and the helper reads from the start
     stdout = helpers.enter_context(tempfile.TemporaryFile())
     try:
-        process = subprocess.Popen([sys.executable, "-S", "-E", _csv_rows.__file__],
-                                   stdin=stdin, stdout=stdout)
+        process = subprocess.Popen(
+            [sys.executable, "-S", "-E", _csv_rows.__file__, str(len(part[0][0])),
+             str(_CSV_CHUNK_ROWS), "".join(code for _, code in part)],
+            stdin=stdin, stdout=stdout)
     except OSError:
         return None
     helpers.callback(process.wait)
@@ -195,36 +185,41 @@ def _start_helper(helpers: ExitStack, columns: list, start: int, stop: int):
 def write_csv_atomic(path, header, *blocks) -> Path:
     """Write (n, k) arrays side by side as CSV rows, after an optional header.
 
-    A 1-d block is one column. Integers print as integers, other cells as
-    the shortest text that round-trips to the same float64 (the row format
-    of ``_csv_rows``). A table of at least two ``_CSV_CHUNK_ROWS`` chunks per
-    worker is split into contiguous row parts, one per ``worker_count``
-    worker: this process formats the first, a chunk at a time, while a
-    ``python -S -E _csv_rows.py`` helper process formats each other part from
-    its raw column values into an unnamed temp file, which is then appended in
-    order. Every part runs the same formatter on the same interpreter, so the
-    bytes do not depend on the number of workers. A part whose helper cannot
-    be started is formatted here; a helper that fails raises OSError. A
-    failed write keeps the old bytes of ``path`` and leaves no temp file, and
-    every helper has been reaped when this returns or raises.
+    A 1-d block is one column. An integer column is read as int64 (uint64 if
+    unsigned) and prints as integers; any other column is read as float64 and
+    prints as the shortest text that round-trips to the same float64. A table
+    of at least two ``_CSV_CHUNK_ROWS`` chunks per worker is split into
+    contiguous row parts, one per ``worker_count`` worker: this process
+    formats the first, while a ``python -S -E _csv_rows.py`` helper process
+    formats each other part from its raw column values into an unnamed temp
+    file, which is then appended in order. Every part runs the one formatter,
+    ``_csv_rows.write_rows``, on the same interpreter, and every line ends in
+    LF, so the bytes do not depend on the number of workers. A part whose
+    helper cannot be started is formatted here; a helper that fails raises
+    OSError. A failed write keeps the old bytes of ``path`` and leaves no temp
+    file, and every helper has been reaped when this returns or raises.
     """
     path = Path(path)
     blocks = [b[:, None] if b.ndim == 1 else b for b in map(np.asarray, blocks)]
     n = len(blocks[0])
     if any(b.ndim != 2 or len(b) != n for b in blocks):
         raise ValueError("CSV blocks must be (n, k) arrays with the same n")
-    columns = [b[:, j] for b in blocks for j in range(b.shape[1])]
+    columns = [(b[:, j], _CSV_RAW.get(b.dtype.kind, ("d", np.float64)))
+               for b in blocks for j in range(b.shape[1])]
     workers = worker_count(max(1, n // (2 * _CSV_CHUNK_ROWS))) if columns else 1
     bounds = [n * k // workers for k in range(workers + 1)]
     with _replacing(path) as fh, ExitStack() as helpers:
         if header is not None:
             fh.write(",".join(header) + "\n")
-        parts = [(start, stop, _start_helper(helpers, columns, start, stop))
-                 for start, stop in zip(bounds[1:], bounds[2:])]
-        _write_rows(fh, columns, 0, bounds[1])
-        for start, stop, helper in parts:
+        if not columns:  # rows without cells: an empty line each
+            fh.write("\n" * n)
+            return path
+        parts = [_part(columns, start, stop) for start, stop in zip(bounds, bounds[1:])]
+        started = [(part, _start_helper(helpers, part)) for part in parts[1:]]
+        _csv_rows.write_rows(fh.write, parts[0], _CSV_CHUNK_ROWS)
+        for part, helper in started:
             if helper is None:
-                _write_rows(fh, columns, start, stop)
+                _csv_rows.write_rows(fh.write, part, _CSV_CHUNK_ROWS)
                 continue
             process, text = helper
             if process.wait() != 0:

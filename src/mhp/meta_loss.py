@@ -58,18 +58,16 @@ def _row_index(n: int) -> np.ndarray:
 
 
 class HeadDropout(NamedTuple):
-    """Per row: the dropped heads, the winner's weight, each active loser's share, and the
-    row's weights before its winner is known (the share on each active head, 0 on each
-    dropped one)."""
+    """Per row: the dropped heads, the winner's weight, and the row's weights before its
+    winner is known (each active loser's share on each active head, 0 on each dropped one)."""
 
     masks: np.ndarray        # (n, M) bool, True where a head is dropped
     winner: np.ndarray       # (n,)
-    loser: np.ndarray        # (n,)
-    loser_rows: np.ndarray   # (n, M), np.where(masks, 0.0, loser[:, None])
+    loser_rows: np.ndarray   # (n, M)
 
     def rows(self, start: int, stop: int) -> "HeadDropout":
         return HeadDropout(self.masks[start:stop], self.winner[start:stop],
-                           self.loser[start:stop], self.loser_rows[start:stop])
+                           self.loser_rows[start:stop])
 
 
 def draw_dropout(config: MetaLossConfig, n: int, rng: np.random.Generator | None = None,
@@ -103,10 +101,9 @@ def draw_dropout(config: MetaLossConfig, n: int, rng: np.random.Generator | None
         masks[all_dropped] = False
         dropped[all_dropped] = 0
     winner, loser = _weight_tables(m, config.epsilon)
-    share = loser[dropped]
-    loser_rows = np.repeat(share, m).reshape(n, m)
+    loser_rows = np.repeat(loser[dropped], m).reshape(n, m)
     loser_rows[masks] = 0.0
-    return HeadDropout(masks, winner[dropped], share, loser_rows)
+    return HeadDropout(masks, winner[dropped], loser_rows)
 
 
 def assign_batch(config: MetaLossConfig, hypotheses, targets, dropout: HeadDropout):

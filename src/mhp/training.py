@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import hypothesis_targets, loss_grads
-from .meta_loss import MetaLossConfig, _row_index, assign_batch, draw_dropout
+from .meta_loss import MetaLossConfig, assign_batch, draw_dropout
 from .network import MlpModel, OptimizerState, TrainingDivergedError, backward_batch, forward_batch, step
 
 
@@ -112,8 +112,7 @@ def _train_epochs(model: MlpModel, data, config: MetaLossConfig,
                     if not math.isfinite(meta) and not np.isfinite(losses).all():
                         raise TrainingDivergedError("non-finite loss")
                     meta_sum += meta
-                    least = losses[_row_index(len(xb)), losses.argmin(axis=1)]
-                    oracle_sum += float(np.add.reduce(least))
+                    oracle_sum += float(np.add.reduce(np.minimum.reduce(losses, axis=1)))
                     upstream = loss_grads(config.base_loss, hyps, tb)
                     upstream *= weights[:, :, None]
                     upstream /= len(xb)

@@ -857,6 +857,33 @@ class TestTessellate:
     def test_requires_exactly_one_source(self, checkpoint, tmp_path, capsys):
         usage_error(capsys, ["tessellate", "--t", "0.5", "--out", str(tmp_path / "x")])
 
+    @pytest.mark.parametrize("doc, reason", [
+        ({"generators": [[0.5, 0.5, 0.0], [-0.5, -0.5, 0.0]]}, "got shape (2, 3)"),
+        ({"generators": []}, "got shape (0,)"),
+        ({"generators": [[0.5, 0.5], [-0.5, -0.5]], "loss": "cross_entropy"}, "cross_entropy"),
+    ], ids=["three_numbers", "empty", "cross_entropy"])
+    def test_generators_that_cannot_tessellate_name_their_file(self, tmp_path, capsys, doc,
+                                                               reason):
+        path = tmp_path / "generators.json"
+        path.write_text(json.dumps(doc))
+        assert main(["tessellate", "--generators", str(path), "--t", "0.5",
+                     "--samples", "50", "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and reason in err
+        assert not (tmp_path / "x").exists()
+
+    def test_cross_entropy_checkpoint_names_its_file(self, checkpoint, tmp_path, capsys):
+        doc = json.loads(checkpoint.read_text())
+        doc["extras"]["base_loss"] = "cross_entropy"
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["tessellate", "--checkpoint", str(edited), "--t", "0.5",
+                     "--samples", "50", "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {edited}: ") and "cross_entropy" in err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("doc", [{"loss": "l2"}, [[0.0, 0.0]]])
     def test_generators_file_without_generators_is_usage_error(self, tmp_path, capsys, doc):
         path = tmp_path / "generators.json"

@@ -1,15 +1,17 @@
 """Atomic text, JSON and CSV writes, and the JSON field reader."""
 
+import ast
 import json
 import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mhp import io_utils
+from mhp import _csv_rows, io_utils
 from mhp.io_utils import (read_bool, read_field, read_int, read_list, read_number, read_seed,
                           read_str, write_csv_atomic, write_json_atomic, write_npz_atomic,
                           write_text_atomic)
@@ -100,20 +102,67 @@ def test_zero_width_table_writes_an_empty_line_per_row(tmp_path, n, header):
     assert path.read_text(encoding="utf-8") == reference_csv(header, *blocks)
 
 
-def _fail_on_third_column(monkeypatch):
-    calls, real = [], io_utils._column_text
+def test_helper_script_writes_the_bytes_write_rows_gives_here():
+    n, chunk = 9, 4  # two whole chunks and a short one
+    rng = np.random.default_rng(8)
+    floats = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+    floats[:3] = [-0.0, 5e-324, 1e300]
+    columns = [(floats, "d"), (rng.integers(-10**12, 10**12, size=n), "q"),
+               (rng.integers(2**63, 2**64, size=n, dtype=np.uint64), "Q")]
+    here = []
+    _csv_rows.write_rows(here.append, columns, chunk)
+    helper = subprocess.run(
+        [sys.executable, "-S", "-E", _csv_rows.__file__, str(n), str(chunk), "dqQ"],
+        input=b"".join(values.tobytes() for values, _ in columns), capture_output=True,
+        check=True)
+    assert helper.stdout == "".join(here).encode("ascii")
+    assert helper.stderr == b""
 
-    def column_text(column):
-        calls.append(1)
-        if len(calls) == 3:
-            raise OSError(28, "No space left on device")
-        return real(column)
-    monkeypatch.setattr(io_utils, "_column_text", column_text)
+
+def test_text_files_are_written_with_lf_line_ends(tmp_path, monkeypatch):
+    # a helper's part reaches the file as its bytes, so this process's rows and header
+    # must not get the platform's line ends either
+    opened = []
+
+    def spy(file, mode="r", **kwargs):
+        opened.append((mode, kwargs.get("newline")))
+        return open(file, mode, **kwargs)
+    monkeypatch.setattr(io_utils, "open", spy, raising=False)
+    write_text_atomic(tmp_path / "t.txt", "a\n")
+    write_json_atomic(tmp_path / "t.json", {"a": 1})
+    write_csv_atomic(tmp_path / "t.csv", ["a"], np.arange(3))
+    assert opened == [("w", "\n")] * 3
+
+
+def test_row_script_imports_only_sys():
+    # the helper starts as ``python -S -E``, without site-packages or PYTHONPATH
+    tree = ast.parse(Path(_csv_rows.__file__).read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert imported == ["sys"]
+
+
+def _fail_on_second_chunk(monkeypatch):
+    """This process's second chunk write raises a full-disk OSError, after the first chunk
+    is written."""
+    real = _csv_rows.write_rows
+
+    def write_rows(write, columns, chunk):
+        calls = []
+
+        def failing(text):
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device")
+            write(text)
+        real(failing, columns, chunk)
+    monkeypatch.setattr(_csv_rows, "write_rows", write_rows)
 
 
 @pytest.mark.parametrize("failure, error", [
     ("disk full", OSError),
-    # an object column converts a chunk at a time, so the first chunk is already written
+    # an object column converts once per part, before any of the part's rows is written
     ("bad cell in the second chunk", ValueError),
 ], ids=["oserror", "object_column"])
 def test_failed_csv_write_keeps_the_old_file_and_leaves_no_temp(tmp_path, monkeypatch,
@@ -123,7 +172,7 @@ def test_failed_csv_write_keeps_the_old_file_and_leaves_no_temp(tmp_path, monkey
     old = path.read_bytes()
     n = 2 * io_utils._CSV_CHUNK_ROWS
     if failure == "disk full":
-        _fail_on_third_column(monkeypatch)
+        _fail_on_second_chunk(monkeypatch)
         block = np.ones((n, 2))
     else:
         block = np.ones((n, 2), dtype=object)
@@ -223,7 +272,7 @@ def test_failed_parallel_csv_write_keeps_the_old_file_and_no_process(tmp_path, m
     if failure == "helper":
         monkeypatch.setattr(sys, "executable", "/bin/false")
     else:
-        _fail_on_third_column(monkeypatch)
+        _fail_on_second_chunk(monkeypatch)
     with pytest.raises(OSError):
         write_csv_atomic(path, ["a", "b"], np.ones((6 * io_utils._CSV_CHUNK_ROWS, 2)))
     assert len(started) == 2

@@ -315,12 +315,13 @@ class TestDrawDropout:
         winner, loser = _weight_tables(m, cfg.epsilon)
         dropped = whole.masks.sum(axis=1)
         assert whole.winner.tobytes() == winner[dropped].tobytes()
-        assert whole.loser.tobytes() == loser[dropped].tobytes()
+        rows = np.where(whole.masks, 0.0, loser[dropped][:, None])
+        assert whole.loser_rows.tobytes() == rows.tobytes()
 
     @pytest.mark.parametrize("m", range(1, 11))
     def test_caller_masks_give_the_reduction_rule(self, m):
-        """Masks, winner and loser as the row reductions gave them, all-dropped rows reset,
-        and the loser rows as the per-batch np.where built them."""
+        """Masks and winner as the row reductions gave them, all-dropped rows reset, and the
+        loser rows as the per-batch np.where built them."""
         cfg = MetaLossConfig(m, epsilon=0.05, dropout_prob=0.3)
         rng = np.random.default_rng(30 + m)
         given = rng.random((200, m)) < 0.5
@@ -334,8 +335,7 @@ class TestDrawDropout:
         dropped = np.add.reduce(masks, axis=1)
         assert dropout.masks.tobytes() == masks.tobytes()
         assert dropout.winner.tobytes() == winner[dropped].tobytes()
-        assert dropout.loser.tobytes() == loser[dropped].tobytes()
-        rows = np.where(masks, 0.0, dropout.loser[:, None])
+        rows = np.where(masks, 0.0, loser[dropped][:, None])
         assert dropout.loser_rows.dtype == rows.dtype
         assert dropout.loser_rows.tobytes() == rows.tobytes()
         assert given[::7].all()  # the caller's masks are left as they were
