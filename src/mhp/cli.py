@@ -397,9 +397,13 @@ def cmd_tessellate(args) -> None:
     if generators.ndim != 2 or generators.shape[1] != 2 or not len(generators):
         raise ValueError(f"{source}: the generators of 2-D samples must form a nonempty "
                          f"(M, 2) array, got shape {generators.shape}")
+    if not np.isfinite(generators).all():
+        raise ValueError(f"{source}: non-finite generators")
     if base.name == "cross_entropy":
         raise ValueError(f"{source}: a cross_entropy loss cannot tessellate 2-D samples")
-    cells = membership(generators, base, samples)
+    # a loss that overflows is infinite, and an infinite loss never wins a sample
+    with np.errstate(over="ignore"):
+        cells = membership(generators, base, samples)
 
     out = _outdir(args.out)
     run.wrote(write_csv_atomic(out / "cells.csv", ["y1", "y2", "cell_index"], samples, cells))

@@ -49,14 +49,6 @@ def _weight_tables(m: int, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     return winner, loser
 
 
-@functools.lru_cache(maxsize=16)
-def _row_index(n: int) -> np.ndarray:
-    """A read-only ``arange(n)``, the row index of a batch's winner scatter."""
-    rows = np.arange(n)
-    rows.flags.writeable = False
-    return rows
-
-
 class HeadDropout(NamedTuple):
     """Per row: the dropped heads, the winner's weight, and the row's weights before its
     winner is known (each active loser's share on each active head, 0 on each dropped one)."""
@@ -126,5 +118,5 @@ def assign_batch(config: MetaLossConfig, hypotheses, targets, dropout: HeadDropo
     losses = loss_values(config.base_loss, h, targets)
     best = np.where(masks, np.inf, losses).argmin(axis=1)
     weights = dropout.loser_rows.copy()
-    weights[_row_index(n), best] = dropout.winner
+    weights[np.arange(n), best] = dropout.winner
     return weights, losses, best, masks

@@ -55,25 +55,47 @@ def _as_samples(loss: LossKind, samples) -> np.ndarray:
 
 
 def _nearest(gens: np.ndarray, loss: LossKind, samples) -> tuple[np.ndarray, np.ndarray]:
-    """Index of and loss against the loss-minimizing generator per sample.
-
-    Works sample-major, one generator at a time: each tile of
-    ``_SEARCH_TILE`` samples has its targets laid out with the sample axis
-    contiguous, and each generator's row of losses is folded into a running
-    minimum. The elementwise work, and for regression losses the sum over
-    the d target dimensions, then run along the sample axis instead of over
-    short per-sample rows of d or M values, and the temporaries stay
-    O(tile * d). That sum adds the dimensions in sequence; from d = 8 numpy
-    would sum a contiguous row pairwise, so there the last bit can differ
-    from a row-major sum. The strict ``<`` keeps ties on the lowest index,
-    as ``argmin`` does.
-    """
+    """Index of and loss against the loss-minimizing generator per sample: the exact
+    search, a ``_search`` of every row."""
     n = len(samples)
     index, best = np.empty(n, dtype=np.int64), np.empty(n)
-    for lo in range(0, n, _SEARCH_TILE):
-        hi = lo + _SEARCH_TILE
-        _search_tile(gens, loss, samples[lo:hi], index[lo:hi], best[lo:hi])
+    _search(gens, loss, samples, np.arange(n), index, best)
     return index, best
+
+
+def _search(gens: np.ndarray, loss: LossKind, samples, rows: np.ndarray, index: np.ndarray,
+            low: np.ndarray, second: np.ndarray | None = None) -> None:
+    """Search the (M, d) ``gens`` for the ``samples`` at the ascending ``rows``: the
+    k = len(rows) winners into ``index``, least losses into ``low`` and, when given,
+    second-least losses into ``second``. Each has a slot to spare for the copy beside a
+    lone row, which a search of every row never makes.
+
+    Works sample-major, one generator at a time: the rows are gathered ``_SEARCH_TILE``
+    at a time with the sample axis contiguous, and each generator's row of losses is
+    folded into a running minimum. The elementwise work, and for regression losses the
+    sum over the d target dimensions, then run along the sample axis, and the
+    temporaries stay O(tile * d). That sum adds the dimensions in sequence, but numpy
+    sums a single row pairwise from d = 8; so that any search gives a row the bits of the
+    search of every row, a lone row in a chunk is searched beside a copy of itself, and
+    the last sample, which that search takes as a tile of its own when
+    n % ``_SEARCH_TILE`` is 1, is searched alone. The strict ``<`` keeps ties on the
+    lowest index, as ``argmin`` does.
+    """
+    n, k = len(samples), len(rows)
+    # sample-major once, so each take along the transpose reads contiguous rows
+    samples = np.asfortranarray(samples)
+    alone = n % _SEARCH_TILE == 1 and k > 0 and rows[-1] == n - 1
+    # chunks of _SEARCH_TILE rows, then the lone last sample as a chunk of its own
+    starts = [*range(0, k - alone, _SEARCH_TILE), *range(k - alone, k)]
+    for lo, hi in zip(starts, starts[1:] + [k]):
+        chunk = rows[lo:hi]
+        if hi - lo == 1 and lo < k - alone:  # the copy takes the next slot
+            chunk = chunk.repeat(2)
+        # "clip" takes without raise mode's bounds checks and buffer; every row is in range
+        block = samples.T.take(chunk, axis=-1, mode="clip").T
+        out = slice(lo, lo + len(chunk))
+        _search_tile(gens, loss, block, index[out], low[out],
+                     None if second is None else second[out])
 
 
 def _lloyd_pass(gens: np.ndarray, pts: np.ndarray, cells: np.ndarray, gaps: np.ndarray,
@@ -89,13 +111,13 @@ def _lloyd_pass(gens: np.ndarray, pts: np.ndarray, cells: np.ndarray, gaps: np.n
     move, so every gap first loses both, in one sweep over all n samples
     through ``scratch``, an (n,) float64 array the caller owns. The samples
     whose gap is then not above 0, a NaN gap included (no bound yet), are
-    flagged in one ``flatnonzero`` and searched as ``_nearest`` would; each
-    gets the fresh gap ``(1 - _GAP_SLACK) * r2 - r1 - _GAP_FLOOR`` from its
-    least and second-least computed losses (r2 is infinite for M = 1). Every
-    other sample keeps its cell and is not searched. ``counts`` (M,) int64,
-    each cell's number of samples, follows the re-searched samples: each
-    leaves its old cell and joins its new one. A pass that flags every sample
-    searches them in place, tile by tile, and counts them afresh.
+    flagged in one ``flatnonzero`` and searched in one ``_search``, a pass
+    that flags every sample included; each gets the fresh gap
+    ``(1 - _GAP_SLACK) * r2 - r1 - _GAP_FLOOR`` from its least and
+    second-least computed losses (r2 is infinite for M = 1). Every other
+    sample keeps its cell and is not searched. ``counts`` (M,) int64, each
+    cell's number of samples in ``cells``, follows the re-searched samples:
+    each leaves its old cell and joins its new one.
 
     Why a skipped sample's cell is the full search's, bit for bit: for
     d < 2^28 a computed loss, and a computed move, is within (d + 2) ulp of
@@ -110,44 +132,20 @@ def _lloyd_pass(gens: np.ndarray, pts: np.ndarray, cells: np.ndarray, gaps: np.n
     loss is the strictly least and the full search's strict ``<`` picks it
     whatever its index. The floor also keeps every sample whose second-nearest
     distance is below 2^-500, where losses may be subnormal, searched on every
-    pass. A re-searched sample gets the full search's arithmetic: the flagged
-    rows are gathered sample-major, ``_SEARCH_TILE`` at a time, and since numpy
-    sums a single row's d values pairwise from d = 8, a lone row in the last
-    chunk is searched beside a copy of itself, while the one row that the full
-    search takes as a tile of its own (the last, when n % ``_SEARCH_TILE`` is 1)
-    is searched alone.
+    pass. A re-searched sample gets the full search's arithmetic, as every
+    ``_search`` gives it.
     """
-    n = len(pts)
     # every index is a cell, so "clip" takes without raise mode's bounds checks and buffer
     (moves + moves.max()).take(cells, out=scratch, mode="clip")
     gaps -= scratch
     rows = np.flatnonzero(~(gaps > 0))  # a NaN gap fails the test too
     k = len(rows)
-    if k == n:
-        for lo in range(0, n, _SEARCH_TILE):
-            hi = lo + _SEARCH_TILE
-            _search_tile(gens, L2, pts[lo:hi], cells[lo:hi], gaps[lo:hi], scratch[lo:hi])
-        _fresh_gaps(gaps, scratch)
-        counts[:] = np.bincount(cells, minlength=len(gens))
-        return
-    if not k:
-        return
     # one slot to spare, for the copy beside a lone row; the second-least losses go into
     # scratch, whose shrinks are spent
-    found, low, second = np.empty(k + 1, dtype=np.int64), np.empty(k + 1), scratch[:k + 1]
-    alone = n % _SEARCH_TILE == 1 and rows[-1] == n - 1
-    for lo in range(0, k - alone, _SEARCH_TILE):
-        chunk = rows[lo:min(lo + _SEARCH_TILE, k - alone)]
-        if len(chunk) == 1:
-            chunk = chunk.repeat(2)
-        hi = lo + len(chunk)
-        # taken along the transpose's sample axis: one sample-major copy of the rows
-        block = pts.T.take(chunk, axis=1, mode="clip").T
-        _search_tile(gens, L2, block, found[lo:hi], low[lo:hi], second[lo:hi])
-    if alone:  # after any copy, whose slot it takes
-        _search_tile(gens, L2, pts[n - 1:], found[k - 1:k], low[k - 1:k], second[k - 1:k])
+    found, low = np.empty(k + 1, dtype=np.int64), np.empty(k + 1)
+    _search(gens, L2, pts, rows, found, low, scratch[:k + 1])
     found, low = found[:k], low[:k]
-    _fresh_gaps(low, second[:k])
+    _fresh_gaps(low, scratch[:k])
     counts -= np.bincount(cells[rows], minlength=len(gens))
     counts += np.bincount(found, minlength=len(gens))
     cells[rows], gaps[rows] = found, low
@@ -356,6 +354,7 @@ def _lloyd_passes(pts: np.ndarray, gens: np.ndarray, max_iters: int, tol: float)
     # fresh arrays
     assignments, near = np.zeros(n, dtype=np.int64), np.empty(n)
     scratch, counts, moves = np.empty(n), np.zeros(m, dtype=np.int64), np.zeros(m)
+    counts[0] = n  # every sample starts in cell 0: the counts are always bincount(assignments)
     for iterations in range(max_iters + 1):
         if iterations % _GAP_PASSES == 0:
             near.fill(np.nan)  # no gap yet, or one carried long enough: search every sample

@@ -861,7 +861,8 @@ class TestTessellate:
         ({"generators": [[0.5, 0.5, 0.0], [-0.5, -0.5, 0.0]]}, "got shape (2, 3)"),
         ({"generators": []}, "got shape (0,)"),
         ({"generators": [[0.5, 0.5], [-0.5, -0.5]], "loss": "cross_entropy"}, "cross_entropy"),
-    ], ids=["three_numbers", "empty", "cross_entropy"])
+        ({"generators": [[math.nan, 0.5], [0.5, 0.5]]}, "non-finite generators"),
+    ], ids=["three_numbers", "empty", "cross_entropy", "nan"])
     def test_generators_that_cannot_tessellate_name_their_file(self, tmp_path, capsys, doc,
                                                                reason):
         path = tmp_path / "generators.json"
@@ -883,6 +884,33 @@ class TestTessellate:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {edited}: ") and "cross_entropy" in err
         assert not (tmp_path / "x").exists()
+
+    def test_generator_too_far_to_square_wins_no_sample(self, tmp_path, capsys):
+        # its losses overflow to inf, silently: an infinite loss never wins
+        path = tmp_path / "generators.json"
+        path.write_text(json.dumps({"generators": [[1e308, 0.5], [0.5, 0.5]]}))
+        out = tmp_path / "tess"
+        assert main(["tessellate", "--generators", str(path), "--t", "0.5",
+                     "--samples", "500", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads((out / "generators.json").read_text())["cell_counts"] == [0, 500]
+        cells = np.loadtxt(out / "cells.csv", delimiter=",", skiprows=1)[:, 2]
+        assert (cells == 1).all()
+
+    def test_bytes_past_one_search_tile_are_pinned(self, tmp_path):
+        # 16385 samples: one full search tile, then the last sample as a tile of its own.
+        # The digests were taken before the exact search and lloyd's passes shared a search
+        gens = tmp_path / "generators.json"
+        gens.write_text(json.dumps({"generators": [[0.5, 0.5], [-0.5, 0.5], [0.5, -0.5],
+                                                   [-0.4, -0.6], [0.1, 0.0]], "loss": "l2"}))
+        out = tmp_path / "tess"
+        assert main(["tessellate", "--generators", str(gens), "--t", "0.3", "--samples", "16385",
+                     "--seed", "4", "--out", str(out)]) == 0
+        digest = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                  for name in ("cells.csv", "generators.json")}
+        assert digest == {
+            "cells.csv": "d4b86b2c89a9804e4931acf1ed79103a2518507c6fc27c4176649d160ceea16c",
+            "generators.json": "773af6d8613d8637d384f01b0139de3d088b1593a152f3952501b1515becf6a4"}
 
     @pytest.mark.parametrize("doc", [{"loss": "l2"}, [[0.0, 0.0]]])
     def test_generators_file_without_generators_is_usage_error(self, tmp_path, capsys, doc):

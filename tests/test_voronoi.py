@@ -4,9 +4,12 @@ import itertools
 import logging
 import re
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mhp import voronoi
 from mhp.losses import CROSS_ENTROPY, L2, LossKind, hypothesis_targets, loss_values
@@ -534,7 +537,9 @@ class TestOneSweepPasses:
         m = 5
         gens, samples = nearest_case(L2, d, m, n=n, seed=13)
         samples = np.asfortranarray(samples)
+        # every sample starts in cell 0, and the counts say so
         full, full_counts = (np.zeros(n, dtype=np.int64), np.full(n, np.nan)), np.zeros(m, int)
+        full_counts[0] = n
         _lloyd_pass(gens, samples, *full, np.zeros(m), np.empty(n), full_counts)
         assert full[0].tobytes() == _nearest(gens, L2, samples)[0].tobytes()
         assert full_counts.tolist() == np.bincount(full[0], minlength=m).tolist()
@@ -566,9 +571,57 @@ class TestOneSweepPasses:
         assert own == reference
         assert any(copies)
 
+    @given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+               st.just(n), st.sets(st.integers(0, n - 1)))),
+           st.sampled_from([2, 8, 9]), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_any_flagged_rows_get_the_exact_search_bits(self, n_flagged, d, m, seed):
+        # with 4-row tiles: the exact search's losses, a tile of 4 rows at a time laid out
+        # sample-major and the last row alone when n % 4 == 1, give each flagged row its cell
+        # and, from the least and second-least of them, its gap
+        n, flagged = n_flagged
+        flagged = np.array(sorted(flagged), dtype=np.int64)
+        rng = np.random.default_rng(seed)
+        pts = np.asfortranarray(rng.normal(size=(n, d)))
+        gens = rng.normal(size=(m, d))
+        gens[-1] = gens[0]  # an exact tie, which the lower index wins
+        losses = np.vstack([np.concatenate([loss_values(L2, g, np.asfortranarray(pts[lo:lo + 4]))
+                                            for lo in range(0, n, 4)]) for g in gens])
+        ordered = np.sort(losses, axis=0)
+        least, second = ordered[0], ordered[1] if m > 1 else np.full(n, np.inf)
+        want_gaps = ((1.0 - voronoi._GAP_SLACK) * np.sqrt(2.0 * second)
+                     - np.sqrt(2.0 * least) - voronoi._GAP_FLOOR)
+        stale = rng.integers(0, m, size=n)
+        cells, gaps = stale.copy(), np.full(n, np.inf)
+        gaps[flagged] = np.nan
+        counts = np.bincount(cells, minlength=m)
+        with mock.patch.object(voronoi, "_SEARCH_TILE", 4):
+            _lloyd_pass(gens, pts, cells, gaps, np.zeros(m), np.empty(n), counts)
+        assert cells[flagged].tobytes() == losses.argmin(axis=0)[flagged].tobytes()
+        assert gaps[flagged].tobytes() == want_gaps[flagged].tobytes()
+        assert (np.delete(cells, flagged) == np.delete(stale, flagged)).all()
+        assert (np.delete(gaps, flagged) == np.inf).all()
+        assert counts.tolist() == np.bincount(cells, minlength=m).tolist()
+
+    def test_counts_are_the_cells_after_every_pass(self, monkeypatch, caplog):
+        # from the first pass, whose cells all start at 0, through the reseeds of two
+        # cells that start empty
+        real_pass, agree = voronoi._lloyd_pass, []
+
+        def spy(gens, pts, cells, gaps, moves, scratch, counts):
+            real_pass(gens, pts, cells, gaps, moves, scratch, counts)
+            agree.append(counts.tolist() == np.bincount(cells, minlength=len(gens)).tolist())
+        monkeypatch.setattr(voronoi, "_lloyd_pass", spy)
+        pts = np.random.default_rng(53).normal(size=(5000, 2))
+        init = np.vstack([pts[:3], np.full((2, 2), 1e3)])
+        with caplog.at_level(logging.INFO, logger="mhp.voronoi"):
+            result = lloyd(pts, 5, init_generators=init)
+        assert len(agree) == result.iterations + 1 and all(agree)
+        assert any("reseed" in rec.message for rec in caplog.records)
+
     @pytest.mark.parametrize("d, seed", [(2, 61), (8, 63), (9, 62)])
     def test_max_iters_0(self, monkeypatch, d, seed):
-        # the one pass starts from NaN gaps and searches every row in place; 2 tiles and a
+        # the one pass starts from NaN gaps and searches every row: 2 tiles and a
         # lone row, whose own-cell loss must be summed as the full search sums it: pairwise
         # from d = 8. The lone row lies far out, so its loss shows in the mean's last bits,
         # and at these seeds its pairwise and in-sequence sums differ
@@ -725,7 +778,7 @@ class TestNearest:
         gens, samples = nearest_case(L2, d, 5, n=300, seed=3)
         samples = np.asfortranarray(samples)
         full = np.zeros(300, dtype=np.int64), np.full(300, np.nan)
-        _lloyd_pass(gens, samples, *full, np.zeros(5), np.empty(300), np.zeros(5, dtype=np.int64))
+        _lloyd_pass(gens, samples, *full, np.zeros(5), np.empty(300), np.array([300, 0, 0, 0, 0]))
         assert full[0].tobytes() == _nearest(gens, L2, samples)[0].tobytes()
         for row in range(0, 300, 7):
             gaps = np.full(300, np.inf)
