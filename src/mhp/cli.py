@@ -378,6 +378,8 @@ def cmd_tessellate(args) -> None:
     run = _Run("tessellate")
     if bool(args.checkpoint) == bool(args.generators):
         raise ValueError("provide exactly one of --checkpoint and --generators")
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     # drawn first: the draw checks t, and no generator depends on the sample rng
     rng = np.random.default_rng(args.seed)
     _, samples = sample_temporal2d(args.t, args.samples, rng)

@@ -8,7 +8,8 @@ caller-supplied upstream vectors.
 
 The parameters are one float64 vector, ``MlpModel.params`` of length P, laid
 out by :func:`param_views` alone: per layer, W (out, in) row-major, then b.
-The layers' arrays are views into it. :func:`backward_batch` returns a (P,)
+The layers' arrays are views into it; each layer's activation is named once,
+in ``MlpModel.activations``. :func:`backward_batch` returns a (P,)
 gradient, :func:`step` takes one, and ``OptimizerState.buffer`` is (P,) too.
 Optimizers (SGD with momentum, RMSProp) update the model in place; the
 training loop owns the model exclusively between steps.
@@ -55,11 +56,11 @@ def param_views(shapes, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]
 
 
 class Layer(NamedTuple):
-    """One layer of a model: views into its ``params``, and the layer's activation."""
+    """One layer's (weights, biases) views into its model's ``params``; the layer's activation
+    is read from the model's ``activations``."""
 
     weights: np.ndarray  # (out, in)
     biases: np.ndarray   # (out,)
-    activation: str      # "relu" | "identity"
 
 
 @dataclass(eq=False)
@@ -68,7 +69,8 @@ class MlpModel:
 
     ``params`` is copied, in the layout :func:`param_views` gives ``shapes``, the (out, in) of
     each layer's weights. The final layer has ``num_hypotheses * output_dim`` units with identity
-    activation; adjacent layer dimensions must chain. ``layers`` are views into ``params``.
+    activation; adjacent layer dimensions must chain. ``layers`` are the (weights, biases) views
+    into ``params``, one per layer; ``activations`` names each layer's activation.
     """
 
     params: np.ndarray
@@ -84,8 +86,7 @@ class MlpModel:
         self.params = np.array(self.params, dtype=np.float64)
         self.shapes, self.activations = tuple(map(tuple, self.shapes)), tuple(self.activations)
         self.validate()
-        self.layers = tuple(Layer(w, b, act) for (w, b), act in
-                            zip(param_views(self.shapes, self.params), self.activations))
+        self.layers = tuple(Layer(w, b) for w, b in param_views(self.shapes, self.params))
 
     @property
     def input_dim(self) -> int:
@@ -176,10 +177,10 @@ def forward_batch(model: MlpModel, X, *, return_activations: bool = False):
     :func:`backward_batch` takes for the same model and inputs.
     """
     acts = [_check_batch_input(model, X)]
-    for layer in model.layers:
-        z = acts[-1] @ layer.weights.T
-        z += layer.biases
-        acts.append(np.maximum(z, 0.0, out=z) if layer.activation == "relu" else z)
+    for (w, b), act in zip(model.layers, model.activations):
+        z = acts[-1] @ w.T
+        z += b
+        acts.append(np.maximum(z, 0.0, out=z) if act == "relu" else z)
     hyps = acts[-1].reshape(len(acts[0]), model.num_hypotheses, model.output_dim)
     return (hyps, acts) if return_activations else hyps
 
@@ -219,8 +220,8 @@ def backward_batch(model: MlpModel, upstream_grads, activations: list[np.ndarray
     ``forward_batch(model, X, return_activations=True)`` returned for the
     same parameters.
     """
-    if len(activations) != len(model.layers) + 1:
-        raise ValueError(f"expected {len(model.layers) + 1} activations, got {len(activations)}")
+    if len(activations) != len(model.shapes) + 1:
+        raise ValueError(f"expected {len(model.shapes) + 1} activations, got {len(activations)}")
     u = np.asarray(upstream_grads, dtype=np.float64)
     n = activations[0].shape[0]
     want = (n, model.num_hypotheses, model.output_dim)
@@ -233,7 +234,7 @@ def backward_batch(model: MlpModel, upstream_grads, activations: list[np.ndarray
         np.add.reduce(delta, axis=0, out=db)
         if k > 0:
             delta = delta @ model.layers[k].weights
-            if model.layers[k - 1].activation == "relu":
+            if model.activations[k - 1] == "relu":
                 # relu(z) > 0 exactly where z > 0, so the mask needs no z
                 delta *= activations[k] > 0.0
     return grad

@@ -30,14 +30,14 @@ _GAP_PASSES = 1 << 16     # lloyd passes a gap is carried at most before every s
 
 @dataclass(eq=False)
 class Tessellation:
-    """Each sample's cell and each cell's empirical statistics; NaN entries flag empty cells."""
+    """Each sample's cell, and each cell's count and empirical mean; NaN means flag empty
+    cells."""
 
     generators: np.ndarray   # (M, d)
     loss: LossKind
     assignments: np.ndarray  # (N,) int, best cell per sample
     cell_counts: np.ndarray  # (M,) int
     means: np.ndarray        # (M, d), all NaN under cross-entropy
-    mean_losses: np.ndarray  # (M,)
 
 
 def _as_points(arr, name: str) -> np.ndarray:
@@ -183,16 +183,15 @@ def _search_tile(gens: np.ndarray, loss: LossKind, block, idx: np.ndarray, low: 
         np.minimum(low, values, out=low)
 
 
-def _cell_sums(assignments: np.ndarray, values: np.ndarray, m: int) -> np.ndarray:
-    """Per-cell sums of ``values`` ((N,) or (N, d)); empty cells sum to 0.
+def _cell_sums(assignments: np.ndarray, points: np.ndarray, m: int) -> np.ndarray:
+    """Per-cell sums of the (N, d) ``points``, one column at a time: (m, d); empty cells sum
+    to 0.
 
     ``np.bincount`` adds the weights one sample at a time in sample order,
     as ``np.add.at`` does, so the sums are bitwise the same, only faster.
     """
-    if values.ndim == 1:
-        return np.bincount(assignments, weights=values, minlength=m)
     return np.stack([np.bincount(assignments, weights=col, minlength=m)
-                     for col in values.T], axis=1)
+                     for col in points.T], axis=1)
 
 
 def _distinct_rows(pts: np.ndarray, m: int) -> int:
@@ -216,20 +215,18 @@ def membership(generators, loss: LossKind, samples) -> np.ndarray:
 
 
 def tessellate(generators, loss: LossKind, samples) -> Tessellation:
-    """Assign every sample to its minimizing generator and summarize cells."""
+    """Assign every sample to its minimizing generator and count and average each cell."""
     gens = _as_points(generators, "generators")
     pts = _as_samples(loss, samples)
-    assignments, per_sample = _nearest(gens, loss, pts)
+    assignments = _nearest(gens, loss, pts)[0]
     m = len(gens)
     counts = np.bincount(assignments, minlength=m)
-    occupied, divisor = counts > 0, np.maximum(counts, 1)
     if loss.name == "cross_entropy":
         means = np.full(gens.shape, np.nan)
     else:
-        means = np.where(occupied[:, None], _cell_sums(assignments, pts, m) / divisor[:, None],
-                         np.nan)
-    mean_losses = np.where(occupied, _cell_sums(assignments, per_sample, m) / divisor, np.nan)
-    return Tessellation(gens, loss, assignments, counts, means, mean_losses)
+        means = np.where(counts[:, None] > 0,
+                         _cell_sums(assignments, pts, m) / np.maximum(counts, 1)[:, None], np.nan)
+    return Tessellation(gens, loss, assignments, counts, means)
 
 
 def centroidal_residual(tess: Tessellation) -> tuple[np.ndarray, float]:

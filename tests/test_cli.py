@@ -854,6 +854,15 @@ class TestTessellate:
                     "t must lie in [0, 1], got nan")
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_sample_count_below_one_names_its_flag(self, tmp_path, capsys, samples):
+        gens = tmp_path / "generators.json"
+        gens.write_text(json.dumps(GENERATORS_DOC))
+        assert main(["tessellate", "--generators", str(gens), "--t", "0.5",
+                     "--samples", samples, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: --samples must be >= 1, got {samples}\n"
+        assert not (tmp_path / "x").exists()
+
     def test_requires_exactly_one_source(self, checkpoint, tmp_path, capsys):
         usage_error(capsys, ["tessellate", "--t", "0.5", "--out", str(tmp_path / "x")])
 

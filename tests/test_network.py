@@ -30,13 +30,13 @@ def reference_model():
 def scalar_forward(model, x):
     """Independent loop-based forward pass, one neuron at a time."""
     a = [float(v) for v in x]
-    for layer in model.layers:
+    for (w, b), act in zip(model.layers, model.activations):
         out = []
-        for i in range(layer.weights.shape[0]):
-            z = float(layer.biases[i])
+        for i in range(w.shape[0]):
+            z = float(b[i])
             for j, v in enumerate(a):
-                z += float(layer.weights[i, j]) * v
-            out.append(max(z, 0.0) if layer.activation == "relu" else z)
+                z += float(w[i, j]) * v
+            out.append(max(z, 0.0) if act == "relu" else z)
         a = out
     m, d = model.num_hypotheses, model.output_dim
     return [a[k * d:(k + 1) * d] for k in range(m)]
@@ -184,8 +184,10 @@ class TestModelValidation:
 
     def test_layers_are_made_once_from_the_vector(self):
         model = reference_model()
-        assert [layer.activation for layer in model.layers] == list(model.activations)
-        for layer, (w, b) in zip(model.layers, param_views(model.shapes, model.params)):
+        views = param_views(model.shapes, model.params)
+        assert len(model.layers) == len(views)
+        for layer, (w, b) in zip(model.layers, views):
+            assert layer._fields == ("weights", "biases")
             assert layer.weights.base is model.params and layer.biases.base is model.params
             assert np.array_equal(layer.weights, w) and np.array_equal(layer.biases, b)
 
@@ -218,10 +220,17 @@ class TestBackward:
         np.testing.assert_allclose(batch_grad(model, x[None], 3.5 * g[None]),
                                    3.5 * batch_grad(model, x[None], g[None]), atol=1e-12)
 
-    def test_finite_difference_full_model(self):
-        # 3-layer model, well under 500 parameters
+    @pytest.mark.parametrize("hidden", [("relu", "relu"), ("identity", "relu"),
+                                        ("relu", "identity"), ("identity", "identity")],
+                             ids="-".join)
+    def test_finite_difference_full_model(self, hidden):
+        # 3-layer model, well under 500 parameters; every pattern of hidden activations, so
+        # both of backward's branches run at each hidden layer
         rng = np.random.default_rng(9)
-        model = init_mlp(3, [8, 6], 2, 2, rng)
+        dims = [3, 8, 6, 4]
+        model = model_of([(rng.normal(0.0, np.sqrt(2.0 / ind), size=(out, ind)),
+                           rng.normal(0.0, 0.1, size=out), act)
+                          for ind, out, act in zip(dims, dims[1:], [*hidden, "identity"])], 2, 2)
         assert model.params.size <= 500
         x = rng.normal(size=3)
         upstream = rng.normal(size=(2, 2))
@@ -330,7 +339,7 @@ class TestCheckpoint:
         assert loaded.num_hypotheses == 4 and loaded.output_dim == 2
         assert loaded.seed == 42
         assert loaded.shapes == model.shapes and np.array_equal(loaded.params, model.params)
-        assert [l.activation for l in loaded.layers] == [l.activation for l in model.layers]
+        assert loaded.activations == model.activations
         assert lopt.kind == "rmsprop" and lopt.learning_rate == 0.05
         assert np.array_equal(lopt.buffer, opt.buffer)
 

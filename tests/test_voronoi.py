@@ -53,7 +53,6 @@ class TestTessellate:
         tess = tessellate(gens, L2, pts)
         assert tess.cell_counts[1] == 0
         assert np.isnan(tess.means[1]).all()
-        assert np.isnan(tess.mean_losses[1])
 
     def test_assignment_invariant_to_loss_rescaling(self):
         pts = uniform_square(2000, seed=5)
@@ -681,7 +680,7 @@ class TestOneSweepPasses:
 
 
 class TestCellSums:
-    @pytest.mark.parametrize("shape", [(1000,), (1000, 1), (1000, 3)])
+    @pytest.mark.parametrize("shape", [(1000, 1), (1000, 3)])
     def test_bitwise_equal_to_add_at_with_empty_cells(self, shape):
         rng = np.random.default_rng(30)
         m = 9
