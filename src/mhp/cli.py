@@ -10,7 +10,6 @@ training config seed.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import os
@@ -24,8 +23,9 @@ from . import __version__
 from .datagen import (default_gridframe_spec, encode_spec, load_dataset, make_multilabel_spec,
                       sample_gaussian_mixture, sample_gridframe, sample_multilabel,
                       sample_temporal2d, temporal2d_dataset, write_dataset)
-from .io_utils import (read_field, read_int, read_json, read_list, read_number, read_seed,
-                       read_str, write_csv_atomic, write_json_atomic, write_text_atomic)
+from .io_utils import (naming, read_field, read_int, read_json, read_list, read_number,
+                       read_seed, read_str, write_csv_atomic, write_json_atomic,
+                       write_text_atomic)
 from .losses import LossKind
 from .meta_loss import MetaLossConfig
 # dataset_hypothesis_variance is bound here for the benchmark's tracing, which times the
@@ -161,14 +161,15 @@ def _load_config(path: str) -> tuple[dict, dict]:
     its fields as read. An unknown key or a field that does not read raises
     ValueError."""
     cfg = read_json(path)
-    if not isinstance(cfg, dict):
-        raise ValueError(f"{path}: a train config must be a JSON object")
-    unknown = sorted(set(cfg) - set(_TRAIN_FIELDS) - {"dataset", "decay"})
-    if unknown:
-        raise ValueError(f"{path}: unknown config keys {unknown}")
-    if "decay" in cfg and "momentum" in cfg:
-        raise ValueError(f"{path}: config keys 'decay' and 'momentum' name the same "
-                         "coefficient; give one")
+    with naming(path):
+        if not isinstance(cfg, dict):
+            raise ValueError("a train config must be a JSON object")
+        unknown = sorted(set(cfg) - set(_TRAIN_FIELDS) - {"dataset", "decay"})
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}")
+        if "decay" in cfg and "momentum" in cfg:
+            raise ValueError("config keys 'decay' and 'momentum' name the same coefficient; "
+                             "give one")
     merged = {key: default for key, (default, _) in _TRAIN_FIELDS.items()}
     merged.update(cfg)
     if "decay" in merged:
@@ -203,7 +204,10 @@ def _resolve_dataset(cfg: dict, data_flag: str | None):
     if unused:
         raise ValueError(f"config field 'dataset': {source!r} does not read {unused}")
     if source == "path":
-        loaded = load_dataset(read_field(ds, "path", read_str, where="dataset"))
+        loaded = load_dataset(path := read_field(ds, "path", read_str, where="dataset"))
+        with naming(path):
+            if not loaded.X.shape[1]:
+                raise ValueError(f"the {loaded.task} dataset has no input columns to train on")
         data, task, spec = (loaded.X, loaded.Y), loaded.task, loaded.spec
         in_dim, out_dim = loaded.X.shape[1], 1 if loaded.Y.ndim == 1 else loaded.Y.shape[1]
     else:
@@ -285,16 +289,6 @@ def _read_metrics(args) -> list[str]:
     return wanted
 
 
-@contextlib.contextmanager
-def _on_data(checkpoint, data):
-    """A ValueError raised inside, where a checkpoint's model meets a dataset, gets both paths
-    as a prefix, so a checkpoint and a dataset that do not fit are named."""
-    try:
-        yield
-    except ValueError as err:
-        raise ValueError(f"{checkpoint} on {data}: {err}") from None
-
-
 def cmd_eval(args) -> None:
     run = _Run("eval")
     wanted = _read_metrics(args)
@@ -311,7 +305,8 @@ def cmd_eval(args) -> None:
                 else load_checkpoint(args.baseline_checkpoint)[0])
     targets = (dataset.Y, base) if "oracle_min" in wanted else (None, None)
     image = (shape[1], shape[0], shape[2]) if "sharpness" in wanted else None
-    with _on_data(args.checkpoint, args.data):
+    # where a checkpoint's model meets the dataset, a refusal names both
+    with naming(f"{args.checkpoint} on {args.data}"):
         result = dataset_metrics(model, dataset.X, *targets,
                                  spread="hypothesis_variance" in wanted, image=image)
     report: dict = {}
@@ -319,7 +314,7 @@ def cmd_eval(args) -> None:
     if "oracle_min" in wanted:
         report["oracle_min_loss"] = result.oracle_min_loss
         if baseline is not None:
-            with _on_data(args.baseline_checkpoint, args.data):
+            with naming(f"{args.baseline_checkpoint} on {args.data}"):
                 report["shp_baseline_loss"] = oracle_min_loss(baseline, dataset.X, dataset.Y, base)
     if "hypothesis_variance" in wanted:
         report["hypothesis_variance_mean"] = result.hypothesis_spread
@@ -330,7 +325,7 @@ def cmd_eval(args) -> None:
     if "sharpness" in wanted:
         report["sharpness"] = result.sharpness
     if "multilabel" in wanted:
-        with _on_data(args.checkpoint, args.data):
+        with naming(f"{args.checkpoint} on {args.data}"):
             recall, precision = multilabel_scores(
                 model, [it.features for it in dataset.spec.items],
                 [it.labels for it in dataset.spec.items])
@@ -395,17 +390,13 @@ def cmd_tessellate(args) -> None:
             raise ValueError("tessellate samples temporal2d targets; the checkpoint was "
                              f"trained on {task!r}")
         generators = forward(model, np.array([args.t]))
-    source = args.generators or args.checkpoint
-    if generators.ndim != 2 or generators.shape[1] != 2 or not len(generators):
-        raise ValueError(f"{source}: the generators of 2-D samples must form a nonempty "
-                         f"(M, 2) array, got shape {generators.shape}")
-    if not np.isfinite(generators).all():
-        raise ValueError(f"{source}: non-finite generators")
-    if base.name == "cross_entropy":
-        raise ValueError(f"{source}: a cross_entropy loss cannot tessellate 2-D samples")
-    # a loss that overflows is infinite, and an infinite loss never wins a sample
-    with np.errstate(over="ignore"):
-        cells = membership(generators, base, samples)
+    # membership refuses generators that do not fit the samples; the refusal names their file
+    with naming(args.generators or args.checkpoint):
+        if base.name == "cross_entropy":
+            raise ValueError("a cross_entropy loss cannot tessellate 2-D samples")
+        # a loss that overflows is infinite, and an infinite loss never wins a sample
+        with np.errstate(over="ignore"):
+            cells = membership(generators, base, samples)
 
     out = _outdir(args.out)
     run.wrote(write_csv_atomic(out / "cells.csv", ["y1", "y2", "cell_index"], samples, cells))

@@ -32,8 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .io_utils import (read_bool, read_field, read_int, read_json, read_list, read_number,
-                       read_str, write_csv_atomic, write_json_atomic, write_npz_atomic)
+from .io_utils import (naming, read_bool, read_field, read_int, read_json, read_list,
+                       read_number, read_str, write_csv_atomic, write_json_atomic, write_npz_atomic)
 
 # Quadrant bounds, ordered: lower-left, upper-left, lower-right, upper-right.
 # Lower bounds are inclusive, zero-boundaries exclusive on the negative side.
@@ -140,7 +140,8 @@ def make_multilabel_spec(num_classes: int, set_size: int = 2,
     inputs.
     """
     if not 1 <= set_size <= num_classes:
-        raise ValueError("set_size must lie in [1, num_classes]")
+        raise ValueError(f"set_size must lie in [1, num_classes], got set_size {set_size} and "
+                         f"num_classes {num_classes}")
     centers = class_centers(num_classes)
     items = []
     for k in range(num_classes):
@@ -210,7 +211,8 @@ class GridFrameSpec:
 def default_gridframe_spec(num_terminals: int = 3, width: int = 8,
                            height: int = 8) -> GridFrameSpec:
     if not 1 <= num_terminals <= len(_DEFAULT_TERMINALS):
-        raise ValueError(f"num_terminals must lie in [1, {len(_DEFAULT_TERMINALS)}]")
+        raise ValueError(f"terminals must lie in [1, {len(_DEFAULT_TERMINALS)}], "
+                         f"got {num_terminals}")
     terminals = _DEFAULT_TERMINALS[:num_terminals]
     probs = tuple(1.0 / num_terminals for _ in terminals)
     return GridFrameSpec(width, height, (4, 4), terminals, probs)
@@ -367,10 +369,11 @@ def load_dataset(path) -> Dataset:
     read as edited and a cache never raises. Either way the same checks follow and name
     data.csv, and both give the same bits.
 
-    A sidecar field that is missing or does not read (the spec as its task's), a CSV header
+    A sidecar field that is missing or does not read (the spec as its task's) raises
+    ValueError naming data.json; every field is read before the CSV is opened. A CSV header
     other than the sidecar's input and target columns, a CSV that has no rows, a row count
     other than the sidecar's ``n``, and a CSV value that does not parse, is non-finite, or is
-    fractional in an integer target, raise ValueError.
+    fractional in an integer target, raise ValueError under ``naming(data.csv)``.
     """
     path = Path(path)
     if path.is_dir():
@@ -385,7 +388,8 @@ def load_dataset(path) -> Dataset:
     task = get("task", read_str)
     spec = get("spec", lambda v: _read_spec(task, n_out, v), None)
     n = get("n", read_int)
-    try:
+    int_targets = get("int_targets", read_bool, False)
+    with naming(csv_path):
         with open(csv_path, encoding="utf-8") as fh:
             header = fh.readline().rstrip("\r\n")
         if header != ",".join(inputs + targets):
@@ -400,19 +404,17 @@ def load_dataset(path) -> Dataset:
                                         UserWarning)
                 raw = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2,
                                  dtype=np.float64)
-    except ValueError as err:  # the header, a cell that does not parse, a row too short
-        raise ValueError(f"{csv_path}: {err}") from None
-    if len(raw) == 0:
-        raise ValueError(f"{csv_path}: no rows")
-    if len(raw) != n:
-        raise ValueError(f"{csv_path}: {len(raw)} rows, but {json_path} gives n = {n}")
-    if raw.shape[1] != n_in + n_out:
-        raise ValueError(f"{csv_path}: expected {n_in + n_out} columns, found {raw.shape[1]}")
-    if not np.isfinite(raw).all():
-        raise ValueError(f"{csv_path}: a value is NaN or infinite")
-    X, Y = raw[:, :n_in], raw[:, n_in:]
-    if get("int_targets", read_bool, False):
-        if (Y != np.trunc(Y)).any():
-            raise ValueError(f"{csv_path}: an integer target column holds a fractional value")
-        Y = Y.astype(np.int64).ravel() if n_out == 1 else Y.astype(np.int64)
+        if len(raw) == 0:
+            raise ValueError("no rows")
+        if len(raw) != n:
+            raise ValueError(f"{len(raw)} rows, but {json_path} gives n = {n}")
+        if raw.shape[1] != n_in + n_out:
+            raise ValueError(f"expected {n_in + n_out} columns, found {raw.shape[1]}")
+        if not np.isfinite(raw).all():
+            raise ValueError("a value is NaN or infinite")
+        X, Y = raw[:, :n_in], raw[:, n_in:]
+        if int_targets:
+            if (Y != np.trunc(Y)).any():
+                raise ValueError("an integer target column holds a fractional value")
+            Y = Y.astype(np.int64).ravel() if n_out == 1 else Y.astype(np.int64)
     return Dataset(X, Y, task, spec)

@@ -1,7 +1,8 @@
 """Small shared I/O helpers: atomic text, ``.npz``, JSON and CSV writes, :func:`read_json`,
 the one reader of a config, sidecar, checkpoint or generators file, :func:`read_field`, the
-one reader for a field of it, and :func:`worker_count`, the number of workers that format
-the row parts of a large CSV table."""
+one reader for a field of it, :func:`naming`, the one prefix that names a refused input, and
+:func:`worker_count`, the number of workers that format the row parts of a large CSV
+table."""
 
 from __future__ import annotations
 
@@ -87,14 +88,22 @@ def read_list(read, length: int | None = None):
     return read_entries
 
 
-def read_json(path):
-    """The JSON document at ``path``. Text that does not decode as UTF-8 or parse as JSON
-    raises ValueError("<path>: <reason>"); a file that cannot be read raises OSError."""
+@contextmanager
+def naming(source):
+    """A ValueError raised inside becomes ValueError("<source>: <reason>"), so a refusal names
+    the file or input it is about."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
-        raise ValueError(f"{path}: {err}") from None
+        yield
+    except ValueError as err:
+        raise ValueError(f"{source}: {err}") from None
+
+
+def read_json(path):
+    """The JSON document at ``path``. Text that does not decode as UTF-8 or parse as JSON, an
+    integer too long to convert included, raises ValueError("<path>: <reason>"); a file that
+    cannot be read raises OSError."""
+    with naming(path), open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def read_field(doc, key: str, read, default=..., *, where: str | None):
@@ -148,10 +157,8 @@ def write_json_atomic(path, obj, *, indent: int | None = 2) -> Path:
     """Serialize ``obj`` to ``path`` atomically, with a trailing newline. The whole text is
     encoded before the temp file is opened, so a document that does not encode, such as one
     holding a NaN or an infinity (strict JSON has neither), writes nothing."""
-    try:
+    with naming(path):
         text = json.dumps(obj, indent=indent, allow_nan=False)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
     return write_text_atomic(path, text + "\n")
 
 

@@ -80,9 +80,11 @@ def _target_logits(p: np.ndarray, targets) -> tuple[np.ndarray, tuple]:
 def hypothesis_targets(kind: LossKind, targets, n: int, output_dim: int) -> np.ndarray:
     """Targets shaped to broadcast against (n, M, ...) hypothesis sets.
 
-    The one target shape check: class indices must be (n,) and become
-    (n, 1), regression targets must be (n, output_dim) and become
-    (n, 1, output_dim); any other shape raises ValueError.
+    The shape check of raw targets (those of a training epoch or a metric
+    pass): class indices must be (n,) and become (n, 1), regression targets
+    must be (n, output_dim) and become (n, 1, output_dim); any other shape
+    raises ValueError. :func:`check_hypothesis_targets` checks targets already
+    shaped, for ``assign_batch``.
     """
     if kind.name == "cross_entropy":
         t, want = np.asarray(targets), (n,)

@@ -23,8 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .io_utils import (read_field, read_int, read_json, read_list, read_number, read_seed,
-                       read_str, write_json_atomic)
+from .io_utils import (naming, read_field, read_int, read_json, read_list, read_number,
+                       read_seed, read_str, write_json_atomic)
 
 ACTIVATIONS = ("relu", "identity")
 HEAD_INIT_STD = 0.01
@@ -339,23 +339,22 @@ def save_checkpoint(path, model: MlpModel, optimizer: OptimizerState | None = No
 
 
 def load_checkpoint(path) -> tuple[MlpModel, OptimizerState | None]:
-    """Read a checkpoint back; every field goes through ``read_field``, which names a bad one."""
+    """Read a checkpoint back; every field goes through ``read_field``, which names a bad one,
+    and every refusal names the file."""
     doc = read_json(path)
-    get = functools.partial(read_field, where=path)
-    if (version := get(doc, "schema_version", read_int)) != CHECKPOINT_SCHEMA_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint schema {version!r}")
-    shapes = get(doc, "layer_dims", lambda dims: [(read_int(o), read_int(i)) for i, o in dims])
-    fields = (get(doc, "parameters", lambda v: _read_pairs(shapes, v)), shapes,
-              get(doc, "activations", read_list(read_str, len(shapes))),
-              get(doc, "output_dim", read_int), get(doc, "M", read_int),
-              get(doc, "seed", lambda v: v if v is None else read_seed(v), None),
-              get(doc, "extras", lambda v: v, {}))
-    o = get(doc, "optimizer", lambda v: v, None)
-    opt_get = functools.partial(read_field, o, where=f"{path}: optimizer")
-    opt_fields = None if o is None else (
-        opt_get("kind", read_str), opt_get("learning_rate", read_number),
-        opt_get("momentum", read_number), opt_get("buffers", lambda v: _read_pairs(shapes, v)))
-    try:
+    get = functools.partial(read_field, doc, where=None)
+    with naming(path):
+        if (version := get("schema_version", read_int)) != CHECKPOINT_SCHEMA_VERSION:
+            raise ValueError(f"unsupported checkpoint schema {version!r}")
+        shapes = get("layer_dims", lambda dims: [(read_int(o), read_int(i)) for i, o in dims])
+        fields = (get("parameters", lambda v: _read_pairs(shapes, v)), shapes,
+                  get("activations", read_list(read_str, len(shapes))),
+                  get("output_dim", read_int), get("M", read_int),
+                  get("seed", lambda v: v if v is None else read_seed(v), None),
+                  get("extras", lambda v: v, {}))
+        o = get("optimizer", lambda v: v, None)
+        opt_get = functools.partial(read_field, o, where="optimizer")
+        opt_fields = None if o is None else (
+            opt_get("kind", read_str), opt_get("learning_rate", read_number),
+            opt_get("momentum", read_number), opt_get("buffers", lambda v: _read_pairs(shapes, v)))
         return MlpModel(*fields), None if opt_fields is None else OptimizerState(*opt_fields)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import L2, LossKind, hypothesis_targets, loss_values
+from .losses import L2, LossKind, loss_values
 
 logger = logging.getLogger(__name__)
 
@@ -43,15 +43,26 @@ class Tessellation:
 def _as_points(arr, name: str) -> np.ndarray:
     pts = np.asarray(arr, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError(f"{name} must be a nonempty (n, d) array")
+        raise ValueError(f"{name} must be a nonempty 2-d array, got shape {pts.shape}")
     if not np.isfinite(pts).all():
         raise ValueError(f"non-finite {name}")
     return pts
 
 
-def _as_samples(loss: LossKind, samples) -> np.ndarray:
-    """Finite (n, d) points; cross-entropy class indices pass as they are."""
-    return np.asarray(samples) if loss.name == "cross_entropy" else _as_points(samples, "samples")
+def _inputs(generators, loss: LossKind, samples) -> tuple[np.ndarray, np.ndarray]:
+    """The checked inputs of a ``membership``, ``tessellate`` or ``quantization_error`` call,
+    the one check they get: finite, nonempty float64 (M, d) generators, and finite, nonempty
+    float64 (n, d) samples of the same d or, for cross-entropy, nonempty (n,) class indices."""
+    gens = _as_points(generators, "generators")
+    if loss.name == "cross_entropy":
+        pts = np.asarray(samples)
+        if pts.ndim != 1 or not len(pts):
+            raise ValueError("cross_entropy samples must be nonempty (n,) class indices, "
+                             f"got shape {pts.shape}")
+    elif (pts := _as_points(samples, "samples")).shape[1] != gens.shape[1]:
+        raise ValueError(f"samples of {pts.shape[1]} columns need (M, {pts.shape[1]}) "
+                         f"generators, got shape {gens.shape}")
+    return gens, pts
 
 
 def _nearest(gens: np.ndarray, loss: LossKind, samples) -> tuple[np.ndarray, np.ndarray]:
@@ -68,7 +79,8 @@ def _search(gens: np.ndarray, loss: LossKind, samples, rows: np.ndarray, index: 
     """Search the (M, d) ``gens`` for the ``samples`` at the ascending ``rows``: the
     k = len(rows) winners into ``index``, least losses into ``low`` and, when given,
     second-least losses into ``second``. Each has a slot to spare for the copy beside a
-    lone row, which a search of every row never makes.
+    lone row, which a search of every row never makes. Nothing is checked here: the
+    samples are as the call's entry check (``_inputs``, or ``lloyd``'s) gave them.
 
     Works sample-major, one generator at a time: the rows are gathered ``_SEARCH_TILE``
     at a time with the sample axis contiguous, and each generator's row of losses is
@@ -166,14 +178,15 @@ def _fresh_gaps(low: np.ndarray, second: np.ndarray) -> None:
 def _search_tile(gens: np.ndarray, loss: LossKind, block, idx: np.ndarray, low: np.ndarray,
                  second: np.ndarray | None = None) -> None:
     """One tile of a search of the (M, d) ``gens``: each sample's least loss into ``low`` and
-    its generator into ``idx``, and its second-least loss into ``second`` when given."""
-    t = np.asfortranarray(hypothesis_targets(loss, block, len(block), gens.shape[1])[:, 0])
+    its generator into ``idx``, and its second-least loss into ``second`` when given. The
+    ``block`` is ``_search``'s sample-major gather of checked samples: (k, d) float64 points,
+    or (k,) class indices, used as they are."""
     idx.fill(0)
-    low[:] = loss_values(loss, gens[0], t)
+    low[:] = loss_values(loss, gens[0], block)
     if second is not None:
         second.fill(np.inf)
     for j in range(1, len(gens)):
-        values = loss_values(loss, gens[j], t)
+        values = loss_values(loss, gens[j], block)
         # every index so far is below j, so a maximum sets j where values < low, without
         # the branches of a masked store
         np.maximum(idx, (values < low) * j, out=idx)
@@ -211,13 +224,13 @@ def _distinct_rows(pts: np.ndarray, m: int) -> int:
 
 def membership(generators, loss: LossKind, samples) -> np.ndarray:
     """Index of the loss-minimizing generator per sample (first on ties)."""
-    return _nearest(_as_points(generators, "generators"), loss, _as_samples(loss, samples))[0]
+    gens, pts = _inputs(generators, loss, samples)
+    return _nearest(gens, loss, pts)[0]
 
 
 def tessellate(generators, loss: LossKind, samples) -> Tessellation:
     """Assign every sample to its minimizing generator and count and average each cell."""
-    gens = _as_points(generators, "generators")
-    pts = _as_samples(loss, samples)
+    gens, pts = _inputs(generators, loss, samples)
     assignments = _nearest(gens, loss, pts)[0]
     m = len(gens)
     counts = np.bincount(assignments, minlength=m)
@@ -251,10 +264,8 @@ def _mean_loss(best: np.ndarray) -> float:
 
 def quantization_error(generators, loss: LossKind, samples) -> float:
     """Mean over samples of the loss against the best generator."""
-    gens, samples = _as_points(generators, "generators"), _as_samples(loss, samples)
-    if len(samples) == 0:
-        raise ValueError("no samples")
-    return _mean_loss(_nearest(gens, loss, samples)[1])
+    gens, pts = _inputs(generators, loss, samples)
+    return _mean_loss(_nearest(gens, loss, pts)[1])
 
 
 @dataclass(eq=False)
@@ -282,23 +293,6 @@ def _kmeanspp_init(samples: np.ndarray, m: int, rng: np.random.Generator) -> np.
     return np.array(gens)
 
 
-def _lloyd_samples(samples, m: int, max_iters: int, tol: float) -> np.ndarray:
-    """The checked arguments of a Lloyd run; its samples as a sample-major array, so that the
-    cell sums read contiguous columns and every squared distance adds its dimensions in
-    sequence, as ``_nearest`` does."""
-    pts = np.asfortranarray(_as_points(samples, "samples"))
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if not 0 <= tol < np.inf:  # also refuses NaN, which would never stop the loop
-        raise ValueError(f"tol must be a finite nonnegative number, got {tol}")
-    if max_iters < 0:
-        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
-    distinct = _distinct_rows(pts, m)
-    if m > distinct:
-        raise ValueError(f"m={m} exceeds the {distinct} distinct samples")
-    return pts
-
-
 def lloyd(samples, m: int, *, init_generators=None, max_iters: int = 100,
           tol: float = 1e-4, rng: np.random.Generator | None = None) -> LloydResult:
     """Alternate assignment and mean moves under the squared-error loss.
@@ -318,7 +312,18 @@ def lloyd(samples, m: int, *, init_generators=None, max_iters: int = 100,
     against its own cell's generator: bitwise the least loss an exact search
     of them gives.
     """
-    pts = _lloyd_samples(samples, m, max_iters, tol)
+    # sample-major, so that the cell sums read contiguous columns and every squared distance
+    # adds its dimensions in sequence, as _nearest does
+    pts = np.asfortranarray(_as_points(samples, "samples"))
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if not 0 <= tol < np.inf:  # also refuses NaN, which would never stop the loop
+        raise ValueError(f"tol must be a finite nonnegative number, got {tol}")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+    distinct = _distinct_rows(pts, m)
+    if m > distinct:
+        raise ValueError(f"m={m} exceeds the {distinct} distinct samples")
     if init_generators is not None:
         start = _as_points(init_generators, "init_generators").copy()
         if start.shape != (m, pts.shape[1]):
@@ -400,13 +405,13 @@ def lloyd_best_of(samples, m: int, restarts: int, rng: np.random.Generator, *,
                   max_iters: int = 100, tol: float = 1e-4) -> LloydResult:
     """Best of ``restarts`` seeded ``lloyd`` runs by quantization error, the first on ties.
 
-    The arguments are checked once; then each restart is one
-    ``lloyd(samples, m, rng=rng)`` call, in order on the calling thread, so
-    each draws its start from ``rng`` just before its passes. The first that
-    raises propagates its error, and no later restart starts.
+    Only ``restarts`` is checked here; each restart is one
+    ``lloyd(samples, m, rng=rng)`` call, which checks its own arguments, in
+    order on the calling thread, so each draws its start from ``rng`` just
+    before its passes. The first that raises propagates its error, and no
+    later restart starts.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    pts = _lloyd_samples(samples, m, max_iters, tol)
-    runs = (lloyd(pts, m, rng=rng, max_iters=max_iters, tol=tol) for _ in range(restarts))
+    runs = (lloyd(samples, m, rng=rng, max_iters=max_iters, tol=tol) for _ in range(restarts))
     return min(runs, key=lambda run: run.quantization_error)

@@ -145,9 +145,16 @@ class TestGen:
     @pytest.mark.parametrize("flags, message", [
         (["--task", "multilabel", "--classes", "1", "--set-size", "1"], "at least 2 classes"),
         (["--task", "multilabel", "--set-size", "0"], "set_size must lie in [1, num_classes]"),
-        (["--task", "gridframe", "--terminals", "13"], "num_terminals must lie in [1, 12]"),
+        # a range refusal shows the values given, under their config names
+        (["--task", "multilabel", "--classes", "1"],
+         "set_size must lie in [1, num_classes], got set_size 2 and num_classes 1"),
+        (["--task", "multilabel", "--classes", "4", "--set-size", "5"],
+         "set_size must lie in [1, num_classes], got set_size 5 and num_classes 4"),
+        (["--task", "gridframe", "--terminals", "13"], "terminals must lie in [1, 12], got 13"),
+        (["--task", "gridframe", "--terminals", "0"], "terminals must lie in [1, 12], got 0"),
         (["--task", "gridframe", "--grid-size", "2"], "at least 3x3"),
-    ], ids=["classes_1", "set_size_0", "terminals_13", "grid_size_2"])
+    ], ids=["classes_1", "set_size_0", "default_set_size_2", "set_size_5", "terminals_13",
+            "terminals_0", "grid_size_2"])
     def test_spec_its_task_refuses_is_usage_error(self, tmp_path, capsys, flags, message):
         usage_error(capsys, ["gen", *flags, "--n", "10", "--out", str(tmp_path / "d")], message)
         assert not (tmp_path / "d").exists()
@@ -259,6 +266,20 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--data", str(data),
                      "--out", str(out)]) == 0
         assert (out / "checkpoint.json").exists()
+
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_dataset_without_input_columns_is_named(self, tmp_path, capsys, given):
+        data = tmp_path / "gm"
+        assert main(["gen", "--task", "gmm", "--n", "50", "--out", str(data)]) == 0
+        if given == "flag":
+            argv = ["--config", str(write_cfg(tmp_path, epochs=1)), "--data", str(data)]
+        else:
+            argv = ["--config", str(write_cfg(tmp_path, epochs=1, dataset={"path": str(data)}))]
+        capsys.readouterr()
+        assert main(["train", *argv, "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == (f"error: {data}: the gmm dataset has no input "
+                                           "columns to train on\n")
+        assert not (tmp_path / "run").exists()
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.json"),
@@ -995,6 +1016,26 @@ class TestCorruptCheckpoint:
                     "--samples", "50", "--out", str(tmp_path / "cells")]
         capsys.readouterr()
         usage_error(capsys, argv, name)
+
+    @pytest.mark.parametrize("command", ["eval", "tessellate"])
+    def test_integer_too_long_to_convert_names_the_file(self, good, command, tmp_path, capsys):
+        # json refuses an integer of more than 4300 digits with a ValueError of its own
+        doc = json.loads(json.dumps(good))
+        doc["seed"] = "SEED"
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(doc).replace('"SEED"', "7" * 5000))
+        out = tmp_path / "out"
+        if command == "eval":
+            argv = ["eval", "--checkpoint", str(path), "--data", str(gen(tmp_path, "temporal2d")),
+                    "--out", str(out)]
+        else:
+            argv = ["tessellate", "--checkpoint", str(path), "--t", "0.0", "--samples", "50",
+                    "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "digits" in err
+        assert not out.exists()
 
     def nested_weights(doc):
         weights = doc["parameters"][1]["weights"]

@@ -73,6 +73,33 @@ class TestTessellate:
             func([[0, 0], [1, 1]], L2, [[np.nan, 1], [1, 1]])
 
 
+class TestEntryCheck:
+    """``membership``, ``tessellate`` and ``quantization_error`` check their inputs once, at
+    entry, and a refusal gives the caller's shapes, not a search tile's."""
+
+    @pytest.mark.parametrize("func", [membership, tessellate, quantization_error])
+    def test_generators_of_another_width_are_refused_with_their_shape(self, func):
+        samples = uniform_square(40_000, seed=60)  # three search tiles
+        with pytest.raises(ValueError, match=re.escape("got shape (3, 3)")) as info:
+            func(np.zeros((3, 3)), L2, samples)
+        assert "16384" not in str(info.value)
+
+    @pytest.mark.parametrize("func", [membership, tessellate, quantization_error])
+    @pytest.mark.parametrize("samples", [np.zeros(0, dtype=np.int64),
+                                         np.zeros((4, 1), dtype=np.int64)], ids=["empty", "2d"])
+    def test_cross_entropy_samples_must_be_class_indices(self, func, samples):
+        message = ("cross_entropy samples must be nonempty (n,) class indices, "
+                   f"got shape {samples.shape}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            func(np.zeros((2, 3)), CROSS_ENTROPY, samples)
+
+    @pytest.mark.parametrize("func", [membership, tessellate, quantization_error])
+    @pytest.mark.parametrize("shape", [(0, 2), (0,)], ids=["no_rows", "one_axis"])
+    def test_empty_samples_are_refused(self, func, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            func(np.zeros((2, 2)), L2, np.zeros(shape))
+
+
 class TestCentroidalResidual:
     def test_fixed_point_has_zero_residual(self):
         pts = np.array([[0.0, 0.0], [2.0, 0.0], [10.0, 0.0], [12.0, 0.0]])
